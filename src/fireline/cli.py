@@ -105,8 +105,7 @@ def _cmd_simulate_discrete(args):
     t_macro = args.T / s.a if args.raw_time else args.T
     sim = DiscreteFFP(
         args.lam, args.pi, args.A, args.seed,
-        stream_id=args.stream, match_mode=args.match_mode,
-        initial=args.initial, engine=args.engine,
+        stream_id=args.stream, match_mode=args.match_mode, initial=args.initial,
     )
     grid_n = args.grid
     if args.csv and grid_n == 0:
@@ -234,7 +233,7 @@ def _cmd_couple(args):
     regime, ratio, _ = classify_regime(args.lam, args.pi)
     dists = coupled_distances(
         args.lam, args.pi, args.A, args.T, args.runs, args.seed,
-        grid_points=args.grid, jobs=args.jobs, engine=args.engine,
+        grid_points=args.grid, jobs=args.jobs,
     )
     ordered = sorted(dists)
     median = (
@@ -257,7 +256,7 @@ def _cmd_couple(args):
 def _cmd_cluster_dist(args):
     res = cluster_dist_experiment(
         args.lam, args.pi, args.T, args.runs, args.seed,
-        A=args.A, jobs=args.jobs, engine=args.engine,
+        A=args.A, jobs=args.jobs,
     )
     n = compute_scales(args.lam, args.pi).n
     print(f"runs={res.runs} mean_size={res.mean_size:.6f} mean_size_over_n={res.mean_size / n:.6f}")
@@ -301,7 +300,7 @@ def _cmd_gamma_test(args):
 def _cmd_barrier(args):
     res = barrier_height_experiment(
         args.lam, args.pi, args.t0, args.t1, args.runs, args.seed,
-        jobs=args.jobs, engine=args.engine, radius=args.radius,
+        jobs=args.jobs, radius=args.radius,
     )
     print(
         f"runs={res.runs} mean_theta={res.mean_theta:.6f} "
@@ -327,12 +326,8 @@ def _cmd_barrier(args):
 
 
 def _cmd_fronts(args):
-    speed = front_speed_experiment(
-        args.pi, args.T, args.runs, args.seed, jobs=args.jobs, engine=args.engine
-    )
-    spark = spark_fraction_experiment(
-        args.pi, args.T, args.runs, args.seed, jobs=args.jobs, engine=args.engine
-    )
+    speed = front_speed_experiment(args.pi, args.T, args.runs, args.seed, jobs=args.jobs)
+    spark = spark_fraction_experiment(args.pi, args.T, args.runs, args.seed, jobs=args.jobs)
     expected = args.pi * args.T
     print(
         f"runs={speed.runs} mean_plus={speed.mean_plus:.6f} "
@@ -356,17 +351,12 @@ def _cmd_fronts(args):
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_common(p, *, seed=True, jobs=False, engine=False, csv_out=False):
+def _add_common(p, *, seed=True, jobs=False, csv_out=False):
     if seed:
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--stream", type=int, default=0, help="stream id")
     if jobs:
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    if engine:
-        p.add_argument(
-            "--engine", choices=["auto", "python", "compiled"], default="auto",
-            help="simulation core selection",
-        )
     if csv_out:
         p.add_argument("--csv", metavar="FILE", help="write rows as CSV")
     p.add_argument("--json", metavar="FILE", help="write a JSON artifact")
@@ -400,7 +390,7 @@ def build_parser():
     p.add_argument("--raw-time", action="store_true", help="interpret -T as raw time")
     p.add_argument("--grid", type=int, default=0, help="observable sample points")
     p.add_argument("--snapshot", metavar="FILE", help="write the final state")
-    _add_common(p, engine=True, csv_out=True)
+    _add_common(p, csv_out=True)
     p.set_defaults(func=_cmd_simulate_discrete)
 
     p = sub.add_parser("simulate-limit", help="run a limit process")
@@ -420,7 +410,11 @@ def build_parser():
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--gof", type=float, default=None, metavar="DT",
                    help="chi-square fit of front increments in windows of DT")
-    _add_common(p, engine=True, csv_out=True)
+    p.add_argument(
+        "--engine", choices=["auto", "python", "compiled"], default="auto",
+        help="simulation core selection",
+    )
+    _add_common(p, csv_out=True)
     p.set_defaults(func=_cmd_propagation)
 
     p = sub.add_parser("couple", help="coupled discrete/limit distance runs")
@@ -430,7 +424,7 @@ def build_parser():
     p.add_argument("-T", "--time", dest="T", type=float, required=True)
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--grid", type=int, default=512)
-    _add_common(p, jobs=True, engine=True, csv_out=True)
+    _add_common(p, jobs=True, csv_out=True)
     p.set_defaults(func=_cmd_couple)
 
     p = sub.add_parser("cluster-dist", help="cluster statistics at a fixed time")
@@ -439,7 +433,7 @@ def build_parser():
     p.add_argument("-T", "--time", dest="T", type=float, required=True)
     p.add_argument("-A", "--box", dest="A", type=float, required=True)
     p.add_argument("--runs", type=int, required=True)
-    _add_common(p, jobs=True, engine=True, csv_out=True)
+    _add_common(p, jobs=True, csv_out=True)
     p.set_defaults(func=_cmd_cluster_dist)
 
     p = sub.add_parser("gamma-test", help="slow-limit cluster law fit")
@@ -456,14 +450,14 @@ def build_parser():
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--radius", type=int, default=None)
-    _add_common(p, jobs=True, engine=True, csv_out=True)
+    _add_common(p, jobs=True, csv_out=True)
     p.set_defaults(func=_cmd_barrier)
 
     p = sub.add_parser("fronts", help="front speed and spark statistics")
     p.add_argument("--pi", type=float, required=True)
     p.add_argument("-T", "--horizon", dest="T", type=float, required=True)
     p.add_argument("--runs", type=int, required=True)
-    _add_common(p, jobs=True, engine=True)
+    _add_common(p, jobs=True)
     p.set_defaults(func=_cmd_fronts)
 
     return parser

@@ -14,7 +14,8 @@ per-site vacancy-window indicators behind each front.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +30,10 @@ MEMORY_CAP_SITES = 2**30
 
 _MATCH_MODES = ("poisson", "injected", "none")
 
+_VACANT_BYTE, _OCCUPIED_BYTE, _BURNING_BYTE = (
+    bytes([s]) for s in (STATE_VACANT, STATE_OCCUPIED, STATE_BURNING)
+)
+
 
 class ResourceLimitError(RuntimeError):
     """A requested simulation exceeds the configured memory cap."""
@@ -39,6 +44,17 @@ def _check_box(n_sites: int) -> None:
         raise ResourceLimitError(
             f"box of {n_sites} sites exceeds the cap of {MEMORY_CAP_SITES}"
         )
+
+
+def _occupied_run(st: bytes, idx: int) -> Tuple[int, int]:
+    """Bounds of the occupied run through the occupied site idx of st."""
+    lo = st.rfind(_VACANT_BYTE, 0, idx)
+    lo = max(lo, st.rfind(_BURNING_BYTE, lo + 1, idx)) + 1
+    hi = st.find(_VACANT_BYTE, idx + 1)
+    if hi < 0:
+        hi = len(st)
+    burning = st.find(_BURNING_BYTE, idx + 1, hi)
+    return lo, (hi if burning < 0 else burning) - 1
 
 
 @dataclass(frozen=True)
@@ -65,22 +81,24 @@ class ClusterObservables:
 
 def match_schedule_from_marks(
     marks: Sequence[Mark], scales: Scales, a_sites: int
-) -> Tuple[List[float], List[int]]:
-    """Map macroscopic marks (x, t) to a lattice match schedule.
+) -> List[Tuple[float, int]]:
+    """Map macroscopic marks (x, t) to the (t, site) pairs of an injected schedule.
 
     A mark at x lands on site floor(n*x); its time stays macroscopic (the
-    wrapper converts to raw time on injection).  Marks outside the box are
-    rejected.
+    wrapper converts to raw time on injection).  Marks on [-A, A] whose
+    site is -a_sites-1 fall in the sliver between -A and the first site:
+    they hit a permanently vacant ghost, have no effect, and are dropped.
+    Marks anywhere else outside the box are rejected.
     """
-    times: List[float] = []
-    sites: List[int] = []
+    schedule: List[Tuple[float, int]] = []
     for mark in marks:
         site = math.floor(scales.n * mark.x)
+        if site == -a_sites - 1:
+            continue
         if abs(site) > a_sites:
             raise ValueError(f"mark at x={mark.x} maps to site {site}, outside the box")
-        times.append(mark.t)
-        sites.append(site)
-    return times, sites
+        schedule.append((mark.t, site))
+    return schedule
 
 
 class DiscreteFFP:
@@ -187,11 +205,6 @@ class DiscreteFFP:
         """State bytes for sites -A_sites..A_sites, left to right."""
         return self._eng.state_view()
 
-    def site_state(self, site: int) -> int:
-        if abs(site) > self.a_sites:
-            return STATE_VACANT  # ghost sites never change
-        return self._eng.state_view()[site + self.a_sites]
-
     def burning_count(self) -> int:
         return self._eng.burning_count
 
@@ -221,12 +234,7 @@ class DiscreteFFP:
         idx = site0 + self.a_sites
 
         if st[idx] == STATE_OCCUPIED:
-            lo = idx
-            while lo - 1 >= 0 and st[lo - 1] == STATE_OCCUPIED:
-                lo -= 1
-            hi = idx
-            while hi + 1 < self.n_sites and st[hi + 1] == STATE_OCCUPIED:
-                hi += 1
+            lo, hi = _occupied_run(st, idx)
             cluster = (lo - self.a_sites, hi - self.a_sites)
             size = hi - lo + 1
             d = (cluster[0] / sc.n, cluster[1] / sc.n)
@@ -239,7 +247,7 @@ class DiscreteFFP:
 
         wlo = max(idx - sc.m, 0)
         whi = min(idx + sc.m, self.n_sites - 1)
-        occ = sum(1 for i in range(wlo, whi + 1) if st[i] == STATE_OCCUPIED)
+        occ = st.count(_OCCUPIED_BYTE, wlo, whi + 1)
         k = occ / (whi - wlo + 1)
         if k >= 1.0:
             z = 1.0
@@ -256,18 +264,7 @@ class DiscreteFFP:
 
     def snapshot(self) -> dict:
         """Run-length-encoded state snapshot with full parameters."""
-        st = self._eng.state_view()
-        runs: List[List[int]] = []
-        cur = st[0]
-        count = 1
-        for b in st[1:]:
-            if b == cur:
-                count += 1
-            else:
-                runs.append([count, cur])
-                cur = b
-                count = 1
-        runs.append([count, cur])
+        runs = [[sum(1 for _ in g), b] for b, g in groupby(self._eng.state_view())]
         return {
             "schema": "ffp-snapshot/1",
             "lambda": self.lam,

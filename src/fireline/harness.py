@@ -7,12 +7,17 @@ rerun with the same seed reproduces every run bit for bit regardless of
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .discrete import DiscreteFFP, PropagationRun, run_propagation
+from .discrete import (
+    DiscreteFFP,
+    PropagationRun,
+    match_schedule_from_marks,
+    run_propagation,
+)
 from .engine import make_engine
 from .limits import (
     LimitStateP,
@@ -38,8 +43,11 @@ from .scales import (
 def _map_runs(worker: Callable, argses: Sequence[tuple], jobs: int) -> list:
     if jobs <= 1:
         return [worker(a) for a in argses]
+    # batch short runs to save a round trip per run, in chunks small enough
+    # (16 per worker) that uneven run times still balance across workers
+    chunksize = max(1, len(argses) // (16 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(worker, argses))
+        return list(ex.map(worker, argses, chunksize=chunksize))
 
 
 # -- basic statistics --------------------------------------------------------------
@@ -107,17 +115,15 @@ def coupled_run(
     stream_id: int = 0,
     grid_points: int = DEFAULT_GRID_POINTS,
     regime: Union[Regime, str, None] = None,
-    engine: str = "auto",
 ) -> CoupledRun:
     """Drive the discrete process and its scaling limit from one mark set.
 
     Marks are drawn once from (seed, stream_id); the discrete side receives
-    them as an injected match schedule on sites floor(n*x) (marks landing in
-    the sub-lattice-width sliver outside the site box are no-effect ghosts
-    and are skipped), the limit side consumes them directly.  Z and D at
-    x=0 are sampled on a uniform grid and compared with d_T.  In the slow
-    regime the limit has no regrowth observable, so the value channel is
-    neutralized and the distance reduces to the cluster term.
+    them as the injected schedule of match_schedule_from_marks, the limit
+    side consumes them directly.  Z and D at x=0 are sampled on a uniform
+    grid and compared with d_T.  In the slow regime the limit has no
+    regrowth observable, so the value channel is neutralized and the
+    distance reduces to the cluster term.
     """
     classified, ratio, _ = classify_regime(lam, pi)
     want = _as_regime_kind(regime)
@@ -129,12 +135,7 @@ def coupled_run(
     scales = compute_scales(lam, pi)
     marks = poisson_rectangle(RngStream(seed, stream_id), -A, A, 0.0, T)
 
-    a_sites = math.floor(A * scales.n)
-    schedule = []
-    for m in marks:
-        site = math.floor(scales.n * m.x)
-        if -a_sites <= site <= a_sites:
-            schedule.append((m.t, site))
+    schedule = match_schedule_from_marks(marks, scales, math.floor(A * scales.n))
     disc = DiscreteFFP(
         lam,
         pi,
@@ -143,7 +144,6 @@ def coupled_run(
         stream_id=stream_id,
         match_mode="injected",
         injected_matches=schedule,
-        engine=engine,
     )
 
     times = uniform_grid(T, grid_points)
@@ -167,10 +167,9 @@ def coupled_run(
 
     if classified.kind == "slow":
         zl = zd.copy()  # no limit regrowth observable: neutral value channel
-        dl = [lim_state.D(0.0, float(t)) for t in times]
     else:
         zl = np.array([lim_state.Z(0.0, float(t)) for t in times])
-        dl = [lim_state.D(0.0, float(t)) for t in times]
+    dl = [lim_state.D(0.0, float(t)) for t in times]
     limit = Trajectory(times, zl, dl)
 
     per_time = np.array(
@@ -208,10 +207,8 @@ def limit_trajectory(
 
 
 def _coupled_worker(args):
-    lam, pi, A, T, seed, idx, grid_points, engine = args
-    run = coupled_run(
-        lam, pi, A, T, seed, stream_id=idx, grid_points=grid_points, engine=engine
-    )
+    lam, pi, A, T, seed, idx, grid_points = args
+    run = coupled_run(lam, pi, A, T, seed, stream_id=idx, grid_points=grid_points)
     return run.distance
 
 
@@ -225,10 +222,9 @@ def coupled_distances(
     *,
     grid_points: int = DEFAULT_GRID_POINTS,
     jobs: int = 1,
-    engine: str = "auto",
 ) -> List[float]:
     """d_T over independent coupled runs, ordered by run index."""
-    argses = [(lam, pi, A, T, seed, i, grid_points, engine) for i in range(runs)]
+    argses = [(lam, pi, A, T, seed, i, grid_points) for i in range(runs)]
     return _map_runs(_coupled_worker, argses, jobs)
 
 
@@ -250,8 +246,8 @@ class ClusterDistResult:
 
 
 def _cluster_worker(args):
-    lam, pi, t, A, seed, idx, engine = args
-    d = DiscreteFFP(lam, pi, A, seed, stream_id=idx, engine=engine)
+    lam, pi, t, A, seed, idx = args
+    d = DiscreteFFP(lam, pi, A, seed, stream_id=idx)
     d.advance_to(t)
     obs = d.observables(0.0)
     return (obs.size, obs.W, obs.Z)
@@ -266,12 +262,11 @@ def cluster_dist_experiment(
     *,
     A: float,
     jobs: int = 1,
-    engine: str = "auto",
 ) -> ClusterDistResult:
     """Cluster size, W, and Z at the origin at time t over independent runs."""
     if runs < 1:
         raise ValueError("need at least one run")
-    argses = [(lam, pi, t, A, seed, i, engine) for i in range(runs)]
+    argses = [(lam, pi, t, A, seed, i) for i in range(runs)]
     rows = _map_runs(_cluster_worker, argses, jobs)
     sizes = np.array([r[0] for r in rows], dtype=np.int64)
     return ClusterDistResult(
@@ -394,8 +389,8 @@ class FrontSpeedResult:
 
 
 def _front_worker(args):
-    pi, horizon, seed, idx, engine = args
-    r = run_propagation(pi, horizon, seed=seed, stream_id=idx, engine=engine)
+    pi, horizon, seed, idx = args
+    r = run_propagation(pi, horizon, seed=seed, stream_id=idx)
     return (len(r.times_plus), len(r.times_minus))
 
 
@@ -406,10 +401,9 @@ def front_speed_experiment(
     seed: int,
     *,
     jobs: int = 1,
-    engine: str = "auto",
 ) -> FrontSpeedResult:
     """Right/left front counts at the horizon over independent runs."""
-    argses = [(pi, horizon, seed, i, engine) for i in range(runs)]
+    argses = [(pi, horizon, seed, i) for i in range(runs)]
     rows = _map_runs(_front_worker, argses, jobs)
     plus = np.array([r[0] for r in rows], dtype=np.int64)
     minus = np.array([r[1] for r in rows], dtype=np.int64)
@@ -438,8 +432,8 @@ class SparkFractionResult:
 
 
 def _spark_worker(args):
-    pi, horizon, seed, idx, engine = args
-    r = run_propagation(pi, horizon, seed=seed, stream_id=idx, engine=engine)
+    pi, horizon, seed, idx = args
+    r = run_propagation(pi, horizon, seed=seed, stream_id=idx)
     clean = int(np.sum(r.omega_right)) + int(np.sum(r.omega_left))
     total = len(r.omega_right) + len(r.omega_left)
     return (clean, total)
@@ -452,10 +446,9 @@ def spark_fraction_experiment(
     seed: int,
     *,
     jobs: int = 1,
-    engine: str = "auto",
 ) -> SparkFractionResult:
     """Pooled fraction of clean inter-front windows; its limit is pi/(1+pi)."""
-    argses = [(pi, horizon, seed, i, engine) for i in range(runs)]
+    argses = [(pi, horizon, seed, i) for i in range(runs)]
     rows = _map_runs(_spark_worker, argses, jobs)
     clean = sum(r[0] for r in rows)
     windows = sum(r[1] for r in rows)
@@ -575,7 +568,6 @@ def _barrier_single(
     t1: float,
     seed: int,
     stream_id: int,
-    engine: str,
     radius: Optional[int],
 ) -> Tuple[float, int]:
     s = compute_scales(lam, pi)
@@ -616,7 +608,6 @@ def _barrier_single(
         initial_occupied=occupied,
         injected_t=[t for t, _ in injected],
         injected_site=[st for _, st in injected],
-        force=engine,
     )
     eng.advance_to(math.nextafter(t1_raw, 0.0))
     if eng.burning_count != 0:
@@ -637,8 +628,8 @@ def _barrier_single(
 
 
 def _barrier_worker(args):
-    lam, pi, t0, t1, seed, idx, engine, radius = args
-    return _barrier_single(lam, pi, t0, t1, seed, idx, engine, radius)
+    lam, pi, t0, t1, seed, idx, radius = args
+    return _barrier_single(lam, pi, t0, t1, seed, idx, radius)
 
 
 def barrier_height_experiment(
@@ -650,7 +641,6 @@ def barrier_height_experiment(
     seed: int,
     *,
     jobs: int = 1,
-    engine: str = "auto",
     radius: Optional[int] = None,
 ) -> BarrierResult:
     """Regrowth time Theta of the cluster burned by a match at time t1.
@@ -666,7 +656,7 @@ def barrier_height_experiment(
         raise ValueError(f"need t0 < t1 < t0 + 1, got t0={t0}, t1={t1}")
     if runs < 1:
         raise ValueError("need at least one run")
-    argses = [(lam, pi, t0, t1, seed, i, engine, radius) for i in range(runs)]
+    argses = [(lam, pi, t0, t1, seed, i, radius) for i in range(runs)]
     rows = _map_runs(_barrier_worker, argses, jobs)
     thetas = np.array([r[0] for r in rows])
     sizes = np.array([r[1] for r in rows], dtype=np.int64)

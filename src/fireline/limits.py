@@ -243,11 +243,6 @@ class LimitStateP:
         return out
 
 
-def query_limit(state: LimitStateP, x: float, t: float) -> LimitObservables:
-    """Observables of a simulated LFFP(p) realization at one point."""
-    return state.query(x, t)
-
-
 def simulate_alffp_p(
     p: float,
     A: float,

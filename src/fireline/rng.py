@@ -95,10 +95,6 @@ class RngStream:
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
 
-    def substream(self, offset: int) -> "RngStream":
-        """A stream with stream_id shifted by offset; used for per-run fans."""
-        return RngStream(self.master_seed, (self.stream_id + offset) & _MASK64)
-
     def next_u64(self) -> int:
         x = draw_u64(self.master_seed, self.stream_id, PURPOSE_STREAM, 0, self._index)
         self._index += 1

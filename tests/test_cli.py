@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from fireline.cli import main
+from fireline.cli import build_parser, main
 
 
 def test_scales_line(capsys):
@@ -29,6 +29,18 @@ def test_missing_arguments_exit_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["scales"])
+    assert exc.value.code == 2
+
+
+def test_engine_flag_only_on_propagation():
+    parser = build_parser()
+    args = parser.parse_args(["propagation", "--pi", "9", "-T", "1", "--engine", "python"])
+    assert args.engine == "python"
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(
+            ["couple", "--lambda", "0.01", "--pi", "2", "-A", "1", "-T", "1",
+             "--runs", "1", "--engine", "python"]
+        )
     assert exc.value.code == 2
 
 

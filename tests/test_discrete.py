@@ -279,6 +279,7 @@ def test_window_clipping_at_box_edge():
         st[i] = OCCUPIED
     obs = d.observables(4 / 21)  # site 4, window clipped to sites 0..4
     assert obs.K == 1.0
+    assert obs.cluster == (-4, 4)
 
 
 def test_injected_matches_and_match_log():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fireline.discrete import run_propagation
+from fireline.discrete import match_schedule_from_marks, run_propagation
 from fireline.harness import (
     barrier_height_experiment,
     cluster_dist_experiment,
@@ -76,6 +76,24 @@ def test_coupled_run_match_log_matches_marks():
     for (t_want, s_want), (t_got, s_got) in zip(expected, got):
         assert s_got == s_want
         assert abs(t_got - t_want) < 1e-9
+
+
+def test_match_schedule_drops_left_sliver_marks():
+    lam, pi = _intermediate_point(4)
+    scales = compute_scales(lam, pi)
+    A = 1.5
+    a_sites = math.floor(A * scales.n)
+    assert a_sites < A * scales.n  # x = -A lies left of site -a_sites
+    marks = [Mark(-A, 0.1), Mark(0.0, 0.2)]
+    assert match_schedule_from_marks(marks, scales, a_sites) == [(0.2, 0)]
+    with pytest.raises(ValueError, match="outside the box"):
+        match_schedule_from_marks([Mark(A + 1.0, 0.3)], scales, a_sites)
+
+    run = coupled_run(lam, pi, A, 1.5, seed=27, grid_points=32)
+    assert any(math.floor(scales.n * m.x) == -a_sites - 1 for m in run.marks)
+    schedule = match_schedule_from_marks(run.marks, scales, a_sites)
+    assert len(schedule) < len(run.marks)
+    assert [site for _, site, _ in run.match_log] == [site for _, site in schedule]
 
 
 def test_coupled_run_regime_mismatch_raises():

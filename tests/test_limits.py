@@ -10,7 +10,6 @@ from fireline.limits import (
     EVENT_FRONT_STOP,
     EVENT_MARK,
     LimitObservables,
-    query_limit,
     sample_cluster_length_inf,
     simulate_alffp_p,
     simulate_lffp_0,
@@ -333,7 +332,7 @@ def test_small_p_approaches_instant_sweeps():
 
 def test_query_limit_bundle():
     s = simulate_alffp_p(1.0, 2.0, 3.0, marks=[Mark(0.5, 0.7)])
-    obs = query_limit(s, 0.5, 1.0)
+    obs = s.query(0.5, 1.0)
     assert isinstance(obs, LimitObservables)
     assert obs.Z == 1.0
     assert obs.H == pytest.approx(0.4)

@@ -30,18 +30,18 @@ enum { KIND_PROPAGATE, KIND_MATCH, KIND_SEED };
 enum { PURPOSE_SEED = 1, PURPOSE_MATCH = 2, PURPOSE_PROPAGATE = 3 };
 enum { MODE_PLAIN, MODE_WATCH, MODE_QUIET };
 
-/* Logs, read back by fireline.engine as rows of LOG_WIDTH doubles. */
+/* Logs, read back by fireline.engine as arrays of rows of LOG_WIDTH doubles.
+ * A front log holds times only: its k-th advance reaches origin +- k. */
 enum {
-    LOG_FRONT_PLUS,  /* (time, site) right-front advances */
-    LOG_FRONT_MINUS, /* (time, site) left-front advances */
-    LOG_BURN,        /* (site, time) first ignitions, in order */
+    LOG_FRONT_PLUS,  /* (time) right-front advances */
+    LOG_FRONT_MINUS, /* (time) left-front advances */
     LOG_SPARK,       /* (site, ignite time, extinguish time) */
     LOG_OMEGA_RIGHT, /* (clean) closed vacancy windows behind the right front */
     LOG_OMEGA_LEFT,  /* (clean) closed vacancy windows behind the left front */
     LOG_MATCH,       /* (time, site, effective) processed matches */
     N_LOGS
 };
-static const int LOG_WIDTH[N_LOGS] = {2, 2, 2, 3, 1, 1, 3};
+static const int LOG_WIDTH[N_LOGS] = {1, 1, 3, 1, 1, 3};
 
 static const uint64_t M0 = 0xD2E7470EE14C6C93u, M1 = 0xCA5A826395121157u;
 static const uint64_t W0 = 0x9E3779B97F4A7C15u, W1 = 0xBB67AE8584CAA73Bu;
@@ -60,7 +60,7 @@ typedef struct {
 typedef struct {
     /* Public scalars; fireline.engine._Scalars mirrors this leading block. */
     double now;
-    int64_t event_count, burning_count, burn_lo, burn_hi, truncated;
+    int64_t event_count, burning_count, burn_lo, burn_hi;
 
     int64_t n_sites;
     double pi, match_rate;
@@ -76,7 +76,6 @@ typedef struct {
     int track;
     int64_t origin, right_front, left_front, rw_site, lw_site;
     int rw_clean, lw_clean;
-    uint8_t *burned;    /* site already has a first-ignition time */
     double *spark_open; /* ignition time of an open spark, NAN when none */
     rowlog logs[N_LOGS];
 } engine;
@@ -214,22 +213,13 @@ static int ignite(engine *e, int64_t site, double t, int64_t source)
         return -1;
     if (!e->track)
         return 0;
-    if (!e->burned[site]) {
-        e->burned[site] = 1;
-        if (log_row(e, LOG_BURN, (double)site, t, 0.0))
-            return -1;
-    }
     if (source == e->right_front && site == source + 1) {
         e->right_front = site;
-        if (site == e->n_sites - 1)
-            e->truncated = 1;
-        return log_row(e, LOG_FRONT_PLUS, t, (double)site, 0.0);
+        return log_row(e, LOG_FRONT_PLUS, t, 0.0, 0.0);
     }
     if (source == e->left_front && site == source - 1) {
         e->left_front = site;
-        if (site == 0)
-            e->truncated = 1;
-        return log_row(e, LOG_FRONT_MINUS, t, (double)site, 0.0);
+        return log_row(e, LOG_FRONT_MINUS, t, 0.0, 0.0);
     }
     if (source >= 0)
         e->spark_open[site] = t;
@@ -316,7 +306,6 @@ FL_API void fl_free(engine *e)
     for (int p = 0; p < 4; p++)
         free(e->draws[p]);
     free(e->heap);
-    free(e->burned);
     free(e->spark_open);
     for (int g = 0; g < N_LOGS; g++)
         free(e->logs[g].v);
@@ -349,13 +338,11 @@ FL_API engine *fl_new(int64_t n_sites, double pi, double match_rate, uint64_t ma
     e->states = malloc(n);
     for (int p = PURPOSE_SEED; p <= PURPOSE_PROPAGATE; p++)
         e->draws[p] = calloc(n, sizeof(uint64_t));
-    if (track) {
-        e->burned = calloc(n, 1);
+    if (track)
         e->spark_open = malloc(n * sizeof(double));
-    }
     if (e->states == NULL || e->draws[PURPOSE_SEED] == NULL || e->draws[PURPOSE_MATCH] == NULL
         || e->draws[PURPOSE_PROPAGATE] == NULL
-        || (track && (e->burned == NULL || e->spark_open == NULL)))
+        || (track && e->spark_open == NULL))
         goto fail;
     memset(e->states, initial_occupied ? OCCUPIED : VACANT, n);
     for (int64_t i = 0; track && i < n_sites; i++)

@@ -16,6 +16,12 @@ any occupied neighbors.  Clocks for every site are always live; events
 with no effect are consumed and the clock resampled (discard-and-resample,
 exact by memorylessness).  The event queue is keyed by (time, site, kind)
 with kind priority propagate < match < seed.
+
+Every processed match is logged.  With track_fronts the core also logs
+the facts of a propagation run that cannot be derived from other records:
+front advance times (the k-th advance reaches ignite_site +- k), sparks,
+and the clean/dirty flag of each closed vacancy window.  Logs here are
+Python lists; the C core returns the same rows as numpy arrays.
 """
 
 import math
@@ -86,7 +92,6 @@ class PyEngineCore:
         self.now = 0.0
         self.event_count = 0
         self.burning_count = 0
-        self.truncated = False
 
         self._states = bytearray([OCCUPIED if initial_occupied else VACANT] * n_sites)
         self._k_seed = [0] * n_sites
@@ -110,9 +115,9 @@ class PyEngineCore:
         self._ignite_site = ignite_site
         self._right_front = ignite_site
         self._left_front = ignite_site
-        self.front_plus = []  # (raw time, internal site) right-front advances
+        # front advance raw times; the k-th advance reaches ignite_site +- k
+        self.front_plus = []
         self.front_minus = []
-        self.burn_times = {}  # internal site -> first ignition raw time
         self.spark_log = []  # (internal site, ignite time, extinguish time)
         self._spark_open = {}
         self._rw_site = -1  # open vacancy window behind the right front
@@ -168,18 +173,12 @@ class PyEngineCore:
             self._occ_count -= 1
         heappush(self._heap, (t + self._exp_prop(site), site, KIND_PROPAGATE))
         if self._track:
-            if site not in self.burn_times:
-                self.burn_times[site] = t
             if source == self._right_front and site == source + 1:
                 self._right_front = site
-                self.front_plus.append((t, site))
-                if site == self.n_sites - 1:
-                    self.truncated = True
+                self.front_plus.append(t)
             elif source == self._left_front and site == source - 1:
                 self._left_front = site
-                self.front_minus.append((t, site))
-                if site == 0:
-                    self.truncated = True
+                self.front_minus.append(t)
             elif source >= 0:
                 self._spark_open[site] = t
 

@@ -9,14 +9,14 @@ in a window of half-width m, and the logarithmic sizes Z and W.
 
 run_propagation drives the one-fire variant: every site occupied, the
 center burning, no matches, raw time.  It records front advance times,
-first burn times, sparks (burning sites away from the fronts), and the
-per-site vacancy-window indicators behind each front.
+sparks (burning sites away from the fronts), and the per-site
+vacancy-window indicators behind each front.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,31 +182,11 @@ class DiscreteFFP:
         """Run the chain up to macroscopic time t."""
         self._eng.advance_to(self.scales.a * t)
 
-    def run_while_burning(self, t_cap: float) -> Optional[float]:
-        """Run until no site burns; macroscopic end time, or None at the cap."""
-        end = self._eng.run_while_burning(self.scales.a * t_cap)
-        return None if end < 0.0 else end / self.scales.a
-
-    def run_until_interval_occupied(
-        self, lo: int, hi: int, t_cap: float
-    ) -> Optional[float]:
-        """Run until sites lo..hi (lattice) are simultaneously occupied.
-
-        Returns the macroscopic hit time, or None if t_cap comes first.
-        """
-        hit = self._eng.run_until_interval_occupied(
-            lo + self.a_sites, hi + self.a_sites, self.scales.a * t_cap
-        )
-        return None if hit < 0.0 else hit / self.scales.a
-
     # -- state access ---------------------------------------------------------
 
     def states(self) -> bytes:
         """State bytes for sites -A_sites..A_sites, left to right."""
         return self._eng.state_view()
-
-    def burning_count(self) -> int:
-        return self._eng.burning_count
 
     def burned_bounds(self) -> Optional[Tuple[int, int]]:
         """Lattice interval touched by ignitions since the last reset."""
@@ -214,13 +194,11 @@ class DiscreteFFP:
             return None
         return (self._eng.burn_lo - self.a_sites, self._eng.burn_hi - self.a_sites)
 
-    def reset_burned_bounds(self) -> None:
-        self._eng.reset_burn_bounds()
-
     def matches(self) -> List[Tuple[float, int, bool]]:
         """Processed match events as (t_macro, lattice site, had an effect)."""
         a = self.scales.a
-        return [(t / a, s - self.a_sites, e) for t, s, e in self._eng.match_log]
+        log = np.asarray(self._eng.match_log, dtype=np.float64).reshape(-1, 3)
+        return [(t / a, int(s) - self.a_sites, e != 0.0) for t, s, e in log.tolist()]
 
     # -- observables -----------------------------------------------------------
 
@@ -298,11 +276,15 @@ class PropagationRun:
 
     Fronts start at the center (offset 0).  The k-th entry of times_plus is
     the raw time the right front reached offset k; mirrored for times_minus.
-    burn_times maps each offset to its first ignition time.  spark_log lists
-    burning intervals of sites ignited away from a front tip.  omega_right
-    and omega_left hold one indicator per closed vacancy window: True when
-    no seed landed on the site between the two successive front extinctions
-    bracketing the window.
+    Every site is first ignited by a front advance, so times_plus[k-1] and
+    times_minus[k-1] are also the first burn times of offsets +k and -k,
+    and the sites ever burned are exactly the offsets
+    -len(times_minus)..len(times_plus).  truncated says that a front
+    reached the box edge.  spark_log lists burning intervals (offset,
+    ignite time, extinguish time) of sites ignited away from a front tip.
+    omega_right and omega_left hold one indicator per closed vacancy window:
+    True when no seed landed on the site between the two successive front
+    extinctions bracketing the window.
     """
 
     pi: float
@@ -310,14 +292,16 @@ class PropagationRun:
     radius: int
     seed: int
     stream_id: int
-    truncated: bool
     times_plus: np.ndarray
     times_minus: np.ndarray
-    burn_times: Dict[int, float]
     spark_log: List[Tuple[int, float, float]]
     omega_right: np.ndarray
     omega_left: np.ndarray
     event_count: int = 0
+
+    @property
+    def truncated(self) -> bool:
+        return len(self.times_plus) == self.radius or len(self.times_minus) == self.radius
 
     def front_position(self, t: float, side: str = "right") -> int:
         """Front offset at raw time t (number of advances up to t)."""
@@ -372,19 +356,17 @@ def run_propagation(
     )
     eng.advance_to(horizon)
 
-    center = radius
+    sparks = np.asarray(eng.spark_log, dtype=np.float64).reshape(-1, 3)
     return PropagationRun(
         pi=pi,
         horizon=horizon,
         radius=radius,
         seed=seed,
         stream_id=stream_id,
-        truncated=eng.truncated,
-        times_plus=np.array([t for t, _ in eng.front_plus], dtype=np.float64),
-        times_minus=np.array([t for t, _ in eng.front_minus], dtype=np.float64),
-        burn_times={s - center: t for s, t in eng.burn_times.items()},
-        spark_log=[(s - center, t0, t1) for s, t0, t1 in eng.spark_log],
-        omega_right=np.array(eng.omega_right, dtype=bool),
-        omega_left=np.array(eng.omega_left, dtype=bool),
+        times_plus=np.asarray(eng.front_plus, dtype=np.float64),
+        times_minus=np.asarray(eng.front_minus, dtype=np.float64),
+        spark_log=[(int(s) - radius, t0, t1) for s, t0, t1 in sparks.tolist()],
+        omega_right=np.asarray(eng.omega_right, dtype=bool),
+        omega_left=np.asarray(eng.omega_left, dtype=bool),
         event_count=eng.event_count,
     )

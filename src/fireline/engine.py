@@ -27,15 +27,17 @@ import weakref
 from ctypes import POINTER, c_double, c_int, c_int64, c_uint64, c_void_p
 from pathlib import Path
 
+import numpy as np
+
 from ._engine_py import _MODE_PLAIN, _MODE_QUIET, _MODE_WATCH, PyEngineCore, check_engine_args
 
 _SOURCE = Path(__file__).with_name("_ccore.c")
 _LIB_NAME = "_ccore" + (sysconfig.get_config_var("EXT_SUFFIX") or ".so")
 
 # log ids and row widths, as in the LOG_* enum of _ccore.c
-(_LOG_FRONT_PLUS, _LOG_FRONT_MINUS, _LOG_BURN, _LOG_SPARK,
- _LOG_OMEGA_RIGHT, _LOG_OMEGA_LEFT, _LOG_MATCH) = range(7)
-_LOG_WIDTH = (2, 2, 2, 3, 1, 1, 3)
+(_LOG_FRONT_PLUS, _LOG_FRONT_MINUS, _LOG_SPARK,
+ _LOG_OMEGA_RIGHT, _LOG_OMEGA_LEFT, _LOG_MATCH) = range(6)
+_LOG_WIDTH = (1, 1, 3, 1, 1, 3)
 
 
 def _compile(dest):
@@ -114,7 +116,6 @@ class _Scalars(ctypes.Structure):
         ("burning_count", c_int64),
         ("burn_lo", c_int64),
         ("burn_hi", c_int64),
-        ("truncated", c_int64),
     ]
 
 
@@ -122,9 +123,27 @@ def _scalar(name):
     return property(lambda self: getattr(self._scalars, name))
 
 
+def _log(which):
+    """A property that copies one C log into a new float64 array."""
+    width = _LOG_WIDTH[which]
+
+    def read(self):
+        rows = c_int64()
+        ptr = _lib.fl_log(self._handle, which, ctypes.byref(rows))
+        out = np.empty((rows.value,) if width == 1 else (rows.value, width))
+        # memmove, not np.ctypeslib.as_array, which caches a ctypes type
+        # for every distinct log length for the life of the process
+        if rows.value:  # an empty log may have no buffer
+            ctypes.memmove(out.ctypes.data, ptr, out.nbytes)
+        return out
+
+    return property(read)
+
+
 class CEngineCore:
     """C twin of PyEngineCore: same constructor, validation, attributes and
-    methods; the logs are rebuilt as Python lists on each access."""
+    methods.  Each access to a log copies it into a new float64 array, of
+    shape (rows,) for the one-column logs and (rows, width) otherwise."""
 
     def __init__(
         self,
@@ -170,44 +189,12 @@ class CEngineCore:
     burn_lo = _scalar("burn_lo")
     burn_hi = _scalar("burn_hi")
 
-    @property
-    def truncated(self):
-        return bool(self._scalars.truncated)
-
-    def _rows(self, which):
-        rows = c_int64()
-        ptr = _lib.fl_log(self._handle, which, ctypes.byref(rows))
-        width = _LOG_WIDTH[which]
-        flat = ptr[: rows.value * width] if rows.value else []
-        return zip(*[iter(flat)] * width)
-
-    @property
-    def front_plus(self):
-        return [(t, int(s)) for t, s in self._rows(_LOG_FRONT_PLUS)]
-
-    @property
-    def front_minus(self):
-        return [(t, int(s)) for t, s in self._rows(_LOG_FRONT_MINUS)]
-
-    @property
-    def burn_times(self):
-        return {int(s): t for s, t in self._rows(_LOG_BURN)}
-
-    @property
-    def spark_log(self):
-        return [(int(s), t0, t1) for s, t0, t1 in self._rows(_LOG_SPARK)]
-
-    @property
-    def omega_right(self):
-        return [bool(c) for (c,) in self._rows(_LOG_OMEGA_RIGHT)]
-
-    @property
-    def omega_left(self):
-        return [bool(c) for (c,) in self._rows(_LOG_OMEGA_LEFT)]
-
-    @property
-    def match_log(self):
-        return [(t, int(s), bool(e)) for t, s, e in self._rows(_LOG_MATCH)]
+    front_plus = _log(_LOG_FRONT_PLUS)
+    front_minus = _log(_LOG_FRONT_MINUS)
+    spark_log = _log(_LOG_SPARK)
+    omega_right = _log(_LOG_OMEGA_RIGHT)
+    omega_left = _log(_LOG_OMEGA_LEFT)
+    match_log = _log(_LOG_MATCH)
 
     def _run(self, t_limit, mode, lo=0, hi=-1):
         hit = c_double()

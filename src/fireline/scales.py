@@ -133,23 +133,16 @@ def pi_for_regime(lam: float, target: Regime) -> float:
     return pi
 
 
-def classify_regime(
-    lam: float,
-    pi: float,
-    thresholds: Tuple[float, float] = (FAST_THRESHOLD, SLOW_THRESHOLD),
-) -> Tuple[Regime, float, float]:
+def classify_regime(lam: float, pi: float) -> Tuple[Regime, float, float]:
     """Classify (lam, pi) by ratio; returns (regime, ratio, zeta).
 
-    ratio below thresholds[0] is fast, above thresholds[1] is slow with
+    ratio below FAST_THRESHOLD is fast, above SLOW_THRESHOLD is slow with
     z0 = zeta clamped to [0, 1], anything between is intermediate(ratio).
     """
     s = compute_scales(lam, pi)
-    fast_cut, slow_cut = thresholds
-    if not 0.0 < fast_cut < slow_cut:
-        raise ValueError(f"need 0 < fast threshold < slow threshold, got {thresholds}")
-    if s.ratio < fast_cut:
+    if s.ratio < FAST_THRESHOLD:
         regime = Regime.fast()
-    elif s.ratio > slow_cut:
+    elif s.ratio > SLOW_THRESHOLD:
         regime = Regime.slow(min(1.0, max(0.0, s.zeta)))
     else:
         regime = Regime.intermediate(s.ratio)

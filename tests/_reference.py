@@ -7,7 +7,7 @@ the same (time, site, kind) tie order.  Propagation clocks are drawn on
 demand at each ignition from the same per-site counters.  Because every
 draw is a pure function of (purpose, site, index), the replay reproduces
 the engine realization exactly, bit for bit, despite the different code
-path.
+path.  reference_run also reports each site's first ignition time.
 """
 
 import heapq
@@ -25,7 +25,12 @@ def _unit(x):
     return ((x >> 11) + 1) * _INV53
 
 
-def reference_states(
+def reference_states(*args, **kwargs):
+    """States at each query time (sorted ascending), as a list of bytes."""
+    return reference_run(*args, **kwargs)[0]
+
+
+def reference_run(
     n_sites,
     pi,
     match_rate,
@@ -36,7 +41,8 @@ def reference_states(
     ignite_site=-1,
     injected=(),
 ):
-    """States at each query time (sorted ascending), as a list of bytes."""
+    """(states at each query time, {site: first ignition time}) up to the
+    last query time; the dict holds exactly the sites that ever burned."""
     queries = sorted(query_times)
     horizon = queries[-1]
 
@@ -68,9 +74,11 @@ def reference_states(
 
     states = bytearray([OCCUPIED if initial_occupied else VACANT] * n_sites)
     k_prop = [0] * n_sites
+    first_ignition = {}
 
     def ignite(site, t):
         states[site] = BURNING
+        first_ignition.setdefault(site, t)
         x = draw_u64(master_seed, stream_id, PURPOSE_PROPAGATE, site, k_prop[site])
         k_prop[site] += 1
         heapq.heappush(events, (t + -math.log(_unit(x)) / pi, site, KIND_PROPAGATE))
@@ -95,4 +103,4 @@ def reference_states(
                 if site + 1 < n_sites and states[site + 1] == OCCUPIED:
                     ignite(site + 1, t)
         out.append(bytes(states))
-    return out
+    return out, first_ignition

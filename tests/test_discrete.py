@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from _reference import reference_states
+from _reference import reference_run, reference_states
 from fireline._engine_py import (
     BURNING,
     KIND_MATCH,
@@ -22,6 +22,7 @@ from fireline.discrete import (
     run_propagation,
     suggested_radius,
 )
+from fireline.engine import COMPILED, FALLBACK_REASON
 
 # -- engine semantics ---------------------------------------------------------
 
@@ -336,10 +337,6 @@ def test_propagation_front_series():
     assert run.front_position(0.0) == 0
     assert run.front_position(3.0, "right") == len(tp)
     assert run.front_position(3.0, "left") == len(run.times_minus)
-    assert run.burn_times[0] == 0.0
-    # the k-th right-front advance is the first burn time of offset k
-    for k in range(1, len(tp) + 1):
-        assert run.burn_times[k] == tp[k - 1]
     with pytest.raises(ValueError):
         run.front_position(1.0, "up")
 
@@ -355,6 +352,33 @@ def test_propagation_sparks_and_windows():
     for off, t0, t1 in run.spark_log:
         assert -lmax <= off <= rmax
         assert 0.0 < t0 < t1 <= 80.0
+
+
+@pytest.mark.parametrize("engine", [
+    "python",
+    pytest.param("compiled", marks=pytest.mark.skipif(
+        not COMPILED, reason=f"C core unavailable: {FALLBACK_REASON}")),
+])
+@pytest.mark.parametrize("pi, horizon, radius, seed, truncated", [
+    (9.0, 20.0, None, 21, False),
+    (5.0, 10.0, 3, 1, True),
+])
+def test_propagation_fronts_match_oracle(engine, pi, horizon, radius, seed, truncated):
+    # the front logs hold times only; the oracle's first ignitions say which
+    # sites they stand for
+    run = run_propagation(pi, horizon, radius=radius, seed=seed, engine=engine)
+    r = run.radius
+    _, first = reference_run(
+        2 * r + 1, pi, 0.0, seed, 0, [horizon], initial_occupied=True, ignite_site=r
+    )
+    burned = sorted(site - r for site in first)
+    assert burned == list(range(-len(run.times_minus), len(run.times_plus) + 1))
+    assert first[r] == 0.0
+    for k, t in enumerate(run.times_plus, 1):
+        assert first[r + k] == t
+    for k, t in enumerate(run.times_minus, 1):
+        assert first[r - k] == t
+    assert run.truncated == (burned[0] == -r or burned[-1] == r) == truncated
 
 
 def test_propagation_truncation_flag():

@@ -106,11 +106,6 @@ def test_classify_regime_slow_clamps_z0():
     assert regime.z0 == 0.0
 
 
-def test_classify_regime_threshold_validation():
-    with pytest.raises(ValueError):
-        classify_regime(0.01, 1.0, thresholds=(20.0, 0.05))
-
-
 def test_regime_constructors_validate():
     with pytest.raises(ValueError):
         Regime.intermediate(0.0)

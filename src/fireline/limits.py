@@ -20,10 +20,31 @@ feature active on [tau, 2*tau); with tau >= z0 a permanent one.  Clusters
 are bounded by the nearest active features.
 
 Everything is exact event geometry; no time discretization anywhere.
+
+Scheduling.  LFFP(p) runs off a lazy priority queue of candidate events,
+keyed (t, kind, x, cause-rank).  Each candidate is derived once, when its
+later participant appears: a new front against the box edge, the open
+barriers and the fronts alive or dead for under a time unit; a new
+barrier against the live fronts (plus its own expiry); a front's death
+against the live opposing fronts, for its dead wake; the next mark when
+the last one is taken.  A key can only grow (a late candidate fires at
+max(v, now)) and a candidate that lapses never returns (a front that
+passes its target is no longer ahead of it, a dead front stays dead), so
+the head of the queue is re-derived at the current time with the same
+tests: dropped when it no longer applies, pushed back when its key moved,
+and fired otherwise.  Equal keys fall back to a fixed list order: the
+mark; expiries by barrier index; then per front, by index, its edge, its
+barriers by index and its wakes by front index; then meets by front
+indices.  This gives, bit for bit, the log of a full rescan of every
+candidate after every event (kept frozen as the test oracle).  An event
+costs O(log Q) for the queue plus what it derives: O(live fronts) for a
+barrier or a death, O(open barriers + recent fronts) for a front pair.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush, heapreplace
 from typing import List, Optional, Sequence, Tuple
 
 from .rng import Mark, RngStream, exp_sample, poisson_rectangle
@@ -33,14 +54,9 @@ EVENT_FRONT_MEET = 1
 EVENT_FRONT_STOP = 2
 EVENT_MARK = 3
 
-_CAUSE_RANK = {
-    "expiry": 0,
-    "meet": 0,
-    "barrier": 0,
-    "wake": 1,
-    "edge": 2,
-    "mark": 0,
-}
+# a front stop's cause by its cause-rank, the last key before list order;
+# marks, expiries and meets rank 0
+_STOP_CAUSES = ("barrier", "wake", "edge")
 
 
 @dataclass(frozen=True)
@@ -120,6 +136,14 @@ class LimitStateP:
         self.barriers: List[_Barrier] = []
         self.sweeps: List[_Sweep] = []
         self.events: List[LimitEvent] = []
+        self._queue_counts: dict = {}  # set by the LFFP(p) engine
+
+    def stats(self) -> dict:
+        """Deterministic counters of the run: events by cause, and the event
+        queue's candidates queued, dropped as stale, re-keyed, and its
+        high-water mark."""
+        causes = Counter(e.cause for e in self.events)
+        return {"events_by_cause": dict(sorted(causes.items())), **self._queue_counts}
 
     # -- geometry helpers ----------------------------------------------------
 
@@ -287,94 +311,171 @@ def _run_alffp(state: LimitStateP) -> None:
     marks = state.marks
     fronts = state.fronts
     barriers = state.barriers
-    mi = 0
+    events = state.events
+    live = {}  # front index -> alive front, in index order
+    recent = []  # (index, front) alive or dead for under a time unit
+    open_barriers = []  # (index, barrier) not yet expired
+    heap: list = []
+    queued = stale = rekeyed = peak = 0
     now = 0.0
 
-    def cand_key(c):
-        t, kind, x, payload = c
-        cause = payload[1] if kind == EVENT_FRONT_STOP else "mark"
-        return (t, kind, x, _CAUSE_RANK.get(cause, 3))
+    # The rescan's tests for one candidate at the current time: the time
+    # it would fire, or None when it is not (and never again will be) one.
 
-    while True:
-        cands = []
-        if mi < len(marks):
-            m = marks[mi]
-            cands.append((m.t, EVENT_MARK, m.x, None))
-        for b in barriers:
-            if not b.logged and b.expiry > b.create:
-                cands.append((b.expiry, EVENT_BARRIER_EXPIRY, b.x, b))
-        if p > 0.0:
-            live = [f for f in fronts if f.alive]
-            for f in live:
-                pos_now = state._pos(f, now)
-                if f.direction > 0:
-                    cands.append(
-                        (f.t0 + p * (A - f.x0), EVENT_FRONT_STOP, A, (f, "edge", A))
-                    )
-                else:
-                    cands.append(
-                        (f.t0 + p * (f.x0 + A), EVENT_FRONT_STOP, -A, (f, "edge", -A))
-                    )
-                for b in barriers:
-                    ahead = b.x > pos_now if f.direction > 0 else b.x < pos_now
-                    if not ahead:
-                        continue
-                    v = f.t0 + p * abs(b.x - f.x0)
-                    if b.create < v < b.expiry:
-                        cands.append(
-                            (max(v, now), EVENT_FRONT_STOP, b.x, (f, "barrier", b.x))
-                        )
-                for g in fronts:
-                    if g is f:
-                        continue
-                    if g.direction == f.direction:
-                        # entering the wake of a same-direction front at its
-                        # origin edge: constant lag decides once and for all
-                        ahead = g.x0 > pos_now if f.direction > 0 else g.x0 < pos_now
-                        if not ahead:
-                            continue
-                        v = f.t0 + p * abs(g.x0 - f.x0)
-                        if v - 1.0 < g.t0 < v:
-                            cands.append(
-                                (max(v, now), EVENT_FRONT_STOP, g.x0, (f, "wake", g.x0))
-                            )
-                    elif not g.alive:
-                        # a dead opposing wake is entered through its death
-                        # edge, where the resets are the freshest
-                        if g.x_end == g.x0:
-                            continue  # swept only its origin; twin covers it
-                        xd = g.x_end
-                        ahead = xd >= pos_now if f.direction > 0 else xd <= pos_now
-                        if not ahead:
-                            continue
-                        v = f.t0 + p * abs(xd - f.x0)
-                        if g.t_end > v - 1.0:
-                            cands.append(
-                                (max(v, now), EVENT_FRONT_STOP, xd, (f, "wake", xd))
-                            )
-            for f in live:
-                if f.direction < 0:
-                    continue
-                for g in live:
-                    if g.direction > 0:
-                        continue
-                    if g.x0 == f.x0 and g.t0 == f.t0:
-                        continue  # twins diverge, they never meet
-                    if state._pos(g, now) < state._pos(f, now):
-                        continue
-                    tstar = (p * (g.x0 - f.x0) + f.t0 + g.t0) / 2.0
-                    xm = f.x0 + (tstar - f.t0) / p
-                    cands.append((max(tstar, now), EVENT_FRONT_MEET, xm, (f, g)))
-        if not cands:
+    def barrier_time(f, b):
+        pos_now = f.x0 + f.direction * (now - f.t0) / p
+        if not (b.x > pos_now if f.direction > 0 else b.x < pos_now):
+            return None
+        v = f.t0 + p * abs(b.x - f.x0)
+        if b.create < v < b.expiry:
+            return max(v, now)
+        return None
+
+    def wake_time(f, g):
+        pos_now = f.x0 + f.direction * (now - f.t0) / p
+        if g.direction == f.direction:
+            # entering the wake of a same-direction front at its origin
+            # edge: constant lag decides once and for all
+            if not (g.x0 > pos_now if f.direction > 0 else g.x0 < pos_now):
+                return None
+            v = f.t0 + p * abs(g.x0 - f.x0)
+            if v - 1.0 < g.t0 < v:
+                return max(v, now)
+            return None
+        # a dead opposing wake is entered through its death edge, where the
+        # resets are the freshest; one that swept only its origin is its
+        # twin's to cover
+        if g.alive or g.x_end == g.x0:
+            return None
+        xd = g.x_end
+        if not (xd >= pos_now if f.direction > 0 else xd <= pos_now):
+            return None
+        v = f.t0 + p * abs(xd - f.x0)
+        if g.t_end > v - 1.0:
+            return max(v, now)
+        return None
+
+    def meet_time(f, g):
+        # f moves right, g left, and they are not twins
+        if g.x0 + g.direction * (now - g.t0) / p < f.x0 + f.direction * (now - f.t0) / p:
+            return None
+        return max((p * (g.x0 - f.x0) + f.t0 + g.t0) / 2.0, now)
+
+    # Queue entries are (t, kind, x, cause-rank, i, j, k, a, b).  The three
+    # integers give the rescan's list order for equal keys and are unique
+    # per candidate, so a comparison never reaches the payload (a, b):
+    #   mark       (mark index, 0, 0)
+    #   expiry     (barrier index, 0, 0)
+    #   stop       (front index, 0 edge | 1 barrier | 2 wake, barrier or wake index)
+    #   meet       (rightward front index, leftward front index, 0)
+
+    def push(entry):
+        # keys only grow, so a candidate past the horizon never fires
+        nonlocal queued
+        if entry[0] <= T:
+            heappush(heap, entry)
+            queued += 1
+
+    def add_barrier_stop(i, f, bi, b):
+        t = barrier_time(f, b)
+        if t is not None:
+            push((t, EVENT_FRONT_STOP, b.x, 0, i, 1, bi, f, b))
+
+    def add_wake_stop(i, f, gi, g):
+        t = wake_time(f, g)
+        if t is not None:
+            x = g.x0 if g.direction == f.direction else g.x_end
+            push((t, EVENT_FRONT_STOP, x, 1, i, 2, gi, f, g))
+
+    def add_front(i, f):
+        if f.direction > 0:
+            push((f.t0 + p * (A - f.x0), EVENT_FRONT_STOP, A, 2, i, 0, 0, f, None))
+        else:
+            push((f.t0 + p * (f.x0 + A), EVENT_FRONT_STOP, -A, 2, i, 0, 0, f, None))
+        for bi, b in open_barriers:
+            add_barrier_stop(i, f, bi, b)
+        for gi, g in recent:
+            if g.direction == f.direction:
+                # f arrives no earlier than now, so it can enter only a wake
+                # begun less than a time unit before now
+                if g.t0 > now - 1.0:
+                    add_wake_stop(i, f, gi, g)
+                if g.alive:
+                    add_wake_stop(gi, g, i, f)
+            elif not g.alive:
+                add_wake_stop(i, f, gi, g)
+            elif g.x0 != f.x0 or g.t0 != f.t0:  # twins diverge, they never meet
+                r, ri, l, li = (f, i, g, gi) if f.direction > 0 else (g, gi, f, i)
+                t = meet_time(r, l)
+                if t is not None:
+                    tstar = (p * (l.x0 - r.x0) + r.t0 + l.t0) / 2.0
+                    xm = r.x0 + (tstar - r.t0) / p
+                    push((t, EVENT_FRONT_MEET, xm, 0, ri, li, 0, r, l))
+
+    def add_pair():
+        # A barrier expired by now, or a front dead for a time unit, can
+        # never stop a front launched now: the front arrives no earlier
+        # than now, after the barrier's window or the wake's healing.
+        nonlocal open_barriers, recent
+        open_barriers = [(bi, b) for bi, b in open_barriers if b.expiry > now]
+        recent = [(gi, g) for gi, g in recent if g.t_end > now - 1.0]
+        for i in (len(fronts) - 2, len(fronts) - 1):
+            live[i] = fronts[i]
+            add_front(i, fronts[i])
+            recent.append((i, fronts[i]))
+
+    def add_deaths(dead):
+        for gi, _ in dead:
+            del live[gi]
+        for gi, g in dead:
+            for i, f in live.items():
+                if f.direction != g.direction:
+                    add_wake_stop(i, f, gi, g)
+
+    def add_barrier(bi, b):
+        if b.expiry > b.create:
+            push((b.expiry, EVENT_BARRIER_EXPIRY, b.x, 0, bi, 0, 0, b, None))
+        for i, f in live.items():
+            add_barrier_stop(i, f, bi, b)
+        open_barriers.append((bi, b))
+
+    if marks:
+        push((marks[0].t, EVENT_MARK, marks[0].x, 0, 0, 0, 0, None, None))
+    peak = len(heap)
+    while heap:
+        entry = heap[0]
+        t, kind, x, rank, i, j, _, a, b = entry
+        # re-derive the head at the current time: drop it if it is no longer
+        # a candidate, put it back if its key moved
+        if kind == EVENT_FRONT_STOP:
+            if not a.alive:
+                t = None
+            elif j == 1:
+                t = barrier_time(a, b)
+            elif j == 2:
+                t = wake_time(a, b)
+        elif kind == EVENT_FRONT_MEET:
+            t = meet_time(a, b) if a.alive and b.alive else None
+        elif kind == EVENT_BARRIER_EXPIRY and a.logged:
+            t = None
+        if t is None:
+            heappop(heap)
+            stale += 1
+            continue
+        if t != entry[0]:
+            heapreplace(heap, (t,) + entry[1:])
+            rekeyed += 1
+            continue
+        if t > T:
             break
-        t_ev, kind, x_ev, payload = min(cands, key=cand_key)
-        if t_ev > T:
-            break
-        now = t_ev
+        heappop(heap)
+        now = t
 
         if kind == EVENT_MARK:
-            m = marks[mi]
-            mi += 1
+            m = marks[i]
+            if i + 1 < len(marks):
+                nxt = marks[i + 1]
+                push((nxt.t, EVENT_MARK, nxt.x, 0, i + 1, 0, 0, None, None))
             z = min(m.t - state._last_reset(m.x, m.t), 1.0)
             b_active = None
             for b in barriers:
@@ -385,13 +486,12 @@ def _run_alffp(state: LimitStateP) -> None:
                 if p > 0.0:
                     fronts.append(_Front(m.x, m.t, +1))
                     fronts.append(_Front(m.x, m.t, -1))
-                    state.events.append(LimitEvent(m.t, EVENT_MARK, m.x, "macro"))
+                    events.append(LimitEvent(m.t, EVENT_MARK, m.x, "macro"))
+                    add_pair()
                 else:
                     lo, hi = state.D(m.x, m.t)
                     state.sweeps.append(_Sweep(m.t, lo, hi))
-                    state.events.append(
-                        LimitEvent(m.t, EVENT_MARK, m.x, "macro", (lo, hi))
-                    )
+                    events.append(LimitEvent(m.t, EVENT_MARK, m.x, "macro", (lo, hi)))
             elif z < 1.0:
                 if b_active is not None:
                     # stack on the active barrier: a new segment carries the
@@ -399,34 +499,42 @@ def _run_alffp(state: LimitStateP) -> None:
                     # its own expiry event
                     b_active.logged = True
                     barriers.append(_Barrier(m.x, m.t, b_active.expiry + z))
-                    state.events.append(
-                        LimitEvent(m.t, EVENT_MARK, m.x, "extended", (z,))
-                    )
+                    events.append(LimitEvent(m.t, EVENT_MARK, m.x, "extended", (z,)))
                 else:
                     barriers.append(_Barrier(m.x, m.t, m.t + z))
-                    state.events.append(LimitEvent(m.t, EVENT_MARK, m.x, "micro", (z,)))
+                    events.append(LimitEvent(m.t, EVENT_MARK, m.x, "micro", (z,)))
+                add_barrier(len(barriers) - 1, barriers[-1])
             else:
-                state.events.append(LimitEvent(m.t, EVENT_MARK, m.x, "absorbed"))
+                events.append(LimitEvent(m.t, EVENT_MARK, m.x, "absorbed"))
         elif kind == EVENT_BARRIER_EXPIRY:
-            payload.logged = True
-            state.events.append(LimitEvent(t_ev, kind, x_ev, "expiry"))
+            a.logged = True
+            events.append(LimitEvent(t, kind, x, "expiry"))
         elif kind == EVENT_FRONT_MEET:
-            f, g = payload
-            for h in (f, g):
+            for h in (a, b):
                 h.alive = False
-                h.t_end = t_ev
-                h.x_end = x_ev
+                h.t_end = t
+                h.x_end = x
                 h.blocked = False
                 h.cause = "meet"
-            state.events.append(LimitEvent(t_ev, kind, x_ev, "meet"))
+            events.append(LimitEvent(t, kind, x, "meet"))
+            add_deaths(((i, a), (j, b)))
         else:  # EVENT_FRONT_STOP
-            f, cause, xs = payload
-            f.alive = False
-            f.t_end = t_ev
-            f.x_end = xs
-            f.blocked = cause != "edge"
-            f.cause = cause
-            state.events.append(LimitEvent(t_ev, kind, xs, cause))
+            cause = _STOP_CAUSES[rank]
+            a.alive = False
+            a.t_end = t
+            a.x_end = x
+            a.blocked = cause != "edge"
+            a.cause = cause
+            events.append(LimitEvent(t, kind, x, cause))
+            add_deaths(((i, a),))
+        peak = max(peak, len(heap))
+
+    state._queue_counts = {
+        "candidates_queued": queued,
+        "candidates_stale": stale,
+        "candidates_rekeyed": rekeyed,
+        "queue_peak": peak,
+    }
 
 
 # -- slow-regime limit ----------------------------------------------------------

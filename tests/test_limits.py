@@ -1,9 +1,11 @@
 """Limit-process engines: exact event geometry and the slow-regime features."""
 
 import math
+import random
 
 import pytest
 
+from _limits_reference import reference_alffp
 from fireline.limits import (
     EVENT_BARRIER_EXPIRY,
     EVENT_FRONT_MEET,
@@ -358,6 +360,119 @@ def test_mark_validation():
     with pytest.raises(ValueError, match="simulated window"):
         s = simulate_alffp_p(1.0, 2.0, 3.0, marks=[])
         s.Z(0.0, 3.1)
+
+
+# -- the event queue against the frozen rescan oracle ------------------------------
+
+
+def outcome(state):
+    """Everything the scheduling decides, as exact reprs."""
+    fronts = [(f.t_end, f.x_end, f.blocked, f.cause) for f in state.fronts]
+    return (
+        repr(state.events),
+        repr(fronts),
+        repr(state.barriers),
+        repr(state.sweeps),
+        repr(state.D(0.0, state.T)),
+    )
+
+
+def assert_matches_oracle(p, A, T, marks=None, seed=None, stream_id=0):
+    state = simulate_alffp_p(p, A, T, marks=marks, seed=seed, stream_id=stream_id)
+    oracle = reference_alffp(p, A, T, marks=marks, seed=seed, stream_id=stream_id)
+    assert outcome(state) == outcome(oracle)
+    return state
+
+
+# a front meets an active barrier at the instant of another, earlier-keyed event
+PASS_THROUGH = [(-0.5, 1.25), (0.0, 2.0), (-1.0, 2.0), (0.0, 2.25), (-0.5, 2.5),
+                (0.5, 3.0), (0.0, 3.5), (-1.0, 3.5), (0.0, 4.0)]
+
+HAND_MADE = [
+    (1.0, 2.0, 3.0, []),
+    (1.0, 2.0, 3.0, [(0.5, 0.7)]),
+    (0.5, 2.0, 3.0, [(0.0, 1.5)]),
+    (0.5, 4.0, 3.0, [(-1.0, 1.0), (1.0, 1.0)]),
+    (0.5, 2.0, 3.0, [(1.0, 0.9), (0.0, 1.2)]),
+    (0.5, 2.0, 3.0, [(1.0, 0.8), (0.0, 1.1)]),
+    (0.5, 2.0, 3.0, [(0.0, 0.9), (1.0, 1.0), (-0.5, 2.0)]),
+    (1.0, 2.0, 3.0, [(0.5, 0.9), (0.5, 1.5)]),
+    (1.0, 2.0, 3.0, [(0.5, 0.3), (0.5, 0.5)]),
+    (0.0, 1.0, 2.0, [(0.0, 1.5), (0.3, 1.8)]),
+    (0.0, 1.0, 2.0, [(0.0, 1.5)]),
+    (0.0, 1.0, 2.0, [(0.5, 0.8), (0.0, 1.2)]),
+    (0.0, 2.0, 3.0, [(0.6, 1.2), (0.0, 1.5)]),
+    (0.1, 2.0, 3.0, [(0.6, 1.2), (0.0, 1.5)]),
+    (0.01, 2.0, 3.0, [(0.6, 1.2), (0.0, 1.5)]),
+    (0.5, 1.0, 4.0, PASS_THROUGH),
+]
+
+
+@pytest.mark.parametrize("p, A, T, marks", HAND_MADE)
+def test_hand_made_sets_match_oracle(p, A, T, marks):
+    assert_matches_oracle(p, A, T, marks=[Mark(x, t) for x, t in marks])
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.1, 1.0, 5.0])
+@pytest.mark.parametrize("A", [2.0, 6.0, 10.0, 20.0])
+def test_poisson_realizations_match_oracle(p, A):
+    for seed in range(2):
+        assert_matches_oracle(p, A, 4.0, seed=seed, stream_id=int(A))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0])
+def test_lattice_ties_match_oracle(p):
+    # x on half-integers and t on quarter-integers make equal event keys
+    # common: fronts reach barriers, wakes and the edge at the same instants
+    rng = random.Random(int(p * 4))
+    for _ in range(100):
+        A = float(rng.choice([1, 2, 3]))
+        cells = sorted(
+            (0.25 * rng.randint(0, 16), 0.5 * rng.randint(-2 * int(A), 2 * int(A)))
+            for _ in range(rng.randint(1, 16 * int(A)))
+        )
+        assert_matches_oracle(p, A, 4.0, marks=[Mark(x, t) for t, x in cells])
+
+
+def test_large_box_matches_oracle():
+    assert_matches_oracle(1.0, 40.0, 4.0, seed=3)
+
+
+@pytest.mark.xfail(strict=True, reason="a front that reaches an active barrier at "
+                   "the instant of another event passes it")
+def test_front_stops_at_barrier_despite_simultaneous_event():
+    # the right front launched at (-0.5, 2.5) reaches the barrier at x=0,
+    # active on [2.25, 3.25), at t=2.75; its twin's edge stop has the same
+    # time and a smaller key, and after it the front sits exactly on x=0,
+    # no longer ahead of the barrier, so it runs on to the edge
+    s = simulate_alffp_p(0.5, 1.0, 4.0, marks=[Mark(x, t) for x, t in PASS_THROUGH])
+    f = next(f for f in s.fronts if f.t0 == 2.5 and f.direction > 0)
+    assert (f.t_end, f.x_end, f.cause) == (2.75, 0.0, "barrier")
+
+
+def test_stats_are_deterministic_and_count_every_event():
+    a = simulate_alffp_p(1.0, 6.0, 3.0, seed=11)
+    b = simulate_alffp_p(1.0, 6.0, 3.0, seed=11)
+    assert a.stats() == b.stats()
+    stats = a.stats()
+    assert sum(stats["events_by_cause"].values()) == len(a.events)
+    assert set(stats["events_by_cause"]) <= {
+        "macro", "micro", "extended", "absorbed", "expiry", "meet", "barrier", "wake", "edge"
+    }
+    assert stats["candidates_queued"] >= len(a.events)
+    assert stats["queue_peak"] <= stats["candidates_queued"]
+    s0 = simulate_lffp_0(6.0, 3.0, seed=11)
+    assert sum(s0.stats()["events_by_cause"].values()) == len(s0.events)
+
+
+def test_queue_work_grows_near_linearly_in_the_box():
+    # a rescan of every front pair after every event grew about 8x per
+    # doubling of A; candidates derived once grow about 2x
+    queued = [
+        simulate_alffp_p(1.0, A, 4.0, seed=0).stats()["candidates_queued"]
+        for A in (20.0, 40.0)
+    ]
+    assert queued[1] < 5 * queued[0]
 
 
 # -- slow-regime limit ------------------------------------------------------------

@@ -8,6 +8,14 @@
  * same realization bit for bit.  Any divergence is a bug; the parity tests
  * compare them.
  *
+ * Seed clocks are lazy, as in the twin: only vacant sites keep one in the
+ * heap.  The ring that occupies a site stores its time in seed_last and
+ * pushes nothing; the extinguish that makes the site vacant at time t walks
+ * the site's seed chain (s = s + E_k, same counter, same draws) to its first
+ * point at or after t and pushes that point.  Rings on non-vacant sites are
+ * never events: event_count counts the events the heap processed, and
+ * seed_rings_skipped the chain points the walks stepped over.
+ *
  * Sizes and indices are 64-bit throughout, and so are the per-site draw
  * counters (Python's are unbounded).  The heap and the logs grow on demand;
  * the only failure is an allocation failure, reported as a nonzero status
@@ -60,13 +68,14 @@ typedef struct {
 typedef struct {
     /* Public scalars; fireline.engine._Scalars mirrors this leading block. */
     double now;
-    int64_t event_count, burning_count, burn_lo, burn_hi;
+    int64_t event_count, seed_rings_skipped, burning_count, burn_lo, burn_hi;
 
     int64_t n_sites;
     double pi, match_rate;
     uint64_t master_seed, stream_id;
     uint8_t *states;
     uint64_t *draws[4]; /* per-site draw counters, indexed by purpose */
+    double *seed_last;  /* last seed ring of a non-vacant site, 0.0 at start */
     event *heap;
     int64_t hsize, hcap;
 
@@ -254,6 +263,13 @@ static int extinguish(engine *e, int64_t site, double t)
     }
     e->states[site] = VACANT;
     e->burning_count--;
+    double s = e->seed_last[site] + exp_draw(e, PURPOSE_SEED, site, 1.0);
+    while (s < t) {
+        e->seed_rings_skipped++;
+        s = s + exp_draw(e, PURPOSE_SEED, site, 1.0);
+    }
+    if (push(e, s, site, KIND_SEED))
+        return -1;
     if (site > 0 && e->states[site - 1] == OCCUPIED && ignite(e, site - 1, t, site))
         return -1;
     if (site + 1 < e->n_sites && e->states[site + 1] == OCCUPIED
@@ -270,19 +286,18 @@ static int step(engine *e)
     int kind = (int)(ev.key & 3);
     e->now = t;
     e->event_count++;
-    if (kind == KIND_SEED) {
-        if (e->states[site] == VACANT) {
-            e->states[site] = OCCUPIED;
-            if (in_watch(e, site))
-                e->occ_count++;
-            if (e->track) {
-                if (site == e->rw_site)
-                    e->rw_clean = 0;
-                if (site == e->lw_site)
-                    e->lw_clean = 0;
-            }
+    if (kind == KIND_SEED) { /* only a vacant site has a seed clock in the heap */
+        e->states[site] = OCCUPIED;
+        e->seed_last[site] = t;
+        if (in_watch(e, site))
+            e->occ_count++;
+        if (e->track) {
+            if (site == e->rw_site)
+                e->rw_clean = 0;
+            if (site == e->lw_site)
+                e->lw_clean = 0;
         }
-        return push(e, t + exp_draw(e, PURPOSE_SEED, site, 1.0), site, KIND_SEED);
+        return 0;
     }
     if (kind == KIND_MATCH) {
         int effective = e->states[site] == OCCUPIED;
@@ -303,6 +318,7 @@ FL_API void fl_free(engine *e)
     if (e == NULL)
         return;
     free(e->states);
+    free(e->seed_last);
     for (int p = 0; p < 4; p++)
         free(e->draws[p]);
     free(e->heap);
@@ -336,19 +352,20 @@ FL_API engine *fl_new(int64_t n_sites, double pi, double match_rate, uint64_t ma
 
     size_t n = (size_t)n_sites;
     e->states = malloc(n);
+    e->seed_last = calloc(n, sizeof(double));
     for (int p = PURPOSE_SEED; p <= PURPOSE_PROPAGATE; p++)
         e->draws[p] = calloc(n, sizeof(uint64_t));
     if (track)
         e->spark_open = malloc(n * sizeof(double));
-    if (e->states == NULL || e->draws[PURPOSE_SEED] == NULL || e->draws[PURPOSE_MATCH] == NULL
-        || e->draws[PURPOSE_PROPAGATE] == NULL
+    if (e->states == NULL || e->seed_last == NULL || e->draws[PURPOSE_SEED] == NULL
+        || e->draws[PURPOSE_MATCH] == NULL || e->draws[PURPOSE_PROPAGATE] == NULL
         || (track && e->spark_open == NULL))
         goto fail;
     memset(e->states, initial_occupied ? OCCUPIED : VACANT, n);
     for (int64_t i = 0; track && i < n_sites; i++)
         e->spark_open[i] = NAN;
 
-    for (int64_t i = 0; i < n_sites; i++)
+    for (int64_t i = 0; !initial_occupied && i < n_sites; i++)
         if (push(e, exp_draw(e, PURPOSE_SEED, i, 1.0), i, KIND_SEED))
             goto fail;
     for (int64_t i = 0; match_rate > 0.0 && i < n_sites; i++)

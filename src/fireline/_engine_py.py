@@ -12,10 +12,24 @@ coordinates.  States: 0 vacant, 1 occupied, 2 burning.  Transitions:
 seed clocks (rate 1) turn vacant sites occupied, match clocks (rate
 match_rate, or an injected schedule) turn occupied sites burning, and a
 burning site's propagation clock (rate pi) turns it vacant while igniting
-any occupied neighbors.  Clocks for every site are always live; events
-with no effect are consumed and the clock resampled (discard-and-resample,
-exact by memorylessness).  The event queue is keyed by (time, site, kind)
-with kind priority propagate < match < seed.
+any occupied neighbors.  Match clocks are always live; a match on a site
+that is not occupied is consumed and the clock resampled (exact by
+memorylessness).  Seed clocks are lazy: each site's seed chain
+s_{k+1} = s_k + E_k (s_0 = 0, E_k its k-th seed draw) does not depend on
+the state, and a ring changes the state only on a vacant site, so only
+vacant sites keep a seed clock in the queue.  The ring that occupies a
+site records its time as the site's last chain point and queues nothing;
+when the site's extinguish makes it vacant at time t, the chain is walked
+with the same draws and additions to its first point at or after t, and
+that point is queued (a point tied at t pops after the extinguish, by
+the kind order below).  Sites that start occupied have last chain point
+0.0.  Every effective event, every log and every state is what keeping
+every seed clock live would give; only the per-site seed draw counters
+stop one point short for non-vacant sites.  event_count counts the
+events the queue processed, so the rings on non-vacant sites are not
+events; seed_rings_skipped counts the chain points the walks stepped
+over.  The event queue is keyed by (time, site, kind) with kind priority
+propagate < match < seed.
 
 Every processed match is logged.  With track_fronts the core also logs
 the facts of a propagation run that cannot be derived from other records:
@@ -91,10 +105,12 @@ class PyEngineCore:
         self.stream_id = stream_id
         self.now = 0.0
         self.event_count = 0
+        self.seed_rings_skipped = 0
         self.burning_count = 0
 
         self._states = bytearray([OCCUPIED if initial_occupied else VACANT] * n_sites)
         self._k_seed = [0] * n_sites
+        self._seed_last = [0.0] * n_sites  # last seed ring of a non-vacant site
         self._k_match = [0] * n_sites
         self._k_prop = [0] * n_sites
         self._heap = []
@@ -129,7 +145,7 @@ class PyEngineCore:
 
         self.match_log = []  # (raw time, internal site, effective)
 
-        for i in range(n_sites):
+        for i in range(0 if initial_occupied else n_sites):
             heappush(self._heap, (self._exp_seed(i), i, KIND_SEED))
         if match_rate > 0.0:
             for i in range(n_sites):
@@ -187,17 +203,16 @@ class PyEngineCore:
         self.now = t
         self.event_count += 1
         states = self._states
-        if kind == KIND_SEED:
-            if states[site] == VACANT:
-                states[site] = OCCUPIED
-                if self._watch_active and self._wlo <= site <= self._whi:
-                    self._occ_count += 1
-                if self._track:
-                    if site == self._rw_site:
-                        self._rw_clean = False
-                    if site == self._lw_site:
-                        self._lw_clean = False
-            heappush(self._heap, (t + self._exp_seed(site), site, KIND_SEED))
+        if kind == KIND_SEED:  # only a vacant site has a queued seed clock
+            states[site] = OCCUPIED
+            self._seed_last[site] = t
+            if self._watch_active and self._wlo <= site <= self._whi:
+                self._occ_count += 1
+            if self._track:
+                if site == self._rw_site:
+                    self._rw_clean = False
+                if site == self._lw_site:
+                    self._lw_clean = False
         elif kind == KIND_MATCH:
             effective = states[site] == OCCUPIED
             if effective:
@@ -224,6 +239,11 @@ class PyEngineCore:
                     self._lw_clean = True
             states[site] = VACANT
             self.burning_count -= 1
+            s = self._seed_last[site] + self._exp_seed(site)
+            while s < t:
+                self.seed_rings_skipped += 1
+                s = s + self._exp_seed(site)
+            heappush(self._heap, (s, site, KIND_SEED))
             left = site - 1
             if left >= 0 and states[left] == OCCUPIED:
                 self._ignite(left, t, site)

@@ -176,6 +176,10 @@ class DiscreteFFP:
 
     @property
     def event_count(self) -> int:
+        """Events the engine processed so far: every match and extinguish,
+        and the seed rings that occupied a vacant site.  A seed clock is
+        queued only while its site is vacant, so rings on occupied or
+        burning sites are never processed and not counted."""
         return self._eng.event_count
 
     def advance_to(self, t: float) -> None:
@@ -285,6 +289,15 @@ class PropagationRun:
     omega_right and omega_left hold one indicator per closed vacancy window:
     True when no seed landed on the site between the two successive front
     extinctions bracketing the window.
+
+    event_count is the number of events the engine processed: extinguishes
+    and the seed rings that re-occupied a vacant site.  Seed clocks are
+    lazy (a site keeps one queued only while vacant), so a ring on an
+    occupied or burning site is no event.  seed_rings_skipped counts the
+    seed chain points stepped over when a site turned vacant, that is the
+    rings its fire covered.  Rings still ahead of occupied sites, which no
+    walk has reached (for example on the sites no fire touched), are not
+    counted.
     """
 
     pi: float
@@ -298,6 +311,7 @@ class PropagationRun:
     omega_right: np.ndarray
     omega_left: np.ndarray
     event_count: int = 0
+    seed_rings_skipped: int = 0
 
     @property
     def truncated(self) -> bool:
@@ -369,4 +383,5 @@ def run_propagation(
         omega_right=np.asarray(eng.omega_right, dtype=bool),
         omega_left=np.asarray(eng.omega_left, dtype=bool),
         event_count=eng.event_count,
+        seed_rings_skipped=eng.seed_rings_skipped,
     )

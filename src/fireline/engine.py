@@ -113,6 +113,7 @@ class _Scalars(ctypes.Structure):
     _fields_ = [
         ("now", c_double),
         ("event_count", c_int64),
+        ("seed_rings_skipped", c_int64),
         ("burning_count", c_int64),
         ("burn_lo", c_int64),
         ("burn_hi", c_int64),
@@ -185,6 +186,7 @@ class CEngineCore:
 
     now = _scalar("now")
     event_count = _scalar("event_count")
+    seed_rings_skipped = _scalar("seed_rings_skipped")
     burning_count = _scalar("burning_count")
     burn_lo = _scalar("burn_lo")
     burn_hi = _scalar("burn_hi")

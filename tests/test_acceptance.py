@@ -100,6 +100,19 @@ def test_criterion_4_exponential_tail():
     assert elapsed < 60.0, elapsed
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_exponential_tail_below_envelope_one(p):
+    """The tail law where it can fail: at B = 6..12 the envelope 2 exp(-B/8)
+    is below 1 (criterion 4's thresholds B = 1, 2, 4 all have it above 1)."""
+    thresholds = (6.0, 8.0, 10.0, 12.0)
+    res = limit_tail_experiment(6.0, 3.0, 400, seed=19, p=p, thresholds=thresholds)
+    for b, frac, half, env in zip(
+        res.thresholds, res.fractions, res.wilson_halves, res.envelope
+    ):
+        assert env < 1.0
+        assert frac <= env + 3.0 * half, (b, frac, env, half)
+
+
 def test_criterion_5_barrier_height():
     """Regrowth delay after a match at t1 = 0.5 averages near 0.5 and grows with t1."""
     lam = math.exp(-8.0)
@@ -117,7 +130,10 @@ def test_criterion_5_barrier_height():
 
 
 def test_criterion_6_coupled_convergence_trend():
-    """Median coupled distance decreases along the lam ladder at p = 1."""
+    """Median coupled distance decreases along the lam ladder at p = 1.
+
+    The strict fall holds at the pinned seed 42 and for about 93 % of seeds
+    (4000 resampled 50-run sets per rung)."""
     start = time.monotonic()
     medians = []
     for k in (4, 6, 8):

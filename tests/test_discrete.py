@@ -22,7 +22,7 @@ from fireline.discrete import (
     run_propagation,
     suggested_radius,
 )
-from fireline.engine import COMPILED, FALLBACK_REASON
+from fireline.engine import COMPILED, FALLBACK_REASON, make_engine
 
 # -- engine semantics ---------------------------------------------------------
 
@@ -180,6 +180,77 @@ def test_burn_bounds_and_watch():
     assert all(st[i] == OCCUPIED for i in range(lo, hi + 1))
     eng.reset_burn_bounds()
     assert eng.burn_hi < eng.burn_lo
+
+
+# -- lazy seed clocks: only vacant sites queue one ---------------------------
+
+_CORES = [
+    "python",
+    pytest.param("compiled", marks=pytest.mark.skipif(
+        not COMPILED, reason=f"C core unavailable: {FALLBACK_REASON}")),
+]
+
+
+@pytest.mark.parametrize("engine", _CORES)
+@pytest.mark.parametrize("box", ["occupied", "vacant"])
+def test_lazy_seed_clocks_match_oracle(engine, box):
+    # the oracle keeps every seed chain live; the cores queue a site's next
+    # chain point only when its extinguish makes it vacant
+    if box == "occupied":
+        n, pi, rate, seed, stream = 61, 4.0, 0.0, 31, 2
+        injected = [(0.7, 5), (2.4, 50), (2.4, 51), (6.0, 30), (9.5, 12), (13.0, 44)]
+        kwargs = dict(initial_occupied=True, ignite_site=30)
+    else:
+        n, pi, rate, seed, stream = 61, 3.0, 0.2, 17, 5
+        injected = []
+        kwargs = {}
+    queries = [0.75 * k for k in range(1, 25)]
+    expected = reference_states(
+        n, pi, rate, seed, stream, queries, injected=injected, **kwargs
+    )
+    eng = make_engine(
+        n, pi, rate, seed, stream, force=engine,
+        injected_t=[t for t, _ in injected], injected_site=[i for _, i in injected],
+        **kwargs,
+    )
+    for q, want in zip(queries, expected):
+        eng.advance_to(q)
+        assert eng.state_view() == want, q
+
+
+@pytest.mark.skipif(not COMPILED, reason=f"C core unavailable: {FALLBACK_REASON}")
+def test_lazy_seed_clocks_driving_methods_match_oracle():
+    # two fires on the same stretch: the second one's walks start from the
+    # regrowth rings of the first, not from the chain origin
+    injected = [(0.5, 40), (60.0, 45)]
+    args = (81, 10.0, 0.0, 6, 1)
+    times, states = {}, {}
+    for engine in ("python", "compiled"):
+        eng = make_engine(
+            *args, force=engine, initial_occupied=True,
+            injected_t=[t for t, _ in injected], injected_site=[i for _, i in injected],
+        )
+        times[engine], states[engine] = [], []
+        for t_match in (0.5, 60.0):
+            eng.advance_to(t_match)
+            eng.reset_burn_bounds()
+            end = eng.run_while_burning(t_match + 50.0)
+            states[engine].append(eng.state_view())
+            hit = eng.run_until_interval_occupied(eng.burn_lo, eng.burn_hi, end + 50.0)
+            states[engine].append(eng.state_view())
+            assert t_match < end < hit < 60.0 + t_match
+            times[engine] += [end, hit]
+    assert times["python"] == times["compiled"]
+    want = reference_states(*args, times["python"], initial_occupied=True, injected=injected)
+    assert states["python"] == states["compiled"] == want
+
+
+@pytest.mark.parametrize("engine", _CORES)
+def test_lazy_seed_clocks_skip_rings_on_occupied_sites(engine):
+    # 244,636 events with every seed clock live; lazily about 4,300
+    run = run_propagation(9.0, 100.0, seed=7, engine=engine)
+    assert len(run.times_plus) == 935 and len(run.spark_log) == 321
+    assert run.event_count < 10_000, run.event_count
 
 
 # -- wrapper ------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """The C core and the pure-Python engine must be bit-identical: same
 states, same event counts, same logs, same returned times."""
 
+import math
+
 import numpy as np
 import pytest
 
 from fireline._engine_py import PyEngineCore
+from fireline.discrete import run_propagation
 from fireline.engine import COMPILED, FALLBACK_REASON, make_engine
+from fireline.rng import PURPOSE_PROPAGATE, PURPOSE_SEED, draw_u64
 
 pytestmark = pytest.mark.skipif(
     not COMPILED, reason=f"C core unavailable: {FALLBACK_REASON}"
@@ -91,6 +95,36 @@ def test_parity_driving_methods():
     hit_cy = cy.run_until_interval_occupied(lo, hi, end_cy + 60.0)
     assert hit_py == hit_cy and hit_py > end_py
     assert py.state_view() == cy.state_view()
+
+
+def _exp(seed, purpose, k):
+    return -math.log(((draw_u64(seed, 0, purpose, 0, k) >> 11) + 1) * 2.0**-53)
+
+
+def test_parity_seed_rings_skipped():
+    """seed_rings_skipped counts the seed chain points a site's walk steps
+    over when its extinguish makes it vacant; rings still ahead of occupied
+    sites are not counted."""
+    py = run_propagation(9.0, 25.0, seed=123, engine="python")
+    cy = run_propagation(9.0, 25.0, seed=123, engine="compiled")
+    assert py.seed_rings_skipped == cy.seed_rings_skipped > 0
+    assert py.event_count == cy.event_count
+    # one site burning from time 0 until a slow extinguish at tau: the walk
+    # steps over exactly its chain points before tau and queues the next one
+    pi, seed = 0.05, 3
+    tau = _exp(seed, PURPOSE_PROPAGATE, 0) / pi
+    s, skipped = _exp(seed, PURPOSE_SEED, 0), 0
+    while s < tau:
+        skipped += 1
+        s = s + _exp(seed, PURPOSE_SEED, skipped)
+    assert skipped > 0
+    for engine in ("python", "compiled"):
+        eng = make_engine(1, pi, 0.0, seed, 0, initial_occupied=True, ignite_site=0,
+                          force=engine)
+        eng.advance_to(s)
+        assert eng.seed_rings_skipped == skipped
+        assert eng.event_count == 2  # the extinguish and the ring at s
+        assert eng.state_view() == b"\x01"
 
 
 def test_parity_validation_errors():

@@ -16,6 +16,10 @@
  * never events: event_count counts the events the heap processed, and
  * seed_rings_skipped the chain points the walks stepped over.
  *
+ * fl_run(e, t) is the one way to drive the engine: it processes every event
+ * up to t.  Callers read what they need afterwards from the exported views:
+ * the states, the logs, and seed_last, each site's latest occupation time.
+ *
  * Sizes and indices are 64-bit throughout, and so are the per-site draw
  * counters (Python's are unbounded).  The heap and the logs grow on demand;
  * the only failure is an allocation failure, reported as a nonzero status
@@ -36,7 +40,6 @@
 enum { VACANT, OCCUPIED, BURNING };
 enum { KIND_PROPAGATE, KIND_MATCH, KIND_SEED };
 enum { PURPOSE_SEED = 1, PURPOSE_MATCH = 2, PURPOSE_PROPAGATE = 3 };
-enum { MODE_PLAIN, MODE_WATCH, MODE_QUIET };
 
 /* Logs, read back by fireline.engine as arrays of rows of LOG_WIDTH doubles.
  * A front log holds times only: its k-th advance reaches origin +- k. */
@@ -75,12 +78,9 @@ typedef struct {
     uint64_t master_seed, stream_id;
     uint8_t *states;
     uint64_t *draws[4]; /* per-site draw counters, indexed by purpose */
-    double *seed_last;  /* last seed ring of a non-vacant site, 0.0 at start */
+    double *seed_last;  /* each site's latest occupation time, 0.0 at start */
     event *heap;
     int64_t hsize, hcap;
-
-    int watch;
-    int64_t wlo, whi, wsize, occ_count;
 
     int track;
     int64_t origin, right_front, left_front, rw_site, lw_site;
@@ -202,11 +202,6 @@ static event pop(engine *e)
 
 /* -- state transitions ---------------------------------------------------- */
 
-static int in_watch(const engine *e, int64_t site)
-{
-    return e->watch && e->wlo <= site && site <= e->whi;
-}
-
 /* occupied -> burning, schedule the site's propagation clock */
 static int ignite(engine *e, int64_t site, double t, int64_t source)
 {
@@ -216,8 +211,6 @@ static int ignite(engine *e, int64_t site, double t, int64_t source)
         e->burn_lo = site;
     if (site > e->burn_hi)
         e->burn_hi = site;
-    if (in_watch(e, site))
-        e->occ_count--;
     if (push(e, t + exp_draw(e, PURPOSE_PROPAGATE, site, e->pi), site, KIND_PROPAGATE))
         return -1;
     if (!e->track)
@@ -289,8 +282,6 @@ static int step(engine *e)
     if (kind == KIND_SEED) { /* only a vacant site has a seed clock in the heap */
         e->states[site] = OCCUPIED;
         e->seed_last[site] = t;
-        if (in_watch(e, site))
-            e->occ_count++;
         if (e->track) {
             if (site == e->rw_site)
                 e->rw_clean = 0;
@@ -382,48 +373,26 @@ fail:
     return NULL;
 }
 
-/* Process events with time <= t_limit.  Mode MODE_WATCH stops once every
- * site in [lo, hi] is occupied, MODE_QUIET once no site burns; *hit is then
- * that time.  Otherwise *hit is -1.0 and now becomes t_limit.  Returns 0, or
- * -1 when an allocation fails (the engine is then unusable). */
-FL_API int fl_run(engine *e, double t_limit, int mode, int64_t lo, int64_t hi, double *hit)
+/* Process every event with time <= t_limit; now then becomes t_limit.  The
+ * only way to drive the engine.  Returns 0, or -1 when an allocation fails
+ * (the engine is then unusable). */
+FL_API int fl_run(engine *e, double t_limit)
 {
-    int status = 0;
-    *hit = -1.0;
-    if (mode == MODE_WATCH) {
-        e->wlo = lo;
-        e->whi = hi;
-        e->wsize = hi - lo + 1;
-        e->occ_count = 0;
-        for (int64_t i = lo; i <= hi; i++)
-            e->occ_count += e->states[i] == OCCUPIED;
-        if (e->occ_count == e->wsize) {
-            *hit = e->now;
-            return 0;
-        }
-    } else if (mode == MODE_QUIET && e->burning_count == 0) {
-        *hit = e->now;
-        return 0;
-    }
-    e->watch = mode == MODE_WATCH;
-    while (e->hsize > 0 && e->heap[0].t <= t_limit) {
-        if ((status = step(e)) != 0)
-            break;
-        if ((mode == MODE_WATCH && e->occ_count == e->wsize)
-            || (mode == MODE_QUIET && e->burning_count == 0)) {
-            *hit = e->now;
-            break;
-        }
-    }
-    e->watch = 0;
-    if (status == 0 && *hit < 0.0)
-        e->now = t_limit;
-    return status;
+    while (e->hsize > 0 && e->heap[0].t <= t_limit)
+        if (step(e) != 0)
+            return -1;
+    e->now = t_limit;
+    return 0;
 }
 
 FL_API const uint8_t *fl_states(const engine *e)
 {
     return e->states;
+}
+
+FL_API const double *fl_seed_last(const engine *e)
+{
+    return e->seed_last;
 }
 
 FL_API const double *fl_log(const engine *e, int which, int64_t *rows)

@@ -31,6 +31,12 @@ events; seed_rings_skipped counts the chain points the walks stepped
 over.  The event queue is keyed by (time, site, kind) with kind priority
 propagate < match < seed.
 
+advance_to is the one driving method: it processes every event up to a
+time.  Anything a caller measures (a burned stretch, when it regrew) is
+read afterwards from what the engine keeps: burning_count, burn_lo/burn_hi,
+state_view, the logs, and seed_last_view, each site's latest occupation
+time (the last chain points above).
+
 Every processed match is logged.  With track_fronts the core also logs
 the facts of a propagation run that cannot be derived from other records:
 front advance times (the k-th advance reaches ignite_site +- k), sparks,
@@ -47,7 +53,6 @@ VACANT, OCCUPIED, BURNING = 0, 1, 2
 KIND_PROPAGATE, KIND_MATCH, KIND_SEED = 0, 1, 2
 
 _INV53 = 1.0 / 9007199254740992.0
-_MODE_PLAIN, _MODE_WATCH, _MODE_QUIET = 0, 1, 2
 
 
 def check_engine_args(
@@ -110,7 +115,7 @@ class PyEngineCore:
 
         self._states = bytearray([OCCUPIED if initial_occupied else VACANT] * n_sites)
         self._k_seed = [0] * n_sites
-        self._seed_last = [0.0] * n_sites  # last seed ring of a non-vacant site
+        self._seed_last = [0.0] * n_sites  # latest occupation time of each site
         self._k_match = [0] * n_sites
         self._k_prop = [0] * n_sites
         self._heap = []
@@ -118,13 +123,6 @@ class PyEngineCore:
         # burned-interval tracking (internal indices), reset by the caller
         self.burn_lo = n_sites
         self.burn_hi = -1
-
-        # occupied-interval watch
-        self._watch_active = False
-        self._wlo = 0
-        self._whi = -1
-        self._wsize = 0
-        self._occ_count = 0
 
         # propagation-mode recording
         self._track = bool(track_fronts)
@@ -185,8 +183,6 @@ class PyEngineCore:
             self.burn_lo = site
         if site > self.burn_hi:
             self.burn_hi = site
-        if self._watch_active and self._wlo <= site <= self._whi:
-            self._occ_count -= 1
         heappush(self._heap, (t + self._exp_prop(site), site, KIND_PROPAGATE))
         if self._track:
             if source == self._right_front and site == source + 1:
@@ -206,8 +202,6 @@ class PyEngineCore:
         if kind == KIND_SEED:  # only a vacant site has a queued seed clock
             states[site] = OCCUPIED
             self._seed_last[site] = t
-            if self._watch_active and self._wlo <= site <= self._whi:
-                self._occ_count += 1
             if self._track:
                 if site == self._rw_site:
                     self._rw_clean = False
@@ -251,59 +245,16 @@ class PyEngineCore:
             if right < self.n_sites and states[right] == OCCUPIED:
                 self._ignite(right, t, site)
 
-    def _run(self, t_limit, mode):
-        heap = self._heap
-        if mode == _MODE_QUIET and self.burning_count == 0:
-            return self.now
-        while heap and heap[0][0] <= t_limit:
-            self._step()
-            if mode == _MODE_WATCH:
-                if self._occ_count == self._wsize:
-                    return self.now
-            elif mode == _MODE_QUIET:
-                if self.burning_count == 0:
-                    return self.now
-        return -1.0
-
-    # -- public driving methods ---------------------------------------------
+    # -- public driving method ----------------------------------------------
 
     def advance_to(self, t_raw):
         """Process every event up to and including raw time t_raw."""
         if t_raw < self.now:
             raise ValueError(f"cannot advance backwards: now={self.now}, target={t_raw}")
-        self._run(t_raw, _MODE_PLAIN)
+        heap = self._heap
+        while heap and heap[0][0] <= t_raw:
+            self._step()
         self.now = t_raw
-
-    def run_while_burning(self, t_cap):
-        """Process events until no site burns; returns that raw time, or -1.0
-        if t_cap is reached first (now is then t_cap)."""
-        end = self._run(t_cap, _MODE_QUIET)
-        if end < 0.0:
-            self.now = t_cap
-        return end
-
-    def run_until_interval_occupied(self, lo, hi, t_cap):
-        """Process events until every site in [lo, hi] is occupied; returns
-        that raw time, or -1.0 if t_cap is reached first (now is then t_cap)."""
-        if lo > hi:
-            return self.now
-        if not (0 <= lo and hi < self.n_sites):
-            raise ValueError(f"watch interval [{lo}, {hi}] outside the box")
-        states = self._states
-        self._wlo = lo
-        self._whi = hi
-        self._wsize = hi - lo + 1
-        self._occ_count = sum(1 for i in range(lo, hi + 1) if states[i] == OCCUPIED)
-        if self._occ_count == self._wsize:
-            return self.now
-        self._watch_active = True
-        try:
-            hit = self._run(t_cap, _MODE_WATCH)
-        finally:
-            self._watch_active = False
-        if hit < 0.0:
-            self.now = t_cap
-        return hit
 
     def reset_burn_bounds(self):
         self.burn_lo = self.n_sites
@@ -312,3 +263,8 @@ class PyEngineCore:
     def state_view(self):
         """The raw state bytes (internal indices)."""
         return bytes(self._states)
+
+    def seed_last_view(self):
+        """Each site's latest occupation time (the seed ring that last turned
+        it occupied; 0.0 for a site occupied from the start), as a list."""
+        return list(self._seed_last)

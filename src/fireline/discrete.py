@@ -20,30 +20,18 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import make_engine
+# make_engine enforces the box cap; its names are re-exported from here
+from .engine import MEMORY_CAP_SITES, ResourceLimitError, make_engine
 from .rng import Mark
 from .scales import Scales, compute_scales
 
 STATE_VACANT, STATE_OCCUPIED, STATE_BURNING = 0, 1, 2
-
-MEMORY_CAP_SITES = 2**30
 
 _MATCH_MODES = ("poisson", "injected", "none")
 
 _VACANT_BYTE, _OCCUPIED_BYTE, _BURNING_BYTE = (
     bytes([s]) for s in (STATE_VACANT, STATE_OCCUPIED, STATE_BURNING)
 )
-
-
-class ResourceLimitError(RuntimeError):
-    """A requested simulation exceeds the configured memory cap."""
-
-
-def _check_box(n_sites: int) -> None:
-    if n_sites > MEMORY_CAP_SITES:
-        raise ResourceLimitError(
-            f"box of {n_sites} sites exceeds the cap of {MEMORY_CAP_SITES}"
-        )
 
 
 def _occupied_run(st: bytes, idx: int) -> Tuple[int, int]:
@@ -140,7 +128,6 @@ class DiscreteFFP:
         self.stream_id = stream_id
         self.a_sites = math.floor(A * self.scales.n)
         self.n_sites = 2 * self.a_sites + 1
-        _check_box(self.n_sites)
 
         a = self.scales.a
         inj_t = [a * t for t, _ in injected_matches]
@@ -236,11 +223,6 @@ class DiscreteFFP:
         else:
             z = min(-math.log1p(-k) / sc.a, 1.0)
         return ClusterObservables(cluster=cluster, D=d, size=size, K=k, Z=z, W=w)
-
-    def cluster_size_at_origin(self, t: float) -> int:
-        """Advance to macroscopic time t and return |C| at x=0."""
-        self.advance_to(t)
-        return self.observables(0.0).size
 
     # -- export ----------------------------------------------------------------
 
@@ -355,8 +337,6 @@ def run_propagation(
     if radius < 1:
         raise ValueError("radius must be at least 1")
     n_sites = 2 * radius + 1
-    _check_box(n_sites)
-
     eng = make_engine(
         n_sites,
         pi,

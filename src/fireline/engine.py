@@ -29,10 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ._engine_py import _MODE_PLAIN, _MODE_QUIET, _MODE_WATCH, PyEngineCore, check_engine_args
+from ._engine_py import PyEngineCore, check_engine_args
 
 _SOURCE = Path(__file__).with_name("_ccore.c")
 _LIB_NAME = "_ccore" + (sysconfig.get_config_var("EXT_SUFFIX") or ".so")
+
+MEMORY_CAP_SITES = 2**30  # the largest box make_engine builds
 
 # log ids and row widths, as in the LOG_* enum of _ccore.c
 (_LOG_FRONT_PLUS, _LOG_FRONT_MINUS, _LOG_SPARK,
@@ -88,10 +90,12 @@ def _declare(lib):
     lib.fl_new.restype = c_void_p
     lib.fl_free.argtypes = [c_void_p]
     lib.fl_free.restype = None
-    lib.fl_run.argtypes = [c_void_p, c_double, c_int, c_int64, c_int64, POINTER(c_double)]
+    lib.fl_run.argtypes = [c_void_p, c_double]
     lib.fl_run.restype = c_int
     lib.fl_states.argtypes = [c_void_p]
     lib.fl_states.restype = c_void_p
+    lib.fl_seed_last.argtypes = [c_void_p]
+    lib.fl_seed_last.restype = c_void_p
     lib.fl_log.argtypes = [c_void_p, c_int, POINTER(c_int64)]
     lib.fl_log.restype = POINTER(c_double)
     return lib
@@ -143,8 +147,10 @@ def _log(which):
 
 class CEngineCore:
     """C twin of PyEngineCore: same constructor, validation, attributes and
-    methods.  Each access to a log copies it into a new float64 array, of
-    shape (rows,) for the one-column logs and (rows, width) otherwise."""
+    methods.  advance_to is the one driving method; state_view and
+    seed_last_view copy the per-site states and latest occupation times.
+    Each access to a log copies it into a new float64 array, of shape (rows,)
+    for the one-column logs and (rows, width) otherwise."""
 
     def __init__(
         self,
@@ -198,31 +204,12 @@ class CEngineCore:
     omega_left = _log(_LOG_OMEGA_LEFT)
     match_log = _log(_LOG_MATCH)
 
-    def _run(self, t_limit, mode, lo=0, hi=-1):
-        hit = c_double()
-        if _lib.fl_run(self._handle, t_limit, mode, lo, hi, ctypes.byref(hit)) != 0:
-            raise MemoryError("engine allocation failed while running")
-        return hit.value
-
     def advance_to(self, t_raw):
         """Process every event up to and including raw time t_raw."""
         if t_raw < self.now:
             raise ValueError(f"cannot advance backwards: now={self.now}, target={t_raw}")
-        self._run(t_raw, _MODE_PLAIN)
-
-    def run_while_burning(self, t_cap):
-        """Process events until no site burns; returns that raw time, or -1.0
-        if t_cap is reached first (now is then t_cap)."""
-        return self._run(t_cap, _MODE_QUIET)
-
-    def run_until_interval_occupied(self, lo, hi, t_cap):
-        """Process events until every site in [lo, hi] is occupied; returns
-        that raw time, or -1.0 if t_cap is reached first (now is then t_cap)."""
-        if lo > hi:
-            return self.now
-        if not (0 <= lo and hi < self.n_sites):
-            raise ValueError(f"watch interval [{lo}, {hi}] outside the box")
-        return self._run(t_cap, _MODE_WATCH, int(lo), int(hi))
+        if _lib.fl_run(self._handle, t_raw) != 0:
+            raise MemoryError("engine allocation failed while running")
 
     def reset_burn_bounds(self):
         self._scalars.burn_lo = self.n_sites
@@ -231,6 +218,12 @@ class CEngineCore:
     def state_view(self):
         """The raw state bytes (internal indices)."""
         return ctypes.string_at(_lib.fl_states(self._handle), self.n_sites)
+
+    def seed_last_view(self):
+        """Each site's latest occupation time, copied into a float64 array."""
+        out = np.empty(self.n_sites)
+        ctypes.memmove(out.ctypes.data, _lib.fl_seed_last(self._handle), out.nbytes)
+        return out
 
 
 EngineCore = CEngineCore if COMPILED else PyEngineCore
@@ -241,12 +234,19 @@ def core_description():
     return "compiled" if COMPILED else f"python (C core unavailable: {FALLBACK_REASON})"
 
 
-def make_engine(*args, force="auto", **kwargs):
-    """Construct an engine core.  force is "auto", "python", or "compiled"."""
-    if force == "auto":
-        return EngineCore(*args, **kwargs)
-    if force == "python":
-        return PyEngineCore(*args, **kwargs)
-    if force == "compiled":
-        return CEngineCore(*args, **kwargs)
-    raise ValueError(f"unknown engine choice: {force!r}")
+class ResourceLimitError(RuntimeError):
+    """A requested simulation exceeds the configured memory cap."""
+
+
+def make_engine(n_sites, *args, force="auto", **kwargs):
+    """Construct an engine core.  force is "auto", "python", or "compiled".
+    Raises ResourceLimitError, before allocating, for a box of more than
+    MEMORY_CAP_SITES sites."""
+    cores = {"auto": EngineCore, "python": PyEngineCore, "compiled": CEngineCore}
+    if force not in cores:
+        raise ValueError(f"unknown engine choice: {force!r}")
+    if n_sites > MEMORY_CAP_SITES:
+        raise ResourceLimitError(
+            f"box of {n_sites} sites exceeds the cap of {MEMORY_CAP_SITES}"
+        )
+    return cores[force](n_sites, *args, **kwargs)

@@ -13,6 +13,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .discrete import (
+    STATE_OCCUPIED,
     DiscreteFFP,
     PropagationRun,
     match_schedule_from_marks,
@@ -617,14 +618,18 @@ def _barrier_single(
     if eng.burning_count == 0:
         return (0.0, 0)  # the match landed on a vacant origin: empty cluster
     cap = t1_raw + math.log(n_sites) + 30.0
-    if eng.run_while_burning(cap) < 0.0:
+    eng.advance_to(cap)
+    if eng.burning_count != 0:
         raise RuntimeError("cascade still burning at the safety cap")
     lo, hi = eng.burn_lo, eng.burn_hi
-    size = hi - lo + 1
-    t_occ = eng.run_until_interval_occupied(lo, hi, cap)
-    if t_occ < 0.0:
+    if eng.state_view().count(STATE_OCCUPIED, lo, hi + 1) != hi - lo + 1:
         raise RuntimeError("burned interval not regrown by the safety cap")
-    return (t_occ / a - t1, size)
+    # Every match has struck by t1 and no clocked match follows, so once the
+    # fire is out no site burns again and an occupied site stays occupied.
+    # The first time [lo, hi] is wholly occupied is therefore the latest
+    # occupation time among its sites: its last regrowth ring.
+    t_occ = float(np.max(eng.seed_last_view()[lo : hi + 1]))
+    return (t_occ / a - t1, hi - lo + 1)
 
 
 def _barrier_worker(args):

@@ -612,10 +612,6 @@ class LimitStateInf:
                 hi = f.x
         return (lo, hi)
 
-    def cluster_length(self, t: float) -> float:
-        lo, hi = self.D(0.0, t)
-        return hi - lo
-
 
 def simulate_lffp_inf(
     z0: float,

@@ -1,9 +1,11 @@
 """Independent replay oracle for the event engine.
 
-Instead of discard-and-resample on a live heap, this pre-generates every
-seed and match clock tick up to the horizon directly from the counter-based
-draws, heapifies the full list once, and replays it chronologically with
-the same (time, site, kind) tie order.  Propagation clocks are drawn on
+The engine resamples match clocks on a live heap and queues a seed clock
+only while its site is vacant, walking the site's seed chain when it turns
+vacant.  Instead, this pre-generates every seed and match clock tick up to
+the horizon directly from the counter-based draws, heapifies the full list
+once, and replays it chronologically with the same (time, site, kind) tie
+order.  Propagation clocks are drawn on
 demand at each ignition from the same per-site counters.  Because every
 draw is a pure function of (purpose, site, index), the replay reproduces
 the engine realization exactly, bit for bit, despite the different code

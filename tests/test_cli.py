@@ -53,6 +53,27 @@ def test_parameter_error_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_barrier_box_over_cap_exits_1(capsys):
+    # the cap is checked before the engine allocates 4,000,000,001 sites
+    rc = main(
+        ["barrier", "--lambda", "0.01", "--pi", "10", "--t0", "0", "--t1", "0.5",
+         "--runs", "1", "--radius", "2000000000"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: box of 4000000001 sites exceeds the cap of 1073741824\n"
+
+
+def test_barrier_safety_cap_exits_1(capsys):
+    # at pi = 0.01 the cascade outlives the cap of log(n_sites) + 30 raw units
+    rc = main(
+        ["barrier", "--lambda", "0.01", "--pi", "0.01", "--t0", "0", "--t1", "0.5",
+         "--runs", "3", "--seed", "0"]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "error: cascade still burning at the safety cap\n"
+
+
 def test_simulate_discrete_artifacts(tmp_path, capsys):
     csv_path = tmp_path / "obs.csv"
     snap_path = tmp_path / "state.txt"

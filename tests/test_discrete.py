@@ -143,23 +143,28 @@ def test_seed_only_occupancy_law():
 
 
 def test_match_cascade_crossing_time():
-    # all occupied, one match at the left end: the fire sweeps the segment,
-    # so the quiet time is about L/pi (Gamma(L, pi) plus a small spark tail)
+    # all occupied, one match at the left end: the front crosses the segment
+    # in n - 1 propagation steps, so it reaches the far end Gamma(n - 1, pi)
+    # after the match
     n, pi, runs = 60, 50.0, 200
     total = 0.0
     for r in range(runs):
         eng = PyEngineCore(
             n, pi, 0.0, master_seed=31, stream_id=r,
             initial_occupied=True, injected_t=[0.01], injected_site=[0],
+            track_fronts=True,
         )
         eng.advance_to(0.01)  # light the match
         assert eng.burning_count == 1
-        end = eng.run_while_burning(5.0)
-        assert end > 0.01
-        total += end - 0.01
+        eng.advance_to(5.0)
+        assert eng.burning_count == 0
+        # with no ignite_site the right front starts just left of site 0, so
+        # the match is its first advance and the far end its last
+        assert len(eng.front_plus) == n
+        total += eng.front_plus[-1] - 0.01
     mean = total / runs
-    se = math.sqrt(n) / pi / math.sqrt(runs)
-    assert abs(mean - n / pi) < 3.0 * se + 0.02
+    se = math.sqrt(n - 1) / pi / math.sqrt(runs)
+    assert abs(mean - (n - 1) / pi) < 3.0 * se
 
 
 def test_burn_bounds_and_watch():
@@ -169,15 +174,15 @@ def test_burn_bounds_and_watch():
     )
     assert eng.burn_hi < eng.burn_lo  # nothing burned yet
     eng.advance_to(0.5)
-    end = eng.run_while_burning(30.0)
-    assert end > 0.5
+    eng.advance_to(30.0)
+    assert eng.burning_count == 0
     lo, hi = eng.burn_lo, eng.burn_hi
     assert 0 <= lo <= 20 <= hi <= 40
     # afterwards the burned stretch refills; every site must recur occupied
-    hit = eng.run_until_interval_occupied(lo, hi, eng.now + 40.0)
-    assert hit > end
+    eng.advance_to(70.0)
     st = eng.state_view()
     assert all(st[i] == OCCUPIED for i in range(lo, hi + 1))
+    assert all(t > 0.5 for t in eng.seed_last_view()[lo : hi + 1])
     eng.reset_burn_bounds()
     assert eng.burn_hi < eng.burn_lo
 
@@ -224,25 +229,35 @@ def test_lazy_seed_clocks_driving_methods_match_oracle():
     # regrowth rings of the first, not from the chain origin
     injected = [(0.5, 40), (60.0, 45)]
     args = (81, 10.0, 0.0, 6, 1)
-    times, states = {}, {}
+    ends = [t_match + 50.0 for t_match in (0.5, 60.0)]
+    regrown, states = {}, {}
     for engine in ("python", "compiled"):
         eng = make_engine(
             *args, force=engine, initial_occupied=True,
             injected_t=[t for t, _ in injected], injected_site=[i for _, i in injected],
         )
-        times[engine], states[engine] = [], []
-        for t_match in (0.5, 60.0):
+        regrown[engine], states[engine] = [], []
+        for t_match, end in zip((0.5, 60.0), ends):
             eng.advance_to(t_match)
             eng.reset_burn_bounds()
-            end = eng.run_while_burning(t_match + 50.0)
+            eng.advance_to(end)
+            assert eng.burning_count == 0
             states[engine].append(eng.state_view())
-            hit = eng.run_until_interval_occupied(eng.burn_lo, eng.burn_hi, end + 50.0)
-            states[engine].append(eng.state_view())
-            assert t_match < end < hit < 60.0 + t_match
-            times[engine] += [end, hit]
-    assert times["python"] == times["compiled"]
-    want = reference_states(*args, times["python"], initial_occupied=True, injected=injected)
+            lo, hi = eng.burn_lo, eng.burn_hi
+            t_occ = max(eng.seed_last_view()[lo : hi + 1])
+            assert lo < hi and t_match < t_occ < end
+            regrown[engine].append((lo, hi, t_occ))
+    assert regrown["python"] == regrown["compiled"]
+    want = reference_states(*args, ends, initial_occupied=True, injected=injected)
     assert states["python"] == states["compiled"] == want
+    # t_occ is the first time the burned stretch is wholly occupied again
+    for lo, hi, t_occ in regrown["python"]:
+        before, at = reference_states(
+            *args, [math.nextafter(t_occ, 0.0), t_occ],
+            initial_occupied=True, injected=injected,
+        )
+        assert all(at[i] == OCCUPIED for i in range(lo, hi + 1))
+        assert any(before[i] != OCCUPIED for i in range(lo, hi + 1))
 
 
 @pytest.mark.parametrize("engine", _CORES)
@@ -371,7 +386,8 @@ def test_injected_matches_and_match_log():
 
 def test_cluster_size_at_origin_and_snapshot():
     d = DiscreteFFP(0.05, 4.0, 2.0, seed=12)
-    size = d.cluster_size_at_origin(1.5)
+    d.advance_to(1.5)
+    size = d.observables(0.0).size
     assert size >= 0
     snap = d.snapshot()
     assert snap["schema"] == "ffp-snapshot/1"

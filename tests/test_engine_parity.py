@@ -84,16 +84,16 @@ def test_parity_propagation_tracking():
 def test_parity_driving_methods():
     kwargs = dict(initial_occupied=True, injected_t=[0.25], injected_site=[30])
     py, cy = _pair(61, 12.0, 0.0, 42, 9, **kwargs)
-    py.advance_to(0.25)
-    cy.advance_to(0.25)
-    end_py = py.run_while_burning(50.0)
-    end_cy = cy.run_while_burning(50.0)
-    assert end_py == end_cy and end_py > 0.25
+    for eng in (py, cy):
+        eng.advance_to(0.25)
+        eng.advance_to(50.0)
+    assert py.burning_count == cy.burning_count == 0
     lo, hi = py.burn_lo, py.burn_hi
-    assert (lo, hi) == (cy.burn_lo, cy.burn_hi)
-    hit_py = py.run_until_interval_occupied(lo, hi, end_py + 60.0)
-    hit_cy = cy.run_until_interval_occupied(lo, hi, end_cy + 60.0)
-    assert hit_py == hit_cy and hit_py > end_py
+    assert (lo, hi) == (cy.burn_lo, cy.burn_hi) and lo < 30 < hi
+    # the latest occupation times, regrowth rings included, agree bit for bit
+    seed_last = np.asarray(py.seed_last_view(), dtype=np.float64)
+    assert seed_last.tobytes() == cy.seed_last_view().tobytes()
+    assert seed_last[lo : hi + 1].min() > 0.25
     assert py.state_view() == cy.state_view()
 
 

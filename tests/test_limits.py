@@ -499,7 +499,8 @@ def test_cluster_bounded_by_features():
         0.5, 2.0, 3.0, marks=[Mark(-0.4, 1.0), Mark(0.9, 1.1)]
     )
     assert s.D(0.0, 2.0) == (-0.4, 0.9)
-    assert s.cluster_length(2.0) == pytest.approx(1.3)
+    lo, hi = s.D(0.0, 2.0)
+    assert hi - lo == pytest.approx(1.3)
     assert s.D(0.0, 0.9) == (0.0, 0.0)  # singleton before time 1
     assert s.D(0.9, 2.0) == (0.9, 0.9)  # a feature point is its own cluster
     assert s.D(1.5, 2.0) == (0.9, 2.0)  # clipped at the box edge

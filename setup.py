@@ -1,8 +1,9 @@
 """Build script for the optional compiled event core.
 
 The package is pure Python plus one plain C file (fireline/_ccore.c), built
-here as a shared library that fireline.engine loads with ctypes; it uses no
-Python C-API and needs nothing but a C compiler.  The extension is optional:
+here as a shared library that fireline._clib loads with ctypes, for the
+event engine and the block draws of fireline.rng; it uses no Python C-API
+and needs nothing but a C compiler.  The extension is optional:
 without a compiler the package still installs, and on import it compiles the
 source itself or falls back to the pure-Python engine.
 """

@@ -1,6 +1,7 @@
-/* Compiled event core, the C twin of fireline._engine_py.PyEngineCore.
+/* Compiled event core, the C twin of fireline._engine_py.PyEngineCore, and
+ * block draws for fireline.rng.
  *
- * Plain C99 with no Python C-API; fireline.engine loads it with ctypes.
+ * Plain C99 with no Python C-API; fireline._clib loads it with ctypes.
  * Every clock draw is the same counter-based Philox4x64-10 word as
  * fireline.rng.draw_u64(master_seed, stream_id, purpose, site, index), the
  * event queue pops in the same (time, site, kind) order, and every branch
@@ -19,6 +20,10 @@
  * fl_run(e, t) is the one way to drive the engine: it processes every event
  * up to t.  Callers read what they need afterwards from the exported views:
  * the states, the logs, and seed_last, each site's latest occupation time.
+ *
+ * fl_draw_block(seed, stream, purpose, site, first, n, out) serves the block
+ * draws of fireline.rng: out[i] is draw_u64(seed, stream, purpose, site,
+ * first + i), so a block equals the scalar draws word for word.
  *
  * Sizes and indices are 64-bit throughout, and so are the per-site draw
  * counters (Python's are unbounded).  The heap and the logs grow on demand;
@@ -399,4 +404,13 @@ FL_API const double *fl_log(const engine *e, int which, int64_t *rows)
 {
     *rows = e->logs[which].rows;
     return e->logs[which].v;
+}
+
+/* n consecutive words of one (purpose, site) counter, starting at index
+ * first. */
+FL_API void fl_draw_block(uint64_t master_seed, uint64_t stream_id, uint64_t purpose,
+                          uint64_t site, uint64_t first, int64_t n, uint64_t *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = philox_word0(purpose, site, first + (uint64_t)i, 0, master_seed, stream_id);
 }

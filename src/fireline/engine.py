@@ -1,13 +1,10 @@
 """Engine selection: the C core when it loads, pure Python otherwise.
 
-The C core is _ccore.c, a hand-written twin of _engine_py.PyEngineCore that
-uses no Python C-API and is loaded with ctypes.  setup.py compiles it next
-to this module.  In a source checkout without that build, the first import
-compiles the source with the system C compiler ($CC, default cc) into
-$XDG_CACHE_HOME/fireline/<source hash>/ (default ~/.cache), publishing the
-library by atomic rename so that concurrent processes never load a partial
-file.  If no library can be built or loaded the package uses PyEngineCore,
-and FALLBACK_REASON says why; `fireline --version` prints it.
+The C core is the event loop of _ccore.c, a hand-written twin of
+_engine_py.PyEngineCore that uses no Python C-API.  fireline._clib builds,
+caches and loads that library, which also serves the block draws of
+fireline.rng.  If no library can be built or loaded the package uses
+PyEngineCore, and FALLBACK_REASON says why; `fireline --version` prints it.
 
 The two cores are bit-identical by construction (counter-based clock
 draws, same event order), so the choice only affects speed.  COMPILED says
@@ -16,97 +13,19 @@ cross-checks.
 """
 
 import ctypes
-import hashlib
-import os
-import shlex
-import shutil
-import subprocess
-import sysconfig
-import tempfile
 import weakref
-from ctypes import POINTER, c_double, c_int, c_int64, c_uint64, c_void_p
-from pathlib import Path
+from ctypes import c_double, c_int64
 
 import numpy as np
 
+from ._clib import FALLBACK_REASON, MEMORY_CAP_SITES, ResourceLimitError
+from ._clib import lib as _lib
 from ._engine_py import PyEngineCore, check_engine_args
-
-_SOURCE = Path(__file__).with_name("_ccore.c")
-_LIB_NAME = "_ccore" + (sysconfig.get_config_var("EXT_SUFFIX") or ".so")
-
-MEMORY_CAP_SITES = 2**30  # the largest box make_engine builds
 
 # log ids and row widths, as in the LOG_* enum of _ccore.c
 (_LOG_FRONT_PLUS, _LOG_FRONT_MINUS, _LOG_SPARK,
  _LOG_OMEGA_RIGHT, _LOG_OMEGA_LEFT, _LOG_MATCH) = range(6)
 _LOG_WIDTH = (1, 1, 3, 1, 1, 3)
-
-
-def _compile(dest):
-    cc = shlex.split(os.environ.get("CC", "cc"))
-    if not cc or shutil.which(cc[0]) is None:
-        raise OSError(f"no C compiler found (CC={os.environ.get('CC', 'cc')!r})")
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=".build-")
-    os.close(fd)
-    try:
-        proc = subprocess.run(
-            [*cc, "-O2", "-shared", "-fPIC", "-o", tmp, str(_SOURCE), "-lm"],
-            capture_output=True, text=True, timeout=300,
-        )
-        if proc.returncode != 0:
-            lines = proc.stderr.splitlines()
-            first = next((ln for ln in lines if "error" in ln), f"exit status {proc.returncode}")
-            raise OSError(f"{cc[0]} failed on {_SOURCE.name}: {first.strip()}")
-        os.replace(tmp, dest)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _load_library():
-    """The built C core: installed next to this module, else from the cache."""
-    installed = Path(__file__).with_name(_LIB_NAME)
-    # an in-place build older than the source is stale, so skip it
-    if installed.exists() and not (
-        _SOURCE.exists() and installed.stat().st_mtime < _SOURCE.stat().st_mtime
-    ):
-        return ctypes.CDLL(str(installed))
-    if not _SOURCE.exists():
-        raise OSError(f"the C core was not built and {_SOURCE.name} is missing")
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-    digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
-    cached = cache / "fireline" / digest / _LIB_NAME
-    if not cached.exists():
-        _compile(cached)
-    return ctypes.CDLL(str(cached))
-
-
-def _declare(lib):
-    lib.fl_new.argtypes = [
-        c_int64, c_double, c_double, c_uint64, c_uint64, c_int, c_int64,
-        c_int64, POINTER(c_double), POINTER(c_int64), c_int,
-    ]
-    lib.fl_new.restype = c_void_p
-    lib.fl_free.argtypes = [c_void_p]
-    lib.fl_free.restype = None
-    lib.fl_run.argtypes = [c_void_p, c_double]
-    lib.fl_run.restype = c_int
-    lib.fl_states.argtypes = [c_void_p]
-    lib.fl_states.restype = c_void_p
-    lib.fl_seed_last.argtypes = [c_void_p]
-    lib.fl_seed_last.restype = c_void_p
-    lib.fl_log.argtypes = [c_void_p, c_int, POINTER(c_int64)]
-    lib.fl_log.restype = POINTER(c_double)
-    return lib
-
-
-try:
-    _lib = _declare(_load_library())
-    FALLBACK_REASON = None
-except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
-    _lib = None
-    FALLBACK_REASON = str(exc)
 
 COMPILED = _lib is not None
 
@@ -232,10 +151,6 @@ EngineCore = CEngineCore if COMPILED else PyEngineCore
 def core_description():
     """The active core, and why when it is the Python fallback."""
     return "compiled" if COMPILED else f"python (C core unavailable: {FALLBACK_REASON})"
-
-
-class ResourceLimitError(RuntimeError):
-    """A requested simulation exceeds the configured memory cap."""
 
 
 def make_engine(n_sites, *args, force="auto", **kwargs):

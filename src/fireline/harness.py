@@ -22,7 +22,7 @@ from .discrete import (
 from .engine import make_engine
 from .limits import (
     LimitStateP,
-    sample_cluster_length_inf,
+    sample_cluster_lengths_inf,
     simulate_alffp_p,
     simulate_lffp_0,
     simulate_lffp_inf,
@@ -358,7 +358,7 @@ def gamma_test(z0: float, t: float, samples: int, seed: int, stream_id: int = 0)
     if samples < 1:
         raise ValueError("need at least one sample")
     stream = RngStream(seed, stream_id)
-    draws = [sample_cluster_length_inf(z0, t, stream) for _ in range(samples)]
+    draws = sample_cluster_lengths_inf(z0, t, stream, samples)
     rate = t - z0
 
     def cdf(v: float) -> float:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from typing import List, Optional, Sequence, Tuple
 
-from .rng import Mark, RngStream, exp_sample, poisson_rectangle
+from .rng import Mark, RngStream, exp_samples, poisson_rectangle
 
 EVENT_BARRIER_EXPIRY = 0
 EVENT_FRONT_MEET = 1
@@ -633,13 +633,19 @@ def simulate_lffp_inf(
     return LimitStateInf(z0, A, T, _validate_marks(marks, A, T))
 
 
-def sample_cluster_length_inf(z0: float, t: float, stream) -> float:
-    """Exact cluster length draw for the slow limit at time t > 2*z0.
+def sample_cluster_lengths_inf(z0: float, t: float, stream, count: int) -> List[float]:
+    """count exact cluster length draws for the slow limit at time t > 2*z0.
 
     Active features then form a Poisson process of intensity t - z0, so the
     cluster at the origin is the sum of two independent exponential gaps.
+    The 2 * count gaps are drawn as one block, in stream order.
     """
     if not t > 2.0 * z0:
         raise ValueError(f"the stationary cluster law needs t > 2*z0, got t={t}")
-    rate = t - z0
-    return exp_sample(stream, rate) + exp_sample(stream, rate)
+    gaps = exp_samples(stream, t - z0, 2 * count)
+    return [a + b for a, b in zip(gaps[0::2], gaps[1::2])]
+
+
+def sample_cluster_length_inf(z0: float, t: float, stream) -> float:
+    """One draw of sample_cluster_lengths_inf."""
+    return sample_cluster_lengths_inf(z0, t, stream, 1)[0]

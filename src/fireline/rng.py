@@ -7,11 +7,23 @@ engines derive per-site clock draws from (purpose, site, index) counters,
 experiments derive per-run streams from (seed, run_index), and replaying
 any component in any order reproduces identical numbers.
 
+Draws may be taken in blocks.  draw_block gives the words of consecutive
+counter indices in one call, through the compiled library's loop when it
+loads and through draw_u64 otherwise, and a block equals the scalar draws
+word for word.  The samplers that draw in blocks (poisson_rectangle,
+exp_samples) return the values, and leave the stream at the position, that
+drawing one word at a time would.
+
 There is no global generator; every consumer receives an RngStream.
 """
 
 import math
 from typing import List, NamedTuple
+
+import numpy as np
+
+from ._clib import MEMORY_CAP_SITES, ResourceLimitError
+from ._clib import lib as _lib
 
 _MASK64 = (1 << 64) - 1
 _M0 = 0xD2E7470EE14C6C93
@@ -49,6 +61,26 @@ def philox4x64(c0: int, c1: int, c2: int, c3: int, k0: int, k1: int):
 def draw_u64(master_seed: int, stream_id: int, purpose: int, site: int, index: int) -> int:
     """The uint64 at a fixed counter position; order of evaluation is irrelevant."""
     return philox4x64(purpose, site, index, 0, master_seed, stream_id)[0]
+
+
+def draw_block(master_seed: int, stream_id: int, purpose: int, site: int, first: int,
+               count: int) -> np.ndarray:
+    """The uint64 words draw_u64 gives at indices first, ..., first + count - 1."""
+    if not 0 <= first <= first + count <= 2**64:
+        raise ValueError(f"block [{first}, {first + count}) leaves the 64-bit counter range")
+    if _lib is None:
+        return _draw_block_py(master_seed, stream_id, purpose, site, first, count)
+    out = np.empty(count, dtype=np.uint64)
+    _lib.fl_draw_block(master_seed, stream_id, purpose, site, first, count, out.ctypes.data)
+    return out
+
+
+def _draw_block_py(master_seed, stream_id, purpose, site, first, count):
+    """draw_block without the compiled library: one scalar draw per word."""
+    return np.array(
+        [draw_u64(master_seed, stream_id, purpose, site, first + i) for i in range(count)],
+        dtype=np.uint64,
+    )
 
 
 def u64_to_unit(x: int) -> float:
@@ -108,6 +140,23 @@ class RngStream:
         """Uniform on [lo, hi)."""
         return lo + (hi - lo) * u64_to_frac(self.next_u64())
 
+    def words(self, count: int, offset: int = 0) -> np.ndarray:
+        """The count words from offset past the current position, without
+        advancing the stream."""
+        return draw_block(self.master_seed, self.stream_id, PURPOSE_STREAM, 0,
+                          self._index + offset, count)
+
+    def next_units(self, count: int) -> np.ndarray:
+        """The next count uniforms on (0, 1], as count next_unit calls give them."""
+        units = _units(self.words(count))
+        self._index += count
+        return units
+
+
+def _units(words):
+    """u64_to_unit of each word: exact, since (x >> 11) + 1 <= 2^53."""
+    return ((words >> 11) + 1) * _INV53
+
 
 def exp_sample(stream, rate: float) -> float:
     """Exponential variate by inversion: -log(U)/rate with U uniform on (0, 1]."""
@@ -116,15 +165,43 @@ def exp_sample(stream, rate: float) -> float:
     return -math.log(stream.next_unit()) / rate
 
 
-def _poisson_count(stream, mean: float) -> int:
-    # Knuth inversion: count uniforms until their product drops below e^-mean.
+def exp_samples(stream, rate: float, count: int) -> List[float]:
+    """count exp_sample draws in sequence, their uniforms drawn as one block."""
+    if not rate > 0.0:
+        raise ValueError(f"rate must be positive, got {rate}")
+    # math.log, as in exp_sample: np.log differs from it in the last bit on
+    # some draws
+    return [-math.log(u) / rate for u in stream.next_units(count).tolist()]
+
+
+def _strip_marks(stream, x_lo, x_hi, lo, hi):
+    """The x and t arrays of one strip's marks, in draw order.
+
+    The draws are those of the scalar loop: Knuth uniforms until their
+    product drops to e^-mean (the count is the number of products above
+    it), then x and t for each mark.
+    """
+    mean = (x_hi - x_lo) * (hi - lo)
     threshold = math.exp(-mean)
-    count = 0
-    prod = stream.next_unit()
-    while prod > threshold:
-        count += 1
-        prod *= stream.next_unit()
-    return count
+    # about two standard deviations past the mean count: one block is
+    # usually enough, and few drawn words go unused on the scalar fallback
+    size = int(mean + 2.0 * math.sqrt(mean)) + 8
+    while True:
+        words = stream.words(size)
+        # cumprod multiplies in sequence, so these are the scalar products
+        below = np.cumprod(_units(words)) <= threshold
+        if below[-1]:
+            break
+        size *= 2
+    count = int(below.argmax())
+    # the 2 * count coordinate words follow the count + 1 uniforms; the
+    # block already holds the first of them
+    coords = words[count + 1 : 3 * count + 1]
+    if len(coords) < 2 * count:
+        coords = np.concatenate((coords, stream.words(3 * count + 1 - size, size)))
+    stream._index += 3 * count + 1
+    frac = (coords >> 11) * _INV53
+    return x_lo + (x_hi - x_lo) * frac[0::2], lo + (hi - lo) * frac[1::2]
 
 
 def poisson_rectangle(stream, x_lo: float, x_hi: float, t_lo: float, t_hi: float) -> MarkSet:
@@ -132,23 +209,34 @@ def poisson_rectangle(stream, x_lo: float, x_hi: float, t_lo: float, t_hi: float
 
     The rectangle is cut into time strips of area <= 64 and each strip is
     filled independently (superposition keeps the law exact while the
-    count inversion stays in safe floating-point range).
+    count inversion stays in safe floating-point range).  The draws come in
+    blocks but equal, with the stream's final position, those of drawing
+    each uniform in turn.  Raises ValueError for a degenerate or non-finite
+    rectangle, and ResourceLimitError, before any draw, when the expected
+    mark count (the area) exceeds MEMORY_CAP_SITES.
     """
+    if not all(map(math.isfinite, (x_lo, x_hi, t_lo, t_hi))):
+        raise ValueError(f"non-finite rectangle [{x_lo}, {x_hi}] x [{t_lo}, {t_hi}]")
     if not x_hi > x_lo or not t_hi > t_lo:
         raise ValueError(
             f"degenerate rectangle [{x_lo}, {x_hi}] x [{t_lo}, {t_hi}]"
         )
     area = (x_hi - x_lo) * (t_hi - t_lo)
+    if area > MEMORY_CAP_SITES:
+        raise ResourceLimitError(
+            f"rectangle of area {area:g} expects more marks than the cap of {MEMORY_CAP_SITES}"
+        )
     n_strips = max(1, math.ceil(area / _MAX_STRIP_AREA))
     dt = (t_hi - t_lo) / n_strips
-    marks = []
+    xs, ts = [], []
     for j in range(n_strips):
         lo = t_lo + j * dt
         hi = t_lo + (j + 1) * dt
-        count = _poisson_count(stream, (x_hi - x_lo) * (hi - lo))
-        for _ in range(count):
-            x = stream.uniform(x_lo, x_hi)
-            t = stream.uniform(lo, hi)
-            marks.append(Mark(x, t))
-    marks.sort(key=lambda m: m.t)
-    return marks
+        x, t = _strip_marks(stream, x_lo, x_hi, lo, hi)
+        xs.append(x)
+        ts.append(t)
+    x = np.concatenate(xs)
+    t = np.concatenate(ts)
+    # stable, as the scalar path's list sort by t
+    order = np.argsort(t, kind="stable")
+    return list(map(Mark, x[order].tolist(), t[order].tolist()))

@@ -74,6 +74,25 @@ def test_barrier_safety_cap_exits_1(capsys):
     assert capsys.readouterr().err == "error: cascade still burning at the safety cap\n"
 
 
+@pytest.mark.parametrize("mode", [["--p", "1"], ["--z0", "0.5"]])
+def test_simulate_limit_non_finite_box_exits_2(mode, capsys):
+    rc = main(["simulate-limit", *mode, "-A", "inf", "-T", "1", "--seed", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: non-finite rectangle [-inf, inf] x [0.0, 1.0]\n"
+
+
+@pytest.mark.parametrize(
+    "A, T, area", [("1e6", "1e4", "2e+10"), ("1e300", "1e300", "inf")]
+)
+def test_simulate_limit_mark_count_over_cap_exits_1(A, T, area, capsys):
+    # refused before any draw: the expected mark count is the area
+    rc = main(["simulate-limit", "--p", "1", "-A", A, "-T", T, "--seed", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: rectangle of area {area} expects more marks than the cap of 1073741824\n"
+    )
+
+
 def test_simulate_discrete_artifacts(tmp_path, capsys):
     csv_path = tmp_path / "obs.csv"
     snap_path = tmp_path / "state.txt"

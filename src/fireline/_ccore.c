@@ -17,6 +17,10 @@
  * never events: event_count counts the events the heap processed, and
  * seed_rings_skipped the chain points the walks stepped over.
  *
+ * A run that starts with a fire (ignite_site >= 0, the propagation process)
+ * also logs its front advances, sparks and clean vacancy windows; without a
+ * fire only the match log fills.
+ *
  * fl_run(e, t) is the one way to drive the engine: it processes every event
  * up to t.  Callers read what they need afterwards from the exported views:
  * the states, the logs, and seed_last, each site's latest occupation time.
@@ -329,7 +333,7 @@ FL_API void fl_free(engine *e)
 FL_API engine *fl_new(int64_t n_sites, double pi, double match_rate, uint64_t master_seed,
                       uint64_t stream_id, int initial_occupied, int64_t ignite_site,
                       int64_t n_injected, const double *injected_t,
-                      const int64_t *injected_site, int track)
+                      const int64_t *injected_site)
 {
     engine *e = calloc(1, sizeof *e);
     if (e == NULL)
@@ -341,7 +345,7 @@ FL_API engine *fl_new(int64_t n_sites, double pi, double match_rate, uint64_t ma
     e->stream_id = stream_id;
     e->burn_lo = n_sites;
     e->burn_hi = -1;
-    e->track = track;
+    e->track = ignite_site >= 0;
     e->origin = e->right_front = e->left_front = ignite_site;
     e->rw_site = e->lw_site = -1;
     e->rw_clean = e->lw_clean = 1;
@@ -351,14 +355,14 @@ FL_API engine *fl_new(int64_t n_sites, double pi, double match_rate, uint64_t ma
     e->seed_last = calloc(n, sizeof(double));
     for (int p = PURPOSE_SEED; p <= PURPOSE_PROPAGATE; p++)
         e->draws[p] = calloc(n, sizeof(uint64_t));
-    if (track)
+    if (e->track)
         e->spark_open = malloc(n * sizeof(double));
     if (e->states == NULL || e->seed_last == NULL || e->draws[PURPOSE_SEED] == NULL
         || e->draws[PURPOSE_MATCH] == NULL || e->draws[PURPOSE_PROPAGATE] == NULL
-        || (track && e->spark_open == NULL))
+        || (e->track && e->spark_open == NULL))
         goto fail;
     memset(e->states, initial_occupied ? OCCUPIED : VACANT, n);
-    for (int64_t i = 0; track && i < n_sites; i++)
+    for (int64_t i = 0; e->track && i < n_sites; i++)
         e->spark_open[i] = NAN;
 
     for (int64_t i = 0; !initial_occupied && i < n_sites; i++)

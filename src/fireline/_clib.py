@@ -79,7 +79,7 @@ def _declare(lib):
     export would return a C int and truncate pointers."""
     lib.fl_new.argtypes = [
         c_int64, c_double, c_double, c_uint64, c_uint64, c_int, c_int64,
-        c_int64, POINTER(c_double), POINTER(c_int64), c_int,
+        c_int64, POINTER(c_double), POINTER(c_int64),
     ]
     lib.fl_new.restype = c_void_p
     lib.fl_free.argtypes = [c_void_p]

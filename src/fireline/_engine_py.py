@@ -37,11 +37,13 @@ read afterwards from what the engine keeps: burning_count, burn_lo/burn_hi,
 state_view, the logs, and seed_last_view, each site's latest occupation
 time (the last chain points above).
 
-Every processed match is logged.  With track_fronts the core also logs
-the facts of a propagation run that cannot be derived from other records:
-front advance times (the k-th advance reaches ignite_site +- k), sparks,
-and the clean/dirty flag of each closed vacancy window.  Logs here are
-Python lists; the C core returns the same rows as numpy arrays.
+Every processed match is logged.  A core that starts with a fire
+(ignite_site >= 0, the propagation process) also logs the facts of that
+run that cannot be derived from other records: front advance times (the
+k-th advance reaches ignite_site +- k), sparks, and the clean/dirty flag
+of each closed vacancy window; without a fire these logs stay empty.
+Logs here are Python lists; the C core returns the same rows as numpy
+arrays.
 """
 
 import math
@@ -62,10 +64,10 @@ def check_engine_args(
     """Raise ValueError for constructor arguments that both cores reject."""
     if n_sites < 1:
         raise ValueError("n_sites must be at least 1")
-    if not pi > 0.0:
-        raise ValueError("pi must be positive")
-    if match_rate < 0.0:
-        raise ValueError("match_rate must be nonnegative")
+    if not 0.0 < pi < math.inf:
+        raise ValueError(f"pi must be positive and finite, got {pi}")
+    if not 0.0 <= match_rate < math.inf:
+        raise ValueError(f"match_rate must be nonnegative and finite, got {match_rate}")
     if len(injected_t) != len(injected_site):
         raise ValueError("injected match times and sites differ in length")
     if len(injected_t) > 0 and match_rate > 0.0:
@@ -97,7 +99,6 @@ class PyEngineCore:
         ignite_site=-1,
         injected_t=(),
         injected_site=(),
-        track_fronts=False,
     ):
         check_engine_args(
             n_sites, pi, match_rate, master_seed, stream_id,
@@ -124,8 +125,8 @@ class PyEngineCore:
         self.burn_lo = n_sites
         self.burn_hi = -1
 
-        # propagation-mode recording
-        self._track = bool(track_fronts)
+        # propagation-process recording, on exactly when the run starts with a fire
+        self._track = ignite_site >= 0
         self._ignite_site = ignite_site
         self._right_front = ignite_site
         self._left_front = ignite_site
@@ -249,8 +250,8 @@ class PyEngineCore:
 
     def advance_to(self, t_raw):
         """Process every event up to and including raw time t_raw."""
-        if t_raw < self.now:
-            raise ValueError(f"cannot advance backwards: now={self.now}, target={t_raw}")
+        if not self.now <= t_raw < math.inf:
+            raise ValueError(f"cannot advance to {t_raw}: need now={self.now} <= target < inf")
         heap = self._heap
         while heap and heap[0][0] <= t_raw:
             self._step()

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import statistics
 import sys
 
 from . import __version__
@@ -105,7 +106,8 @@ def _cmd_simulate_discrete(args):
     t_macro = args.T / s.a if args.raw_time else args.T
     sim = DiscreteFFP(
         args.lam, args.pi, args.A, args.seed,
-        stream_id=args.stream, match_mode=args.match_mode, initial=args.initial,
+        stream_id=args.stream, initial=args.initial,
+        injected_matches=None if args.match_mode == "poisson" else (),
     )
     grid_n = args.grid
     if args.csv and grid_n == 0:
@@ -235,12 +237,7 @@ def _cmd_couple(args):
         args.lam, args.pi, args.A, args.T, args.runs, args.seed,
         grid_points=args.grid, jobs=args.jobs,
     )
-    ordered = sorted(dists)
-    median = (
-        ordered[len(ordered) // 2]
-        if len(ordered) % 2
-        else 0.5 * (ordered[len(ordered) // 2 - 1] + ordered[len(ordered) // 2])
-    )
+    median = statistics.median(dists)
     mean = sum(dists) / len(dists)
     print(f"regime={_regime_label(regime)} ratio={ratio:.6f}")
     print(f"runs={args.runs} median_dT={median:.6f} mean_dT={mean:.6f}")

@@ -8,9 +8,9 @@ the cluster through x, its macroscopic extent D, the occupied fraction K
 in a window of half-width m, and the logarithmic sizes Z and W.
 
 run_propagation drives the one-fire variant: every site occupied, the
-center burning, no matches, raw time.  It records front advance times,
-sparks (burning sites away from the fronts), and the per-site
-vacancy-window indicators behind each front.
+center burning, no matches, raw time.  Starting with a fire is what makes
+the engine record front advance times, sparks (burning sites away from
+the fronts), and the per-site vacancy-window indicators behind each front.
 """
 
 import math
@@ -26,8 +26,6 @@ from .rng import Mark
 from .scales import Scales, compute_scales
 
 STATE_VACANT, STATE_OCCUPIED, STATE_BURNING = 0, 1, 2
-
-_MATCH_MODES = ("poisson", "injected", "none")
 
 _VACANT_BYTE, _OCCUPIED_BYTE, _BURNING_BYTE = (
     bytes([s]) for s in (STATE_VACANT, STATE_OCCUPIED, STATE_BURNING)
@@ -92,9 +90,10 @@ def match_schedule_from_marks(
 class DiscreteFFP:
     """Forest-fire chain on the box [-A_sites, A_sites], A_sites = floor(A*n).
 
-    match_mode selects how matches arrive: "poisson" (rate lambda clocks on
-    every site), "injected" (only the given (t_macro, site) schedule), or
-    "none".  Seeds always run at rate 1 and burning sites always extinguish
+    injected_matches selects how matches arrive: None (the default) gives
+    every site a rate-lambda match clock; a sequence of (t_macro, site)
+    pairs gives exactly those matches and no others, so an empty one gives
+    none.  Seeds always run at rate 1 and burning sites always extinguish
     at rate pi.
     """
 
@@ -106,17 +105,12 @@ class DiscreteFFP:
         seed: int,
         *,
         stream_id: int = 0,
-        match_mode: str = "poisson",
-        injected_matches: Sequence[Tuple[float, int]] = (),
+        injected_matches: Optional[Sequence[Tuple[float, int]]] = None,
         initial: str = "vacant",
         engine: str = "auto",
     ):
-        if A <= 0.0:
-            raise ValueError("A must be positive")
-        if match_mode not in _MATCH_MODES:
-            raise ValueError(f"match_mode must be one of {_MATCH_MODES}")
-        if match_mode != "injected" and injected_matches:
-            raise ValueError('an injected schedule requires match_mode="injected"')
+        if not 0.0 < A < math.inf:
+            raise ValueError(f"A must be positive and finite, got {A}")
         if initial not in ("vacant", "occupied"):
             raise ValueError('initial must be "vacant" or "occupied"')
 
@@ -130,9 +124,10 @@ class DiscreteFFP:
         self.n_sites = 2 * self.a_sites + 1
 
         a = self.scales.a
-        inj_t = [a * t for t, _ in injected_matches]
-        inj_s = [s + self.a_sites for _, s in injected_matches]
-        for (t, s), idx in zip(injected_matches, inj_s):
+        schedule = () if injected_matches is None else injected_matches
+        inj_t = [a * t for t, _ in schedule]
+        inj_s = [s + self.a_sites for _, s in schedule]
+        for (t, s), idx in zip(schedule, inj_s):
             if not 0 <= idx < self.n_sites:
                 raise ValueError(f"injected match at site {s} is outside the box")
             if t < 0.0:
@@ -141,7 +136,7 @@ class DiscreteFFP:
         self._eng = make_engine(
             self.n_sites,
             pi,
-            lam if match_mode == "poisson" else 0.0,
+            lam if injected_matches is None else 0.0,
             seed,
             stream_id,
             initial_occupied=(initial == "occupied"),
@@ -328,10 +323,10 @@ def run_propagation(
 
     Initial state: every site occupied, the center burning.  No matches.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if not pi > 0.0:
-        raise ValueError("pi must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if not 0.0 < pi < math.inf:
+        raise ValueError(f"pi must be positive and finite, got {pi}")
     if radius is None:
         radius = suggested_radius(pi, horizon)
     if radius < 1:
@@ -345,7 +340,6 @@ def run_propagation(
         stream_id,
         initial_occupied=True,
         ignite_site=radius,
-        track_fronts=True,
         force=engine,
     )
     eng.advance_to(horizon)

@@ -13,6 +13,7 @@ cross-checks.
 """
 
 import ctypes
+import math
 import weakref
 from ctypes import c_double, c_int64
 
@@ -68,6 +69,8 @@ class CEngineCore:
     """C twin of PyEngineCore: same constructor, validation, attributes and
     methods.  advance_to is the one driving method; state_view and
     seed_last_view copy the per-site states and latest occupation times.
+    The front, spark and clean-window logs fill only in a run that starts
+    with a fire (ignite_site >= 0); the match log always does.
     Each access to a log copies it into a new float64 array, of shape (rows,)
     for the one-column logs and (rows, width) otherwise."""
 
@@ -82,7 +85,6 @@ class CEngineCore:
         ignite_site=-1,
         injected_t=(),
         injected_site=(),
-        track_fronts=False,
     ):
         if _lib is None:
             raise RuntimeError(f"the C core is not available: {FALLBACK_REASON}")
@@ -101,7 +103,6 @@ class CEngineCore:
             bool(initial_occupied), int(ignite_site), n_inj,
             (c_double * n_inj)(*map(float, injected_t)),
             (c_int64 * n_inj)(*map(int, injected_site)),
-            bool(track_fronts),
         )
         if not handle:
             raise MemoryError(f"engine allocation failed for {n_sites} sites")
@@ -125,8 +126,8 @@ class CEngineCore:
 
     def advance_to(self, t_raw):
         """Process every event up to and including raw time t_raw."""
-        if t_raw < self.now:
-            raise ValueError(f"cannot advance backwards: now={self.now}, target={t_raw}")
+        if not self.now <= t_raw < math.inf:
+            raise ValueError(f"cannot advance to {t_raw}: need now={self.now} <= target < inf")
         if _lib.fl_run(self._handle, t_raw) != 0:
             raise MemoryError("engine allocation failed while running")
 

@@ -8,7 +8,7 @@ rerun with the same seed reproduces every run bit for bit regardless of
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,8 @@ from .scales import (
 
 
 def _map_runs(worker: Callable, argses: Sequence[tuple], jobs: int) -> list:
+    if not argses:
+        raise ValueError("need at least one run")
     if jobs <= 1:
         return [worker(a) for a in argses]
     # batch short runs to save a round trip per run, in chunks small enough
@@ -100,12 +102,6 @@ class CoupledRun:
     match_log: List[Tuple[float, int, bool]]
 
 
-def _as_regime_kind(regime: Union[Regime, str, None]) -> Optional[str]:
-    if regime is None:
-        return None
-    return regime.kind if isinstance(regime, Regime) else str(regime)
-
-
 def coupled_run(
     lam: float,
     pi: float,
@@ -115,24 +111,18 @@ def coupled_run(
     *,
     stream_id: int = 0,
     grid_points: int = DEFAULT_GRID_POINTS,
-    regime: Union[Regime, str, None] = None,
 ) -> CoupledRun:
     """Drive the discrete process and its scaling limit from one mark set.
 
     Marks are drawn once from (seed, stream_id); the discrete side receives
     them as the injected schedule of match_schedule_from_marks, the limit
     side consumes them directly.  Z and D at x=0 are sampled on a uniform
-    grid and compared with d_T.  In the slow regime the limit has no
-    regrowth observable, so the value channel is neutralized and the
-    distance reduces to the cluster term.
+    grid and compared with d_T.  classify_regime(lam, pi) picks the limit:
+    LFFP(0) when fast, LFFP(p) when intermediate, the slow limit when slow.
+    The slow limit has no regrowth observable, so there the value channel
+    is neutralized and the distance reduces to the cluster term.
     """
-    classified, ratio, _ = classify_regime(lam, pi)
-    want = _as_regime_kind(regime)
-    if want is not None and want != classified.kind:
-        raise ValueError(
-            f"requested regime {want!r} but (lam={lam}, pi={pi}) classifies as "
-            f"{classified.kind!r} (ratio {ratio:.6g})"
-        )
+    classified, _, _ = classify_regime(lam, pi)
     scales = compute_scales(lam, pi)
     marks = poisson_rectangle(RngStream(seed, stream_id), -A, A, 0.0, T)
 
@@ -143,7 +133,6 @@ def coupled_run(
         A,
         seed,
         stream_id=stream_id,
-        match_mode="injected",
         injected_matches=schedule,
     )
 
@@ -160,19 +149,15 @@ def coupled_run(
     discrete = Trajectory(times, zd, dd)
 
     if classified.kind == "fast":
-        lim_state = simulate_lffp_0(A, T, marks=marks)
+        limit = limit_trajectory(simulate_lffp_0(A, T, marks=marks), times)
     elif classified.kind == "intermediate":
-        lim_state = simulate_alffp_p(classified.p, A, T, marks=marks)
+        limit = limit_trajectory(simulate_alffp_p(classified.p, A, T, marks=marks), times)
     else:
         lim_state = simulate_lffp_inf(classified.z0, A, T, marks=marks)
+        # no limit regrowth observable: neutral value channel
+        limit = Trajectory(times, zd.copy(), [lim_state.D(0.0, float(t)) for t in times])
 
-    if classified.kind == "slow":
-        zl = zd.copy()  # no limit regrowth observable: neutral value channel
-    else:
-        zl = np.array([lim_state.Z(0.0, float(t)) for t in times])
-    dl = [lim_state.D(0.0, float(t)) for t in times]
-    limit = Trajectory(times, zl, dl)
-
+    zl, dl = limit.values, limit.intervals
     per_time = np.array(
         [
             abs(zd[i] - zl[i]) + delta_interval(dd[i], dl[i])
@@ -265,8 +250,6 @@ def cluster_dist_experiment(
     jobs: int = 1,
 ) -> ClusterDistResult:
     """Cluster size, W, and Z at the origin at time t over independent runs."""
-    if runs < 1:
-        raise ValueError("need at least one run")
     argses = [(lam, pi, t, A, seed, i) for i in range(runs)]
     rows = _map_runs(_cluster_worker, argses, jobs)
     sizes = np.array([r[0] for r in rows], dtype=np.int64)
@@ -486,7 +469,7 @@ def front_statistics(run: PropagationRun, dt: float) -> FrontGofResult:
     """
     from scipy import stats
 
-    if dt <= 0.0 or dt > run.horizon:
+    if not 0.0 < dt <= run.horizon:
         raise ValueError(f"need 0 < dt <= horizon, got dt={dt}")
     windows = int(run.horizon / dt)
     if windows < 2:
@@ -659,8 +642,6 @@ def barrier_height_experiment(
         raise ValueError(f"t0 must be 0 or greater than 1, got {t0}")
     if not t0 < t1 < t0 + 1.0:
         raise ValueError(f"need t0 < t1 < t0 + 1, got t0={t0}, t1={t1}")
-    if runs < 1:
-        raise ValueError("need at least one run")
     argses = [(lam, pi, t0, t1, seed, i, radius) for i in range(runs)]
     rows = _map_runs(_barrier_worker, argses, jobs)
     thetas = np.array([r[0] for r in rows])

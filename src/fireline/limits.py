@@ -280,8 +280,8 @@ def simulate_alffp_p(
     Marks may be supplied (sorted by time) or drawn as a unit-rate Poisson
     set from (seed, stream_id).
     """
-    if p < 0.0:
-        raise ValueError("p must be nonnegative")
+    if not 0.0 <= p < math.inf:
+        raise ValueError(f"p must be nonnegative and finite, got {p}")
     if A <= 0.0 or T <= 0.0:
         raise ValueError("A and T must be positive")
     if marks is None:

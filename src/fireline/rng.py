@@ -160,15 +160,15 @@ def _units(words):
 
 def exp_sample(stream, rate: float) -> float:
     """Exponential variate by inversion: -log(U)/rate with U uniform on (0, 1]."""
-    if not rate > 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     return -math.log(stream.next_unit()) / rate
 
 
 def exp_samples(stream, rate: float, count: int) -> List[float]:
     """count exp_sample draws in sequence, their uniforms drawn as one block."""
-    if not rate > 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     # math.log, as in exp_sample: np.log differs from it in the last bit on
     # some draws
     return [-math.log(u) / rate for u in stream.next_units(count).tolist()]

@@ -21,7 +21,7 @@ significant digits, comfortably above the 12 the contracts require).
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -87,8 +87,8 @@ def _check_lambda(lam: float) -> None:
 def compute_scales(lam: float, pi: float) -> Scales:
     """All derived scales for (lam, pi)."""
     _check_lambda(lam)
-    if not pi > 0.0:
-        raise ValueError(f"pi must be positive, got {pi}")
+    if not 0.0 < pi < math.inf:
+        raise ValueError(f"pi must be positive and finite, got {pi}")
     a = math.log(1.0 / lam)
     n = math.floor(1.0 / (lam * a))
     m = math.floor(1.0 / (lam * a * a))
@@ -248,8 +248,10 @@ def d_T(t1: Trajectory, t2: Trajectory) -> float:
 
 def uniform_grid(T: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Evenly spaced grid on [0, T] with the package's default resolution."""
-    if not T > 0.0 or points < 2:
-        raise ValueError(f"need T > 0 and at least two grid points, got T={T}, points={points}")
+    if not 0.0 < T < math.inf or points < 2:
+        raise ValueError(
+            f"need 0 < T < inf and at least two grid points, got T={T}, points={points}"
+        )
     return np.linspace(0.0, T, points)
 
 

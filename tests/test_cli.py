@@ -93,6 +93,53 @@ def test_simulate_limit_mark_count_over_cap_exits_1(A, T, area, capsys):
     )
 
 
+_DISCRETE = ["simulate-discrete", "--lambda", "0.02", "--pi", "5"]
+
+
+# (argv, run in a child process): at T = inf the match clocks would ring
+# forever, so those cases run in a child with a timeout
+_NON_FINITE = [
+    ([*_DISCRETE, "-A", "2", "-T", "inf"], True),
+    ([*_DISCRETE, "-A", "2", "-T", "inf", "--grid", "4"], True),
+    (["cluster-dist", "--lambda", "0.02", "--pi", "5", "-A", "2", "-T", "inf",
+      "--runs", "1"], True),
+    ([*_DISCRETE, "-A", "2", "-T", "nan"], False),
+    ([*_DISCRETE, "-A", "inf", "-T", "1"], False),
+    (["simulate-discrete", "--lambda", "0.02", "--pi", "inf", "-A", "2", "-T", "1"], False),
+    (["simulate-limit", "--p", "nan", "-A", "2", "-T", "2", "--seed", "1"], False),
+    (["simulate-limit", "--p", "inf", "-A", "2", "-T", "2", "--seed", "1"], False),
+    (["gamma-test", "--z0", "0.5", "-T", "inf", "--samples", "10"], False),
+    (["propagation", "--pi", "9", "-T", "inf"], False),
+    (["propagation", "--pi", "inf", "-T", "1"], False),
+    (["fronts", "--pi", "9", "-T", "inf", "--runs", "1"], False),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, in_child", _NON_FINITE, ids=[" ".join(argv) for argv, _ in _NON_FINITE]
+)
+def test_non_finite_parameter_exits_2(argv, in_child, capsys):
+    if in_child:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fireline", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        rc, err = proc.returncode, proc.stderr
+    else:
+        rc, err = main(argv), capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["couple", "--lambda", "0.02", "--pi", "5", "-A", "1", "-T", "1", "--runs", "0"],
+    ["fronts", "--pi", "9", "-T", "1", "--runs", "0"],
+], ids=["couple", "fronts"])
+def test_zero_runs_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: need at least one run\n"
+
+
 def test_simulate_discrete_artifacts(tmp_path, capsys):
     csv_path = tmp_path / "obs.csv"
     snap_path = tmp_path / "state.txt"

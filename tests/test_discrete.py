@@ -80,10 +80,14 @@ def test_engine_argument_validation():
     with pytest.raises(ValueError):
         # igniting requires an occupied initial state
         PyEngineCore(10, 1.0, 0.0, 1, 0, initial_occupied=False, ignite_site=5)
+    for pi, rate in [(math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, math.nan)]:
+        with pytest.raises(ValueError):
+            PyEngineCore(10, pi, rate, 1, 0)
     eng = PyEngineCore(10, 1.0, 0.1, 1, 0)
     eng.advance_to(2.0)
-    with pytest.raises(ValueError):
-        eng.advance_to(1.0)
+    for target in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            eng.advance_to(target)
 
 
 def test_engine_matches_replay_oracle():
@@ -143,25 +147,22 @@ def test_seed_only_occupancy_law():
 
 
 def test_match_cascade_crossing_time():
-    # all occupied, one match at the left end: the front crosses the segment
-    # in n - 1 propagation steps, so it reaches the far end Gamma(n - 1, pi)
-    # after the match
+    # all occupied, the fire lit at the left end: the front crosses the
+    # segment in n - 1 propagation steps, so it reaches the far end
+    # Gamma(n - 1, pi) after the start
     n, pi, runs = 60, 50.0, 200
     total = 0.0
     for r in range(runs):
         eng = PyEngineCore(
             n, pi, 0.0, master_seed=31, stream_id=r,
-            initial_occupied=True, injected_t=[0.01], injected_site=[0],
-            track_fronts=True,
+            initial_occupied=True, ignite_site=0,
         )
-        eng.advance_to(0.01)  # light the match
         assert eng.burning_count == 1
         eng.advance_to(5.0)
         assert eng.burning_count == 0
-        # with no ignite_site the right front starts just left of site 0, so
-        # the match is its first advance and the far end its last
-        assert len(eng.front_plus) == n
-        total += eng.front_plus[-1] - 0.01
+        # the k-th advance reaches site k, so the far end is the last
+        assert len(eng.front_plus) == n - 1
+        total += eng.front_plus[-1]
     mean = total / runs
     se = math.sqrt(n - 1) / pi / math.sqrt(runs)
     assert abs(mean - (n - 1) / pi) < 3.0 * se
@@ -271,6 +272,30 @@ def test_lazy_seed_clocks_skip_rings_on_occupied_sites(engine):
 # -- wrapper ------------------------------------------------------------------
 
 
+_FRONT_LOGS = ("front_plus", "front_minus", "spark_log", "omega_right", "omega_left")
+
+
+@pytest.mark.parametrize("engine", _CORES)
+def test_front_logs_fill_only_in_a_run_that_starts_with_a_fire(engine):
+    # no fire at the start: a match at site 0 burns an occupied box, and
+    # clocked matches burn a vacant one, yet no front log fills
+    struck = make_engine(
+        31, 9.0, 0.0, 4, 0, initial_occupied=True,
+        injected_t=[0.5], injected_site=[0], force=engine,
+    )
+    clocked = make_engine(31, 9.0, 0.5, 4, 0, force=engine)
+    for eng in (struck, clocked):
+        eng.advance_to(20.0)
+        assert eng.burn_lo <= eng.burn_hi
+        assert [len(getattr(eng, name)) for name in _FRONT_LOGS] == [0] * 5
+    assert len(struck.match_log) == 1 and struck.match_log[0][2]
+    # the same box lit at its center logs both fronts to the edges
+    lit = make_engine(31, 9.0, 0.0, 4, 0, initial_occupied=True, ignite_site=15, force=engine)
+    lit.advance_to(20.0)
+    assert len(lit.front_plus) == len(lit.front_minus) == 15
+    assert len(lit.omega_right) > 0
+
+
 def test_box_dimensions():
     d = DiscreteFFP(0.01, 2.0, 1.0, seed=1)
     assert d.a_sites == 21
@@ -287,21 +312,28 @@ def test_wrapper_argument_validation():
     with pytest.raises(ValueError):
         DiscreteFFP(0.01, 2.0, -1.0, seed=1)
     with pytest.raises(ValueError):
-        DiscreteFFP(0.01, 2.0, 1.0, seed=1, match_mode="sometimes")
-    with pytest.raises(ValueError):
-        DiscreteFFP(0.01, 2.0, 1.0, seed=1, injected_matches=[(0.5, 0)])
-    with pytest.raises(ValueError):
-        DiscreteFFP(
-            0.01, 2.0, 1.0, seed=1, match_mode="injected",
-            injected_matches=[(0.5, 99)],
-        )
+        DiscreteFFP(0.01, 2.0, 1.0, seed=1, injected_matches=[(0.5, 99)])
     with pytest.raises(ValueError):
         DiscreteFFP(0.01, 2.0, 1.0, seed=1, initial="smoldering")
 
 
+def test_empty_schedule_means_no_matches():
+    # injected_matches=() is the chain without matches: the bare engine with
+    # match rate 0 on the same box, at the same raw time
+    d = DiscreteFFP(0.02, 5.0, 2.0, seed=3, injected_matches=())
+    d.advance_to(1.5)
+    eng = make_engine(d.n_sites, 5.0, 0.0, 3, 0)
+    eng.advance_to(d.scales.a * 1.5)
+    assert d.states() == eng.state_view()
+    assert d.matches() == []
+    clocked = DiscreteFFP(0.02, 5.0, 2.0, seed=3)
+    clocked.advance_to(1.5)
+    assert clocked.matches() and clocked.states() != d.states()
+
+
 def test_macro_time_and_occupancy():
     # P[site occupied at macro time t] = 1 - lambda^t without matches
-    d = DiscreteFFP(0.01, 2.0, 20.0, seed=3, match_mode="none")
+    d = DiscreteFFP(0.01, 2.0, 20.0, seed=3, injected_matches=())
     d.advance_to(0.15)
     assert abs(d.now - 0.15) < 1e-12
     assert abs(d.now_raw - 0.15 * d.scales.a) < 1e-12
@@ -312,7 +344,7 @@ def test_macro_time_and_occupancy():
 
 
 def test_observables_on_constructed_state():
-    d = DiscreteFFP(0.01, 2.0, 1.0, seed=1, match_mode="none", engine="python")
+    d = DiscreteFFP(0.01, 2.0, 1.0, seed=1, injected_matches=(), engine="python")
     assert d.scales.m == 4
     st = d._eng._states
     center = d.a_sites
@@ -335,7 +367,7 @@ def test_observables_on_constructed_state():
 
 
 def test_z_saturates_only_at_full_window():
-    d = DiscreteFFP(0.01, 2.0, 1.0, seed=1, match_mode="none", engine="python")
+    d = DiscreteFFP(0.01, 2.0, 1.0, seed=1, injected_matches=(), engine="python")
     st = d._eng._states
     center = d.a_sites
     m = d.scales.m
@@ -359,7 +391,7 @@ def test_observables_out_of_box():
 
 def test_window_clipping_at_box_edge():
     # querying next to the edge clips the window and its denominator
-    d = DiscreteFFP(0.01, 2.0, 0.2, seed=1, match_mode="none", engine="python")
+    d = DiscreteFFP(0.01, 2.0, 0.2, seed=1, injected_matches=(), engine="python")
     assert d.a_sites == 4
     st = d._eng._states
     for i in range(len(st)):
@@ -371,7 +403,7 @@ def test_window_clipping_at_box_edge():
 
 def test_injected_matches_and_match_log():
     d = DiscreteFFP(
-        0.02, 5.0, 1.0, seed=9, match_mode="injected",
+        0.02, 5.0, 1.0, seed=9,
         injected_matches=[(0.3, 0), (0.6, 2)], initial="occupied",
     )
     d.advance_to(1.0)

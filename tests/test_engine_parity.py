@@ -68,7 +68,7 @@ def test_parity_injected_and_fire():
 
 
 def test_parity_propagation_tracking():
-    kwargs = dict(initial_occupied=True, ignite_site=300, track_fronts=True)
+    kwargs = dict(initial_occupied=True, ignite_site=300)
     py, cy = _pair(601, 9.0, 0.0, 123, 0, **kwargs)
     py.advance_to(25.0)
     cy.advance_to(25.0)

@@ -96,14 +96,6 @@ def test_match_schedule_drops_left_sliver_marks():
     assert [site for _, site, _ in run.match_log] == [site for _, site in schedule]
 
 
-def test_coupled_run_regime_mismatch_raises():
-    lam, pi = _intermediate_point(4)
-    with pytest.raises(ValueError, match="classifies"):
-        coupled_run(lam, pi, 1.0, 1.0, seed=3, regime="fast")
-    with pytest.raises(ValueError, match="classifies"):
-        coupled_run(lam, pi, 1.0, 1.0, seed=3, regime=Regime.slow(0.5))
-
-
 def test_coupled_run_determinism():
     lam, pi = _intermediate_point(4)
     r1 = coupled_run(lam, pi, 1.0, 1.0, seed=9, grid_points=32)
@@ -215,6 +207,8 @@ def test_front_statistics_fit_and_validation():
         front_statistics(run, 30.0)
     with pytest.raises(ValueError):
         front_statistics(run, 15.0)
+    with pytest.raises(ValueError, match="0 < dt"):
+        front_statistics(run, math.nan)
 
 
 # -- barrier experiment -------------------------------------------------------------
@@ -233,6 +227,11 @@ def test_barrier_validation():
     # a slow fire cannot sweep the warm-up box between t0 and t1
     with pytest.raises(ValueError, match="sweep"):
         barrier_height_experiment(lam, 25.0, 1.5, 2.0, 2, seed=0)
+
+
+def test_limit_tail_zero_runs_raises():
+    with pytest.raises(ValueError, match="at least one run"):
+        limit_tail_experiment(1.0, 1.0, 0, seed=0)
 
 
 def test_barrier_t0_zero_runs_and_determinism():

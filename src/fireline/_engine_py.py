@@ -49,12 +49,10 @@ arrays.
 import math
 from heapq import heappop, heappush
 
-from .rng import PURPOSE_MATCH, PURPOSE_PROPAGATE, PURPOSE_SEED, draw_u64
+from .rng import PURPOSE_MATCH, PURPOSE_PROPAGATE, PURPOSE_SEED, draw_u64, u64_to_unit
 
 VACANT, OCCUPIED, BURNING = 0, 1, 2
 KIND_PROPAGATE, KIND_MATCH, KIND_SEED = 0, 1, 2
-
-_INV53 = 1.0 / 9007199254740992.0
 
 
 def check_engine_args(
@@ -115,10 +113,11 @@ class PyEngineCore:
         self.burning_count = 0
 
         self._states = bytearray([OCCUPIED if initial_occupied else VACANT] * n_sites)
-        self._k_seed = [0] * n_sites
+        # per-purpose, per-site draw counters
+        self._draws = {
+            p: [0] * n_sites for p in (PURPOSE_SEED, PURPOSE_MATCH, PURPOSE_PROPAGATE)
+        }
         self._seed_last = [0.0] * n_sites  # latest occupation time of each site
-        self._k_match = [0] * n_sites
-        self._k_prop = [0] * n_sites
         self._heap = []
 
         # burned-interval tracking (internal indices), reset by the caller
@@ -145,10 +144,10 @@ class PyEngineCore:
         self.match_log = []  # (raw time, internal site, effective)
 
         for i in range(0 if initial_occupied else n_sites):
-            heappush(self._heap, (self._exp_seed(i), i, KIND_SEED))
+            heappush(self._heap, (self._exp(PURPOSE_SEED, i, 1.0), i, KIND_SEED))
         if match_rate > 0.0:
             for i in range(n_sites):
-                heappush(self._heap, (self._exp_match(i), i, KIND_MATCH))
+                heappush(self._heap, (self._exp(PURPOSE_MATCH, i, match_rate), i, KIND_MATCH))
         for t, i in zip(injected_t, injected_site):
             heappush(self._heap, (float(t), int(i), KIND_MATCH))
         if ignite_site >= 0:
@@ -156,23 +155,14 @@ class PyEngineCore:
 
     # -- clock draws --------------------------------------------------------
 
-    def _exp_seed(self, site):
-        k = self._k_seed[site]
-        self._k_seed[site] = k + 1
-        x = draw_u64(self.master_seed, self.stream_id, PURPOSE_SEED, site, k)
-        return -math.log(((x >> 11) + 1) * _INV53)
-
-    def _exp_match(self, site):
-        k = self._k_match[site]
-        self._k_match[site] = k + 1
-        x = draw_u64(self.master_seed, self.stream_id, PURPOSE_MATCH, site, k)
-        return -math.log(((x >> 11) + 1) * _INV53) / self.match_rate
-
-    def _exp_prop(self, site):
-        k = self._k_prop[site]
-        self._k_prop[site] = k + 1
-        x = draw_u64(self.master_seed, self.stream_id, PURPOSE_PROPAGATE, site, k)
-        return -math.log(((x >> 11) + 1) * _INV53) / self.pi
+    def _exp(self, purpose, site, rate):
+        """The next exponential clock of one site and purpose; rate 1.0
+        divides exactly, so seed clocks are the undivided draw."""
+        counts = self._draws[purpose]
+        k = counts[site]
+        counts[site] = k + 1
+        x = draw_u64(self.master_seed, self.stream_id, purpose, site, k)
+        return -math.log(u64_to_unit(x)) / rate
 
     # -- state transitions --------------------------------------------------
 
@@ -184,7 +174,8 @@ class PyEngineCore:
             self.burn_lo = site
         if site > self.burn_hi:
             self.burn_hi = site
-        heappush(self._heap, (t + self._exp_prop(site), site, KIND_PROPAGATE))
+        t_out = t + self._exp(PURPOSE_PROPAGATE, site, self.pi)
+        heappush(self._heap, (t_out, site, KIND_PROPAGATE))
         if self._track:
             if source == self._right_front and site == source + 1:
                 self._right_front = site
@@ -213,7 +204,8 @@ class PyEngineCore:
             if effective:
                 self._ignite(site, t, -1)
             if self.match_rate > 0.0:
-                heappush(self._heap, (t + self._exp_match(site), site, KIND_MATCH))
+                t_next = t + self._exp(PURPOSE_MATCH, site, self.match_rate)
+                heappush(self._heap, (t_next, site, KIND_MATCH))
             self.match_log.append((t, site, effective))
         else:  # KIND_PROPAGATE: a burning site's own clock, always effective
             if self._track:
@@ -234,10 +226,10 @@ class PyEngineCore:
                     self._lw_clean = True
             states[site] = VACANT
             self.burning_count -= 1
-            s = self._seed_last[site] + self._exp_seed(site)
+            s = self._seed_last[site] + self._exp(PURPOSE_SEED, site, 1.0)
             while s < t:
                 self.seed_rings_skipped += 1
-                s = s + self._exp_seed(site)
+                s = s + self._exp(PURPOSE_SEED, site, 1.0)
             heappush(self._heap, (s, site, KIND_SEED))
             left = site - 1
             if left >= 0 and states[left] == OCCUPIED:

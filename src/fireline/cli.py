@@ -114,12 +114,10 @@ def _cmd_simulate_discrete(args):
         grid_n = 64
     rows = []
     if grid_n > 0:
-        for t in uniform_grid(t_macro, grid_n):
-            sim.advance_to(float(t))
-            o = sim.observables(0.0)
-            d_lo = "" if o.D is None else o.D[0]
-            d_hi = "" if o.D is None else o.D[1]
-            rows.append([float(t), o.Z, o.K, o.W, o.size, d_lo, d_hi])
+        grid = uniform_grid(t_macro, grid_n)
+        for t, o in zip(grid.tolist(), sim.sample(grid)):
+            d_lo, d_hi = ("", "") if o.D is None else o.D
+            rows.append([t, o.Z, o.K, o.W, o.size, d_lo, d_hi])
     sim.advance_to(t_macro)
     o = sim.observables(0.0)
     log = sim.matches()
@@ -167,18 +165,14 @@ def _cmd_simulate_limit(args):
     else:
         print(f"Z(0,T)={z_final:.6f} D(0,T)={_interval_label(d_final)}")
     if args.csv:
-        rows = []
-        for t in uniform_grid(args.T, args.grid):
-            lo, hi = state.D(0.0, float(t))
-            if z_final is None:
-                rows.append([float(t), lo, hi, hi - lo])
-            else:
-                rows.append([float(t), state.Z(0.0, float(t)), lo, hi])
-        header = (
-            ["t", "D_lo", "D_hi", "length"]
-            if z_final is None
-            else ["t", "Z", "D_lo", "D_hi"]
-        )
+        traj = state.trajectory(uniform_grid(args.T, args.grid))
+        points = zip(traj.times.tolist(), traj.values.tolist(), traj.intervals)
+        if z_final is None:
+            header = ["t", "D_lo", "D_hi", "length"]
+            rows = [[t, lo, hi, hi - lo] for t, _, (lo, hi) in points]
+        else:
+            header = ["t", "Z", "D_lo", "D_hi"]
+            rows = [[t, z, lo, hi] for t, z, (lo, hi) in points]
         _write_csv(args.csv, header, rows)
     if args.events:
         _write_csv(

@@ -165,8 +165,15 @@ class DiscreteFFP:
         return self._eng.event_count
 
     def advance_to(self, t: float) -> None:
-        """Run the chain up to macroscopic time t."""
-        self._eng.advance_to(self.scales.a * t)
+        """Run the chain up to macroscopic time t.
+
+        The target is compared in raw time, as the engine compares it, so
+        advancing again to the current time t is always accepted (now,
+        which is raw time / a, can exceed t by an ulp)."""
+        t_raw = self.scales.a * t
+        if not self._eng.now <= t_raw < math.inf:
+            raise ValueError(f"cannot advance to t={t}: need now={self.now} <= t < inf")
+        self._eng.advance_to(t_raw)
 
     # -- state access ---------------------------------------------------------
 
@@ -218,6 +225,15 @@ class DiscreteFFP:
         else:
             z = min(-math.log1p(-k) / sc.a, 1.0)
         return ClusterObservables(cluster=cluster, D=d, size=size, K=k, Z=z, W=w)
+
+    def sample(self, grid: Sequence[float]) -> List[ClusterObservables]:
+        """Advance through the grid, reading the observables at the origin
+        at each time."""
+        out = []
+        for t in grid:
+            self.advance_to(float(t))
+            out.append(self.observables(0.0))
+        return out
 
     # -- export ----------------------------------------------------------------
 

@@ -21,7 +21,6 @@ from .discrete import (
 )
 from .engine import make_engine
 from .limits import (
-    LimitStateP,
     sample_cluster_lengths_inf,
     simulate_alffp_p,
     simulate_lffp_0,
@@ -137,31 +136,24 @@ def coupled_run(
     )
 
     times = uniform_grid(T, grid_points)
-    zd = np.empty(len(times))
-    wd = np.empty(len(times))
-    dd = []
-    for i, t in enumerate(times):
-        disc.advance_to(float(t))
-        obs = disc.observables(0.0)
-        zd[i] = obs.Z
-        wd[i] = obs.W
-        dd.append(obs.D)
-    discrete = Trajectory(times, zd, dd)
+    obs = disc.sample(times)
+    discrete = Trajectory(times, [o.Z for o in obs], [o.D for o in obs])
 
     if classified.kind == "fast":
-        limit = limit_trajectory(simulate_lffp_0(A, T, marks=marks), times)
+        limit = simulate_lffp_0(A, T, marks=marks).trajectory(times)
     elif classified.kind == "intermediate":
-        limit = limit_trajectory(simulate_alffp_p(classified.p, A, T, marks=marks), times)
+        limit = simulate_alffp_p(classified.p, A, T, marks=marks).trajectory(times)
     else:
-        lim_state = simulate_lffp_inf(classified.z0, A, T, marks=marks)
+        limit = simulate_lffp_inf(classified.z0, A, T, marks=marks).trajectory(times)
         # no limit regrowth observable: neutral value channel
-        limit = Trajectory(times, zd.copy(), [lim_state.D(0.0, float(t)) for t in times])
+        limit.values = discrete.values.copy()
 
-    zl, dl = limit.values, limit.intervals
     per_time = np.array(
         [
-            abs(zd[i] - zl[i]) + delta_interval(dd[i], dl[i])
-            for i in range(len(times))
+            abs(zd - zl) + delta_interval(dd, dl)
+            for zd, zl, dd, dl in zip(
+                discrete.values, limit.values, discrete.intervals, limit.intervals
+            )
         ]
     )
     return CoupledRun(
@@ -176,20 +168,11 @@ def coupled_run(
         times=times,
         discrete=discrete,
         limit=limit,
-        w_values=wd,
+        w_values=np.array([o.W for o in obs]),
         per_time=per_time,
         distance=d_T(discrete, limit),
         match_log=disc.matches(),
     )
-
-
-def limit_trajectory(
-    state: LimitStateP, grid: np.ndarray, x: float = 0.0
-) -> Trajectory:
-    """Sample Z and D of a limit realization at one point over a grid."""
-    values = np.array([state.Z(x, float(t)) for t in grid])
-    intervals = [state.D(x, float(t)) for t in grid]
-    return Trajectory(np.asarray(grid, dtype=float), values, intervals)
 
 
 def _coupled_worker(args):

@@ -47,7 +47,10 @@ from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .rng import Mark, RngStream, exp_samples, poisson_rectangle
+from .scales import Trajectory
 
 EVENT_BARRIER_EXPIRY = 0
 EVENT_FRONT_MEET = 1
@@ -154,7 +157,7 @@ class LimitStateP:
         """Farthest point f has reached by time t."""
         return self._pos(f, min(t, f.t_end))
 
-    def _crossing(self, f: _Front, x: float, t: float, strict: bool) -> Optional[float]:
+    def _crossing(self, f: _Front, x: float, t: float) -> Optional[float]:
         """When front f crossed x, if it did so by time t."""
         if f.direction > 0:
             if x < f.x0:
@@ -164,10 +167,7 @@ class LimitStateP:
             if x > f.x0:
                 return None
             ct = f.t0 + self.p * (f.x0 - x)
-        if strict:
-            if ct >= t:
-                return None
-        elif ct > t:
+        if ct > t:
             return None
         if not f.alive:
             if f.blocked:
@@ -182,17 +182,26 @@ class LimitStateP:
                 return None
         return ct
 
-    def _last_reset(self, x: float, t: float, strict: bool = False) -> float:
+    def _last_reset(self, x: float, t: float) -> float:
         r = 0.0
         for f in self.fronts:
-            ct = self._crossing(f, x, t, strict)
+            ct = self._crossing(f, x, t)
             if ct is not None and ct > r:
                 r = ct
         for s in self.sweeps:
-            if s.lo < x < s.hi:
-                if (s.t < t or (not strict and s.t == t)) and s.t > r:
-                    r = s.t
+            if s.lo < x < s.hi and r < s.t <= t:
+                r = s.t
         return r
+
+    def _active_barrier(self, x: float, t: float) -> Optional[_Barrier]:
+        """The barrier active at x at time t with the largest expiry (the
+        first in list order on a tie), or None."""
+        out = None
+        for b in self.barriers:
+            if b.x == x and b.create <= t < b.expiry:
+                if out is None or b.expiry > out.expiry:
+                    out = b
+        return out
 
     def _check_point(self, x: float, t: float) -> None:
         if not -self.A <= x <= self.A:
@@ -215,11 +224,8 @@ class LimitStateP:
 
     def H(self, x: float, t: float) -> float:
         self._check_point(x, t)
-        h = 0.0
-        for b in self.barriers:
-            if b.x == x and b.create <= t < b.expiry:
-                h = max(h, b.expiry - t)
-        return h
+        b = self._active_barrier(x, t)
+        return 0.0 if b is None else b.expiry - t
 
     def D(self, x: float, t: float) -> Tuple[float, float]:
         """The macroscopic cluster interval through x at time t."""
@@ -240,6 +246,12 @@ class LimitStateP:
     def query(self, x: float, t: float) -> LimitObservables:
         return LimitObservables(Z=self.Z(x, t), H=self.H(x, t), D=self.D(x, t))
 
+    def trajectory(self, grid: Sequence[float]) -> Trajectory:
+        """Z and D at the origin over a time grid."""
+        values = np.array([self.Z(0.0, float(t)) for t in grid])
+        intervals = [self.D(0.0, float(t)) for t in grid]
+        return Trajectory(np.asarray(grid, dtype=float), values, intervals)
+
     def _blockers(self, t: float) -> List[Tuple[float, float]]:
         """Intervals where Z_t < 1 plus active barrier points."""
         out: List[Tuple[float, float]] = []
@@ -254,12 +266,12 @@ class LimitStateP:
             if f.direction > 0:
                 if healed >= self.p * (cap - f.x0):
                     continue  # entire wake healed
-                flo = f.x0 + max(0.0, healed) / self.p if self.p > 0 else f.x0
+                flo = f.x0 + max(0.0, healed) / self.p
                 out.append((flo, cap))
             else:
                 if healed >= self.p * (f.x0 - cap):
                     continue
-                fhi = f.x0 - max(0.0, healed) / self.p if self.p > 0 else f.x0
+                fhi = f.x0 - max(0.0, healed) / self.p
                 out.append((cap, fhi))
         for s in self.sweeps:
             if t - 1.0 < s.t <= t:
@@ -477,11 +489,7 @@ def _run_alffp(state: LimitStateP) -> None:
                 nxt = marks[i + 1]
                 push((nxt.t, EVENT_MARK, nxt.x, 0, i + 1, 0, 0, None, None))
             z = min(m.t - state._last_reset(m.x, m.t), 1.0)
-            b_active = None
-            for b in barriers:
-                if b.x == m.x and b.create <= m.t < b.expiry:
-                    if b_active is None or b.expiry > b_active.expiry:
-                        b_active = b
+            b_active = state._active_barrier(m.x, m.t)
             if z >= 1.0 and b_active is None:
                 if p > 0.0:
                     fronts.append(_Front(m.x, m.t, +1))
@@ -611,6 +619,13 @@ class LimitStateInf:
             if f.x >= x and f.x < hi:
                 hi = f.x
         return (lo, hi)
+
+    def trajectory(self, grid: Sequence[float]) -> Trajectory:
+        """D at the origin over a time grid; the values are NaN, since the
+        slow limit has no regrowth observable."""
+        intervals = [self.D(0.0, float(t)) for t in grid]
+        values = np.full(len(intervals), math.nan)
+        return Trajectory(np.asarray(grid, dtype=float), values, intervals)
 
 
 def simulate_lffp_inf(

@@ -13,7 +13,8 @@ works with the derived scales
 and classifies (lam, pi) as fast, intermediate, or slow according to ratio.
 This module also provides the interval metric delta, the trajectory metric
 d_T (integral of value gap plus delta), and slope-p cone membership tests
-used by the limit processes.
+that state the paths of the limit fronts; no engine calls them (the LFFP(p)
+engine in limits.py computes its crossings directly).
 
 All floors are computed from IEEE double evaluations (about 15.9
 significant digits, comfortably above the 12 the contracts require).

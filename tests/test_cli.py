@@ -1,5 +1,7 @@
 """CLI behavior: output format, artifacts, determinism, exit codes."""
 
+import csv
+import io
 import json
 import re
 import subprocess
@@ -8,6 +10,9 @@ import sys
 import pytest
 
 from fireline.cli import build_parser, main
+from fireline.discrete import DiscreteFFP
+from fireline.limits import simulate_alffp_p, simulate_lffp_inf
+from fireline.scales import uniform_grid
 
 
 def test_scales_line(capsys):
@@ -157,6 +162,59 @@ def test_simulate_discrete_artifacts(tmp_path, capsys):
     snap = json.loads(snap_path.read_text())
     assert snap["schema"] == "ffp-snapshot/1"
     assert snap["seed"] == 3
+
+
+def test_simulate_discrete_refuses_a_past_target_in_macroscopic_time(capsys):
+    rc = main([*_DISCRETE, "-A", "1", "-T", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: cannot advance to t=-1.0: need now=0.0 <= t < inf\n"
+
+
+def _csv_text(header, rows):
+    out = io.StringIO(newline="")
+    w = csv.writer(out)
+    w.writerow(header)
+    w.writerows(rows)
+    return out.getvalue()
+
+
+def test_simulate_discrete_csv_rows_equal_per_point_queries(tmp_path, capsys):
+    path = tmp_path / "obs.csv"
+    assert main([*_DISCRETE, "-A", "2", "-T", "1.5", "--seed", "3", "--grid", "17",
+                 "--csv", str(path)]) == 0
+    capsys.readouterr()
+    sim = DiscreteFFP(0.02, 5.0, 2.0, 3)
+    rows = []
+    for t in uniform_grid(1.5, 17):
+        sim.advance_to(float(t))
+        o = sim.observables(0.0)
+        d = ("", "") if o.D is None else o.D
+        rows.append([float(t), o.Z, o.K, o.W, o.size, *d])
+    assert any(o != "" for o in rows[-1][5:])
+    header = ["t", "Z", "K", "W", "size", "D_lo", "D_hi"]
+    assert path.read_bytes() == _csv_text(header, rows).encode()
+
+
+@pytest.mark.parametrize("mode", ["--p", "--z0"])
+def test_simulate_limit_csv_rows_equal_per_point_queries(mode, tmp_path, capsys):
+    path = tmp_path / "limit.csv"
+    assert main(["simulate-limit", mode, "0.5", "-A", "2", "-T", "2", "--seed", "4",
+                 "--grid", "33", "--csv", str(path)]) == 0
+    capsys.readouterr()
+    rows = []
+    if mode == "--p":
+        state = simulate_alffp_p(0.5, 2.0, 2.0, seed=4)
+        header = ["t", "Z", "D_lo", "D_hi"]
+        for t in uniform_grid(2.0, 33):
+            rows.append([float(t), state.Z(0.0, float(t)), *state.D(0.0, float(t))])
+    else:
+        state = simulate_lffp_inf(0.5, 2.0, 2.0, seed=4)
+        header = ["t", "D_lo", "D_hi", "length"]
+        for t in uniform_grid(2.0, 33):
+            lo, hi = state.D(0.0, float(t))
+            rows.append([float(t), lo, hi, hi - lo])
+    assert len({tuple(r[-2:]) for r in rows}) > 2
+    assert path.read_bytes() == _csv_text(header, rows).encode()
 
 
 def test_simulate_limit_modes(tmp_path, capsys):

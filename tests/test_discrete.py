@@ -331,6 +331,36 @@ def test_empty_schedule_means_no_matches():
     assert clocked.matches() and clocked.states() != d.states()
 
 
+@pytest.mark.parametrize("engine", _CORES)
+def test_sample_equals_per_point_calls(engine):
+    grid = [0.0, 0.2, 0.2 + 1e-9, 0.75, 1.3, 2.0]
+    sampled = DiscreteFFP(0.02, 5.0, 2.0, seed=3, engine=engine)
+    stepped = DiscreteFFP(0.02, 5.0, 2.0, seed=3, engine=engine)
+    rows = sampled.sample(grid)
+    want = []
+    for t in grid:
+        stepped.advance_to(t)
+        want.append(stepped.observables(0.0))
+    assert repr(rows) == repr(want)
+    assert any(o.cluster is not None for o in rows)
+    assert sampled.states() == stepped.states()
+    assert sampled.matches() == stepped.matches()
+
+
+def test_advance_to_checks_the_macroscopic_target():
+    d = DiscreteFFP(0.02, 5.0, 1.0, seed=3)
+    # a * 0.387 / a rounds up: now exceeds the target by an ulp, and the
+    # same target must still be accepted
+    d.advance_to(0.387)
+    assert d.now > 0.387
+    before = (d.states(), d.event_count)
+    d.advance_to(0.387)
+    assert (d.states(), d.event_count) == before
+    for t in (0.3, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"cannot advance to t={t}: need now="):
+            d.advance_to(t)
+
+
 def test_macro_time_and_occupancy():
     # P[site occupied at macro time t] = 1 - lambda^t without matches
     d = DiscreteFFP(0.01, 2.0, 20.0, seed=3, injected_matches=())

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fireline.discrete import match_schedule_from_marks, run_propagation
+from fireline.discrete import DiscreteFFP, match_schedule_from_marks, run_propagation
 from fireline.harness import (
     barrier_height_experiment,
     cluster_dist_experiment,
@@ -16,11 +16,10 @@ from fireline.harness import (
     gamma_test,
     ks_statistic,
     limit_tail_experiment,
-    limit_trajectory,
     spark_fraction_experiment,
     wilson_interval,
 )
-from fireline.limits import simulate_alffp_p
+from fireline.limits import simulate_alffp_p, simulate_lffp_inf
 from fireline.rng import Mark
 from fireline.scales import Regime, compute_scales, pi_for_regime
 
@@ -126,10 +125,37 @@ def test_limit_trajectory_matches_state_queries():
     marks = [Mark(0.0, 0.4), Mark(0.5, 1.2)]
     state = simulate_alffp_p(1.0, 2.0, 2.0, marks=marks)
     grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
-    traj = limit_trajectory(state, grid)
+    traj = state.trajectory(grid)
+    assert np.array_equal(traj.times, grid)
     for i, t in enumerate(grid):
         assert traj.values[i] == state.Z(0.0, float(t))
         assert traj.intervals[i] == state.D(0.0, float(t))
+
+
+@pytest.mark.parametrize("pi, kind", [(500.0, "fast"), (3.4, "intermediate"), (0.1, "slow")])
+def test_coupled_run_equals_per_point_calls(pi, kind):
+    lam, A, T = 0.0183, 1.0, 1.0
+    run = coupled_run(lam, pi, A, T, seed=2, grid_points=16)
+    assert run.regime.kind == kind
+    scales = compute_scales(lam, pi)
+    schedule = match_schedule_from_marks(run.marks, scales, math.floor(A * scales.n))
+    disc = DiscreteFFP(lam, pi, A, 2, injected_matches=schedule)
+    obs = []
+    for t in run.times:
+        disc.advance_to(float(t))
+        obs.append(disc.observables(0.0))
+    assert run.discrete.values.tolist() == [o.Z for o in obs]
+    assert run.discrete.intervals == [o.D for o in obs]
+    assert run.w_values.tolist() == [o.W for o in obs]
+    if kind == "slow":
+        state = simulate_lffp_inf(run.regime.z0, A, T, marks=run.marks)
+        zl = run.discrete.values.tolist()  # the neutral value channel
+    else:
+        p = 0.0 if kind == "fast" else run.regime.p
+        state = simulate_alffp_p(p, A, T, marks=run.marks)
+        zl = [state.Z(0.0, float(t)) for t in run.times]
+    assert run.limit.values.tolist() == zl
+    assert run.limit.intervals == [state.D(0.0, float(t)) for t in run.times]
 
 
 # -- cluster experiments -----------------------------------------------------------

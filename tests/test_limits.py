@@ -341,6 +341,27 @@ def test_query_limit_bundle():
     assert obs.D == (0.5, 0.5)
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_trajectory_equals_state_queries(p):
+    s = simulate_alffp_p(p, 2.0, 3.0, seed=13)
+    grid = [0.0, 0.4, 1.0, 1.0 + 1e-12, 1.5, 2.25, 2.6, 3.0]
+    traj = s.trajectory(grid)
+    assert traj.times.tolist() == grid
+    assert traj.values.tolist() == [s.Z(0.0, t) for t in grid]
+    assert traj.intervals == [s.D(0.0, t) for t in grid]
+    assert len(set(traj.intervals)) > 2
+
+
+def test_inf_trajectory_has_intervals_and_nan_values():
+    s = simulate_lffp_inf(0.5, 2.0, 3.0, seed=11)
+    grid = [0.0, 0.9, 1.0, 1.6, 3.0]
+    traj = s.trajectory(grid)
+    assert traj.times.tolist() == grid
+    assert traj.intervals == [s.D(0.0, t) for t in grid]
+    assert len(set(traj.intervals)) > 2
+    assert all(math.isnan(v) for v in traj.values)
+
+
 def test_mark_validation():
     with pytest.raises(ValueError, match="sorted"):
         simulate_alffp_p(1.0, 2.0, 3.0, marks=[Mark(0.0, 1.0), Mark(0.1, 0.5)])

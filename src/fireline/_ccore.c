@@ -22,8 +22,15 @@
  * fire only the match log fills.
  *
  * fl_run(e, t) is the one way to drive the engine: it processes every event
- * up to t.  Callers read what they need afterwards from the exported views:
- * the states, the logs, and seed_last, each site's latest occupation time.
+ * up to t, and refuses (status -2, nothing processed) a target that fails
+ * now <= t < inf, NaN included.  Callers read what they need afterwards
+ * from the exported views: the states, the logs, and seed_last, each site's
+ * latest occupation time.
+ *
+ * fl_observe(e, idx, m, out) reads the observables of site idx in place:
+ * out[0..1] the bounds of the occupied run through idx, or -1, -1 when idx
+ * is not occupied, and out[2] the occupied count of the window
+ * [idx - m, idx + m] clipped to the box.  It scans eight sites a word.
  *
  * fl_draw_block(seed, stream, purpose, site, first, n, out) serves the block
  * draws of fireline.rng: out[i] is draw_u64(seed, stream, purpose, site,
@@ -383,15 +390,61 @@ fail:
 }
 
 /* Process every event with time <= t_limit; now then becomes t_limit.  The
- * only way to drive the engine.  Returns 0, or -1 when an allocation fails
- * (the engine is then unusable). */
+ * only way to drive the engine.  Returns 0; -2, with nothing processed, when
+ * t_limit fails now <= t_limit < inf (NaN included); or -1 when an
+ * allocation fails (the engine is then unusable). */
 FL_API int fl_run(engine *e, double t_limit)
 {
+    if (!(e->now <= t_limit && t_limit < INFINITY))
+        return -2;
     while (e->hsize > 0 && e->heap[0].t <= t_limit)
         if (step(e) != 0)
             return -1;
     e->now = t_limit;
     return 0;
+}
+
+/* -- observables ---------------------------------------------------------- */
+
+static const uint64_t ALL_OCCUPIED = 0x0101010101010101u; /* eight OCCUPIED bytes */
+
+static uint64_t load8(const uint8_t *p)
+{
+    uint64_t w;
+    memcpy(&w, p, sizeof w);
+    return w;
+}
+
+/* The occupied run through idx, or -1, -1, and the occupied count of the
+ * window of half-width m around idx, clipped to the box. */
+FL_API void fl_observe(const engine *e, int64_t idx, int64_t m, int64_t out[3])
+{
+    const uint8_t *s = e->states;
+    int64_t n = e->n_sites;
+    out[0] = out[1] = -1;
+    if (s[idx] == OCCUPIED) {
+        int64_t lo = idx, hi = idx + 1;
+        while (lo >= 8 && load8(s + lo - 8) == ALL_OCCUPIED)
+            lo -= 8;
+        while (lo > 0 && s[lo - 1] == OCCUPIED)
+            lo--;
+        while (n - hi >= 8 && load8(s + hi) == ALL_OCCUPIED)
+            hi += 8;
+        while (hi < n && s[hi] == OCCUPIED)
+            hi++;
+        out[0] = lo;
+        out[1] = hi - 1;
+    }
+    int64_t i = idx - m > 0 ? idx - m : 0;
+    int64_t end = idx + m < n - 1 ? idx + m + 1 : n;
+    int64_t count = 0;
+    /* OCCUPIED (1) is the one state with bit 0 set; the multiply sums the
+     * eight 0/1 bits, one per byte, into the top byte */
+    for (; end - i >= 8; i += 8)
+        count += (int64_t)(((load8(s + i) & ALL_OCCUPIED) * ALL_OCCUPIED) >> 56);
+    for (; i < end; i++)
+        count += s[i] == OCCUPIED;
+    out[2] = count;
 }
 
 FL_API const uint8_t *fl_states(const engine *e)

@@ -35,7 +35,8 @@ advance_to is the one driving method: it processes every event up to a
 time.  Anything a caller measures (a burned stretch, when it regrew) is
 read afterwards from what the engine keeps: burning_count, burn_lo/burn_hi,
 state_view, the logs, and seed_last_view, each site's latest occupation
-time (the last chain points above).
+time (the last chain points above).  observe reads the cluster and window
+counts of one site in place, without copying the states.
 
 Every processed match is logged.  A core that starts with a fire
 (ignite_site >= 0, the propagation process) also logs the facts of that
@@ -52,6 +53,7 @@ from heapq import heappop, heappush
 from .rng import PURPOSE_MATCH, PURPOSE_PROPAGATE, PURPOSE_SEED, draw_u64, u64_to_unit
 
 VACANT, OCCUPIED, BURNING = 0, 1, 2
+_VACANT_BYTE, _OCCUPIED_BYTE, _BURNING_BYTE = (bytes([s]) for s in (VACANT, OCCUPIED, BURNING))
 KIND_PROPAGATE, KIND_MATCH, KIND_SEED = 0, 1, 2
 
 
@@ -81,6 +83,12 @@ def check_engine_args(
             raise ValueError(f"injected match site {i} outside the box")
     if ignite_site >= n_sites:
         raise ValueError(f"ignite_site {ignite_site} outside the box")
+
+
+def check_observe_args(n_sites, idx, m):
+    """Raise ValueError for observe arguments that both cores reject."""
+    if not (0 <= idx < n_sites and m >= 0):
+        raise ValueError(f"cannot observe site {idx} with window {m} in a box of {n_sites}")
 
 
 class PyEngineCore:
@@ -248,6 +256,25 @@ class PyEngineCore:
         while heap and heap[0][0] <= t_raw:
             self._step()
         self.now = t_raw
+
+    def observe(self, idx, m):
+        """(lo, hi, count): the occupied run through site idx, or (-1, -1)
+        when idx is not occupied, and the occupied count of the window of
+        half-width m around idx, clipped to the box; read in place."""
+        check_observe_args(self.n_sites, idx, m)
+        st = self._states
+        lo = hi = -1
+        if st[idx] == OCCUPIED:
+            # the run ends at the nearest vacant or burning site on each side
+            lo = st.rfind(_VACANT_BYTE, 0, idx)
+            lo = max(lo, st.rfind(_BURNING_BYTE, lo + 1, idx)) + 1
+            hi = st.find(_VACANT_BYTE, idx + 1)
+            if hi < 0:
+                hi = self.n_sites
+            burning = st.find(_BURNING_BYTE, idx + 1, hi)
+            hi = (hi if burning < 0 else burning) - 1
+        count = st.count(_OCCUPIED_BYTE, max(idx - m, 0), min(idx + m + 1, self.n_sites))
+        return lo, hi, count
 
     def reset_burn_bounds(self):
         self.burn_lo = self.n_sites

@@ -104,17 +104,17 @@ def _cmd_scales(args):
 def _cmd_simulate_discrete(args):
     s = compute_scales(args.lam, args.pi)
     t_macro = args.T / s.a if args.raw_time else args.T
+    grid_n = args.grid
+    if args.csv and grid_n == 0:
+        grid_n = 64
+    grid = uniform_grid(t_macro, grid_n) if grid_n > 0 else None
     sim = DiscreteFFP(
         args.lam, args.pi, args.A, args.seed,
         stream_id=args.stream, initial=args.initial,
         injected_matches=None if args.match_mode == "poisson" else (),
     )
-    grid_n = args.grid
-    if args.csv and grid_n == 0:
-        grid_n = 64
     rows = []
-    if grid_n > 0:
-        grid = uniform_grid(t_macro, grid_n)
+    if grid is not None:
         for t, o in zip(grid.tolist(), sim.sample(grid)):
             d_lo, d_hi = ("", "") if o.D is None else o.D
             rows.append([t, o.Z, o.K, o.W, o.size, d_lo, d_hi])
@@ -148,6 +148,7 @@ def _cmd_simulate_discrete(args):
 
 
 def _cmd_simulate_limit(args):
+    grid = uniform_grid(args.T, args.grid) if args.csv else None
     if args.p is not None:
         state = simulate_alffp_p(
             args.p, args.A, args.T, seed=args.seed, stream_id=args.stream
@@ -165,7 +166,7 @@ def _cmd_simulate_limit(args):
     else:
         print(f"Z(0,T)={z_final:.6f} D(0,T)={_interval_label(d_final)}")
     if args.csv:
-        traj = state.trajectory(uniform_grid(args.T, args.grid))
+        traj = state.trajectory(grid)
         points = zip(traj.times.tolist(), traj.values.tolist(), traj.intervals)
         if z_final is None:
             header = ["t", "D_lo", "D_hi", "length"]

@@ -27,21 +27,6 @@ from .scales import Scales, compute_scales
 
 STATE_VACANT, STATE_OCCUPIED, STATE_BURNING = 0, 1, 2
 
-_VACANT_BYTE, _OCCUPIED_BYTE, _BURNING_BYTE = (
-    bytes([s]) for s in (STATE_VACANT, STATE_OCCUPIED, STATE_BURNING)
-)
-
-
-def _occupied_run(st: bytes, idx: int) -> Tuple[int, int]:
-    """Bounds of the occupied run through the occupied site idx of st."""
-    lo = st.rfind(_VACANT_BYTE, 0, idx)
-    lo = max(lo, st.rfind(_BURNING_BYTE, lo + 1, idx)) + 1
-    hi = st.find(_VACANT_BYTE, idx + 1)
-    if hi < 0:
-        hi = len(st)
-    burning = st.find(_BURNING_BYTE, idx + 1, hi)
-    return lo, (hi if burning < 0 else burning) - 1
-
 
 @dataclass(frozen=True)
 class ClusterObservables:
@@ -169,11 +154,12 @@ class DiscreteFFP:
 
         The target is compared in raw time, as the engine compares it, so
         advancing again to the current time t is always accepted (now,
-        which is raw time / a, can exceed t by an ulp)."""
-        t_raw = self.scales.a * t
-        if not self._eng.now <= t_raw < math.inf:
-            raise ValueError(f"cannot advance to t={t}: need now={self.now} <= t < inf")
-        self._eng.advance_to(t_raw)
+        which is raw time / a, can exceed t by an ulp).  The engine checks
+        the target; its refusal is reported in macroscopic time."""
+        try:
+            self._eng.advance_to(self.scales.a * t)
+        except ValueError:
+            raise ValueError(f"cannot advance to t={t}: need now={self.now} <= t < inf") from None
 
     # -- state access ---------------------------------------------------------
 
@@ -201,11 +187,10 @@ class DiscreteFFP:
         site0 = math.floor(sc.n * x)
         if abs(site0) > self.a_sites:
             raise ValueError(f"x={x} maps to site {site0}, outside the box")
-        st = self._eng.state_view()
         idx = site0 + self.a_sites
+        lo, hi, occ = self._eng.observe(idx, sc.m)
 
-        if st[idx] == STATE_OCCUPIED:
-            lo, hi = _occupied_run(st, idx)
+        if lo >= 0:
             cluster = (lo - self.a_sites, hi - self.a_sites)
             size = hi - lo + 1
             d = (cluster[0] / sc.n, cluster[1] / sc.n)
@@ -218,7 +203,6 @@ class DiscreteFFP:
 
         wlo = max(idx - sc.m, 0)
         whi = min(idx + sc.m, self.n_sites - 1)
-        occ = st.count(_OCCUPIED_BYTE, wlo, whi + 1)
         k = occ / (whi - wlo + 1)
         if k >= 1.0:
             z = 1.0

@@ -13,7 +13,6 @@ cross-checks.
 """
 
 import ctypes
-import math
 import weakref
 from ctypes import c_double, c_int64
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from ._clib import FALLBACK_REASON, MEMORY_CAP_SITES, ResourceLimitError
 from ._clib import lib as _lib
-from ._engine_py import PyEngineCore, check_engine_args
+from ._engine_py import PyEngineCore, check_engine_args, check_observe_args
 
 # log ids and row widths, as in the LOG_* enum of _ccore.c
 (_LOG_FRONT_PLUS, _LOG_FRONT_MINUS, _LOG_SPARK,
@@ -67,8 +66,9 @@ def _log(which):
 
 class CEngineCore:
     """C twin of PyEngineCore: same constructor, validation, attributes and
-    methods.  advance_to is the one driving method; state_view and
-    seed_last_view copy the per-site states and latest occupation times.
+    methods.  advance_to is the one driving method; observe reads the
+    observables of one site in place, while state_view and seed_last_view
+    copy the per-site states and latest occupation times.
     The front, spark and clean-window logs fill only in a run that starts
     with a fire (ignite_site >= 0); the match log always does.
     Each access to a log copies it into a new float64 array, of shape (rows,)
@@ -108,6 +108,7 @@ class CEngineCore:
             raise MemoryError(f"engine allocation failed for {n_sites} sites")
         self._handle = handle
         self._scalars = _Scalars.from_address(handle)
+        self._observed = (c_int64 * 3)()
         weakref.finalize(self, _lib.fl_free, handle)
 
     now = _scalar("now")
@@ -126,10 +127,20 @@ class CEngineCore:
 
     def advance_to(self, t_raw):
         """Process every event up to and including raw time t_raw."""
-        if not self.now <= t_raw < math.inf:
+        status = _lib.fl_run(self._handle, t_raw)
+        if status == -2:
             raise ValueError(f"cannot advance to {t_raw}: need now={self.now} <= target < inf")
-        if _lib.fl_run(self._handle, t_raw) != 0:
+        if status != 0:
             raise MemoryError("engine allocation failed while running")
+
+    def observe(self, idx, m):
+        """(lo, hi, count): the occupied run through site idx, or (-1, -1)
+        when idx is not occupied, and the occupied count of the window of
+        half-width m around idx, clipped to the box; read in place."""
+        check_observe_args(self.n_sites, idx, m)
+        out = self._observed
+        _lib.fl_observe(self._handle, idx, m, out)
+        return out[0], out[1], out[2]
 
     def reset_burn_bounds(self):
         self._scalars.burn_lo = self.n_sites

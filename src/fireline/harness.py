@@ -121,6 +121,7 @@ def coupled_run(
     The slow limit has no regrowth observable, so there the value channel
     is neutralized and the distance reduces to the cluster term.
     """
+    times = uniform_grid(T, grid_points)
     classified, _, _ = classify_regime(lam, pi)
     scales = compute_scales(lam, pi)
     marks = poisson_rectangle(RngStream(seed, stream_id), -A, A, 0.0, T)
@@ -135,7 +136,6 @@ def coupled_run(
         injected_matches=schedule,
     )
 
-    times = uniform_grid(T, grid_points)
     obs = disc.sample(times)
     discrete = Trajectory(times, [o.Z for o in obs], [o.D for o in obs])
 
@@ -148,13 +148,8 @@ def coupled_run(
         # no limit regrowth observable: neutral value channel
         limit.values = discrete.values.copy()
 
-    per_time = np.array(
-        [
-            abs(zd - zl) + delta_interval(dd, dl)
-            for zd, zl, dd, dl in zip(
-                discrete.values, limit.values, discrete.intervals, limit.intervals
-            )
-        ]
+    per_time = np.abs(discrete.values - limit.values) + np.fromiter(
+        map(delta_interval, discrete.intervals, limit.intervals), float, len(times)
     )
     return CoupledRun(
         lam=lam,

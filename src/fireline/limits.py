@@ -232,6 +232,10 @@ class LimitStateP:
         self._check_point(x, t)
         if t - self._last_reset(x, t) < 1.0 or self.H(x, t) > 0.0:
             return (x, x)
+        return self._cluster(x, t)
+
+    def _cluster(self, x: float, t: float) -> Tuple[float, float]:
+        """The interval between the nearest blockers around x at time t."""
         lo = -self.A
         hi = self.A
         for blo, bhi in self._blockers(t):
@@ -247,10 +251,28 @@ class LimitStateP:
         return LimitObservables(Z=self.Z(x, t), H=self.H(x, t), D=self.D(x, t))
 
     def trajectory(self, grid: Sequence[float]) -> Trajectory:
-        """Z and D at the origin over a time grid."""
-        values = np.array([self.Z(0.0, float(t)) for t in grid])
-        intervals = [self.D(0.0, float(t)) for t in grid]
-        return Trajectory(np.asarray(grid, dtype=float), values, intervals)
+        """Z and D at the origin over a time grid: the values of Z(0, t) and
+        D(0, t) at each grid time, from one sweep of the resets at 0."""
+        times = np.asarray(grid, dtype=float)
+        if times.size:
+            self._check_point(0.0, float(times.min()))
+            self._check_point(0.0, float(times.max()))
+        # every reset at 0 in time order, after the 0.0 that _last_reset
+        # starts from: the last one by t is _last_reset(0, t)
+        crossings = [self._crossing(f, 0.0, math.inf) for f in self.fronts]
+        resets = np.array([0.0] + sorted(
+            [r for r in crossings if r is not None and r > 0.0]
+            + [s.t for s in self.sweeps if s.lo < 0.0 < s.hi and s.t > 0.0]
+        ))
+        ages = times - resets[np.searchsorted(resets, times, side="right") - 1]
+        barriers = [(b.create, b.expiry) for b in self.barriers if b.x == 0.0]
+        intervals = []
+        for t, age in zip(times.tolist(), ages.tolist()):
+            if age < 1.0 or any(c <= t < e for c, e in barriers):
+                intervals.append((0.0, 0.0))
+            else:
+                intervals.append(self._cluster(0.0, t))
+        return Trajectory(times, np.minimum(ages, 1.0), intervals)
 
     def _blockers(self, t: float) -> List[Tuple[float, float]]:
         """Intervals where Z_t < 1 plus active barrier points."""

@@ -227,33 +227,45 @@ def _check_same_grid(t1: Trajectory, t2: Trajectory) -> np.ndarray:
     return t1.times
 
 
+def _interval_gaps(t1: Trajectory, t2: Trajectory) -> np.ndarray:
+    """delta(interval, interval) at each grid point."""
+    return np.fromiter(map(delta_interval, t1.intervals, t2.intervals), float, len(t1.times))
+
+
+def _left_riemann(times: np.ndarray, *terms: np.ndarray) -> float:
+    """Left-Riemann sum over the grid of the sum of the per-point terms.
+
+    The products term[k] * step_k are added to 0.0 one at a time, grid
+    point by grid point and term by term within a point: np.add.accumulate
+    adds in sequence (np.sum would add pairwise), so the total has the bits
+    of the plain loop."""
+    steps = np.diff(times)
+    products = np.stack([term[:-1] * steps for term in terms], axis=1).ravel()
+    return np.add.accumulate(np.concatenate(([0.0], products)))[-1]
+
+
 def delta_T(t1: Trajectory, t2: Trajectory) -> float:
     """Left-Riemann integral of delta(interval, interval) over the shared grid."""
-    times = _check_same_grid(t1, t2)
-    total = 0.0
-    for k in range(len(times) - 1):
-        total += delta_interval(t1.intervals[k], t2.intervals[k]) * (times[k + 1] - times[k])
-    return total
+    return _left_riemann(_check_same_grid(t1, t2), _interval_gaps(t1, t2))
 
 
 def d_T(t1: Trajectory, t2: Trajectory) -> float:
     """Left-Riemann integral of |value gap| + delta(interval gap) over the grid."""
     times = _check_same_grid(t1, t2)
-    total = 0.0
-    for k in range(len(times) - 1):
-        step = times[k + 1] - times[k]
-        total += abs(t1.values[k] - t2.values[k]) * step
-        total += delta_interval(t1.intervals[k], t2.intervals[k]) * step
-    return total
+    return _left_riemann(times, np.abs(t1.values - t2.values), _interval_gaps(t1, t2))
 
 
 def uniform_grid(T: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Evenly spaced grid on [0, T] with the package's default resolution."""
+    """Evenly spaced grid on [0, T] with the package's default resolution.
+    Raises ValueError when T is too small for `points` distinct times."""
     if not 0.0 < T < math.inf or points < 2:
         raise ValueError(
             f"need 0 < T < inf and at least two grid points, got T={T}, points={points}"
         )
-    return np.linspace(0.0, T, points)
+    grid = np.linspace(0.0, T, points)
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError(f"T={T} is too small for {points} distinct grid times")
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,27 @@ def test_zero_runs_exits_2(argv, capsys):
     assert capsys.readouterr().err == "error: need at least one run\n"
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("simulated despite a refused grid")
+
+
+@pytest.mark.parametrize("argv, sim", [
+    (["simulate-limit", "--p", "1", "-A", "2", "--seed", "1"], "cli.simulate_alffp_p"),
+    ([*_DISCRETE, "-A", "2"], "cli.DiscreteFFP"),
+    (["couple", "--lambda", "0.02", "--pi", "5", "-A", "1", "--runs", "2"],
+     "harness.DiscreteFFP"),
+], ids=["simulate-limit", "simulate-discrete", "couple"])
+def test_grid_too_fine_for_T_exits_2_before_simulating(argv, sim, tmp_path, monkeypatch, capsys):
+    # 64 (512 for couple) grid times cannot be distinct on [0, 5e-324]
+    module, name = sim.split(".")
+    monkeypatch.setattr(f"fireline.{module}.{name}", _never_called)
+    path = tmp_path / "rows.csv"
+    assert main([*argv, "-T", "5e-324", "--csv", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not path.exists()
+    assert err.startswith("error: T=5e-324 is too small for ") and len(err.splitlines()) == 1
+
+
 def test_simulate_discrete_artifacts(tmp_path, capsys):
     csv_path = tmp_path / "obs.csv"
     snap_path = tmp_path / "state.txt"

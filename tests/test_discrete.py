@@ -1,8 +1,10 @@
 """Tests for the discrete chain: engine semantics, wrapper observables,
 the replay oracle, and the propagation process."""
 
+import ctypes
 import math
 
+import numpy as np
 import pytest
 
 from _reference import reference_run, reference_states
@@ -23,6 +25,7 @@ from fireline.discrete import (
     suggested_radius,
 )
 from fireline.engine import COMPILED, FALLBACK_REASON, make_engine
+from fireline.engine import _lib as clib
 
 # -- engine semantics ---------------------------------------------------------
 
@@ -195,6 +198,76 @@ _CORES = [
     pytest.param("compiled", marks=pytest.mark.skipif(
         not COMPILED, reason=f"C core unavailable: {FALLBACK_REASON}")),
 ]
+
+
+@pytest.mark.parametrize("engine", _CORES)
+def test_advance_to_refuses_a_bad_target_and_changes_nothing(engine):
+    # two fires and no match clocks: the queue empties, so a target of inf
+    # let through would return rather than run forever
+    eng = make_engine(40, 2.0, 0.0, 5, 1, injected_t=[1.0, 2.0], injected_site=[10, 30],
+                      force=engine)
+    eng.advance_to(3.0)
+    before = (eng.now, eng.event_count, eng.state_view())
+    assert before[1] > 0
+    for target in (2.5, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"cannot advance to {target}: need now=3.0"):
+            eng.advance_to(target)
+        assert (eng.now, eng.event_count, eng.state_view()) == before
+    eng.advance_to(3.0)  # the current time itself is accepted
+    assert (eng.now, eng.event_count, eng.state_view()) == before
+
+
+def _random_states(rng, n):
+    """Runs of random states and lengths; about one box in four starts and
+    ends with an occupied run, so runs touch both edges."""
+    out = bytearray()
+    while len(out) < n:
+        state = rng.choice([VACANT, OCCUPIED, BURNING], p=[0.3, 0.5, 0.2])
+        out += bytes([state]) * int(rng.integers(1, 25))
+    out = out[:n]
+    if rng.integers(4) == 0:
+        edge = min(n, int(rng.integers(1, 20)))
+        out[:edge] = bytes([OCCUPIED]) * edge
+        out[n - edge:] = bytes([OCCUPIED]) * edge
+    return bytes(out)
+
+
+def _scan(states, idx, m):
+    """(lo, hi, count) of PyEngineCore.observe, by a numpy scan."""
+    occ = np.frombuffer(states, dtype=np.uint8) == OCCUPIED
+    lo = hi = -1
+    if occ[idx]:
+        left = np.flatnonzero(~occ[:idx])
+        right = np.flatnonzero(~occ[idx:])
+        lo = int(left[-1]) + 1 if len(left) else 0
+        hi = idx + int(right[0]) - 1 if len(right) else len(occ) - 1
+    return lo, hi, int(occ[max(idx - m, 0):idx + m + 1].sum())
+
+
+@pytest.mark.skipif(not COMPILED, reason=f"C core unavailable: {FALLBACK_REASON}")
+def test_observe_parity_on_random_states():
+    # the C word scan, the Python byte searches and a numpy scan agree on
+    # every site, with windows clipped at both edges
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 7, 8, 9, 15, 16, 17, 64, 203):
+        py = make_engine(n, 1.0, 0.0, 1, 0, force="python")
+        cy = make_engine(n, 1.0, 0.0, 1, 0, force="compiled")
+        for _ in range(12):
+            states = _random_states(rng, n)
+            py._states[:] = states
+            ctypes.memmove(clib.fl_states(cy._handle), states, n)
+            assert py.state_view() == cy.state_view() == states
+            for idx in range(n):
+                for m in (0, 1, 3, 8, 9, n):
+                    want = _scan(states, idx, m)
+                    assert py.observe(idx, m) == cy.observe(idx, m) == want, (states, idx, m)
+    full = make_engine(50, 1.0, 0.0, 1, 0, initial_occupied=True, force="compiled")
+    assert full.observe(0, 3) == (0, 49, 4)
+    assert full.observe(49, 60) == (0, 49, 50)
+    for eng in (py, full):
+        for idx, m in ((-1, 3), (eng.n_sites, 3), (0, -1)):
+            with pytest.raises(ValueError, match="cannot observe"):
+                eng.observe(idx, m)
 
 
 @pytest.mark.parametrize("engine", _CORES)

@@ -341,15 +341,53 @@ def test_query_limit_bundle():
     assert obs.D == (0.5, 0.5)
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0])
-def test_trajectory_equals_state_queries(p):
-    s = simulate_alffp_p(p, 2.0, 3.0, seed=13)
-    grid = [0.0, 0.4, 1.0, 1.0 + 1e-12, 1.5, 2.25, 2.6, 3.0]
+def _edge_grid(s):
+    """A grid through every time at which Z(0, .) or D(0, .) can change: the
+    marks, front launches, deaths and crossings of 0, sweeps and barrier
+    windows, each also one time unit later, when its reset heals."""
+    times = {0.0, s.T, 0.4, 1.0 + 1e-12}
+    times.update(m.t for m in s.marks)
+    for f in s.fronts:
+        times.update((f.t0, f.t_end))
+        crossing = s._crossing(f, 0.0, math.inf)
+        if crossing is not None:
+            times.add(crossing)
+    times.update(w.t for w in s.sweeps)
+    for b in s.barriers:
+        times.update((b.create, b.expiry))
+    times |= {t + 1.0 for t in times}
+    return sorted(t for t in times if 0.0 <= t <= s.T)
+
+
+def assert_trajectory_equals_queries(s):
+    grid = _edge_grid(s)
     traj = s.trajectory(grid)
     assert traj.times.tolist() == grid
-    assert traj.values.tolist() == [s.Z(0.0, t) for t in grid]
-    assert traj.intervals == [s.D(0.0, t) for t in grid]
-    assert len(set(traj.intervals)) > 2
+    assert repr(traj.values.tolist()) == repr([s.Z(0.0, t) for t in grid])
+    assert repr(traj.intervals) == repr([s.D(0.0, t) for t in grid])
+    return traj
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_trajectory_equals_state_queries(p):
+    for A in (2.0, 40.0):
+        traj = assert_trajectory_equals_queries(simulate_alffp_p(p, A, 3.0, seed=13))
+        assert len(set(traj.intervals)) > 2
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_trajectory_equals_state_queries_on_lattice_ties(p):
+    # marks on half-integers, 0 included, at quarter-integer times: fronts
+    # reach 0, barriers sit on it and resets heal exactly at grid points
+    rng = random.Random(int(p * 4) + 1)
+    for _ in range(40):
+        cells = sorted(
+            (0.25 * rng.randint(0, 16), 0.5 * rng.randint(-4, 4))
+            for _ in range(rng.randint(1, 24))
+        )
+        assert_trajectory_equals_queries(
+            simulate_alffp_p(p, 2.0, 4.0, marks=[Mark(x, t) for t, x in cells])
+        )
 
 
 def test_inf_trajectory_has_intervals_and_nan_values():

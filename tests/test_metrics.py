@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _metrics_reference import reference_d_T, reference_delta_T
 from fireline.rng import RngStream
 from fireline.scales import (
     Trajectory,
@@ -114,6 +115,26 @@ def test_d_T_additive_over_windows():
     assert left + right == pytest.approx(d_T(t1, t2), rel=1e-12)
 
 
+@pytest.mark.parametrize("points", [2, 3, 64, 512])
+def test_d_T_and_delta_T_equal_the_sequential_loops(points):
+    # the array sums must keep the bits of the frozen loops, on uneven grids
+    # and with empty intervals on either side
+    s = RngStream(11, points)
+    for _ in range(20):
+        grid = np.cumsum([s.uniform(0.0, 0.5)] + [s.uniform(1e-9, 0.5) for _ in range(points - 1)])
+        t1, t2 = (
+            Trajectory(grid, np.array([s.uniform(-1.0, 2.0) for _ in range(points)]),
+                       [random_interval(s) for _ in range(points)])
+            for _ in range(2)
+        )
+        assert d_T(t1, t2).hex() == reference_d_T(t1, t2).hex()
+        assert delta_T(t1, t2).hex() == reference_delta_T(t1, t2).hex()
+        # a trajectory against itself, and both intervals empty at every point
+        assert d_T(t1, t1) == reference_d_T(t1, t1) == 0.0
+        empty = Trajectory(grid, t1.values, [None] * points)
+        assert delta_T(empty, empty) == reference_delta_T(empty, empty) == 0.0
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.0, 1.0]), np.zeros(3), [None] * 3)
@@ -121,6 +142,10 @@ def test_grid_validation():
         Trajectory(np.array([0.0, 1.0]), np.zeros(3), [None] * 2)
     with pytest.raises(ValueError):
         uniform_grid(0.0)
+    # a T too small for distinct grid times
+    with pytest.raises(ValueError, match="too small"):
+        uniform_grid(5e-324, 64)
+    assert uniform_grid(5e-324, 2).tolist() == [0.0, 5e-324]
 
 
 def test_cone_membership_examples():

@@ -30,7 +30,8 @@
  * fl_observe(e, idx, m, out) reads the observables of site idx in place:
  * out[0..1] the bounds of the occupied run through idx, or -1, -1 when idx
  * is not occupied, and out[2] the occupied count of the window
- * [idx - m, idx + m] clipped to the box.  It scans eight sites a word.
+ * [idx - m, idx + m] clipped to the box.  It scans eight sites a word, and
+ * refuses (status -2, out untouched) a site outside the box or m < 0.
  *
  * fl_draw_block(seed, stream, purpose, site, first, n, out) serves the block
  * draws of fireline.rng: out[i] is draw_u64(seed, stream, purpose, site,
@@ -416,11 +417,14 @@ static uint64_t load8(const uint8_t *p)
 }
 
 /* The occupied run through idx, or -1, -1, and the occupied count of the
- * window of half-width m around idx, clipped to the box. */
-FL_API void fl_observe(const engine *e, int64_t idx, int64_t m, int64_t out[3])
+ * window of half-width m around idx, clipped to the box.  Returns 0, or -2
+ * with out untouched when idx is outside the box or m < 0. */
+FL_API int fl_observe(const engine *e, int64_t idx, int64_t m, int64_t out[3])
 {
     const uint8_t *s = e->states;
     int64_t n = e->n_sites;
+    if (!(0 <= idx && idx < n && m >= 0))
+        return -2;
     out[0] = out[1] = -1;
     if (s[idx] == OCCUPIED) {
         int64_t lo = idx, hi = idx + 1;
@@ -436,7 +440,7 @@ FL_API void fl_observe(const engine *e, int64_t idx, int64_t m, int64_t out[3])
         out[1] = hi - 1;
     }
     int64_t i = idx - m > 0 ? idx - m : 0;
-    int64_t end = idx + m < n - 1 ? idx + m + 1 : n;
+    int64_t end = m < n - 1 - idx ? idx + m + 1 : n; /* no overflow for a huge m */
     int64_t count = 0;
     /* OCCUPIED (1) is the one state with bit 0 set; the multiply sums the
      * eight 0/1 bits, one per byte, into the top byte */
@@ -445,6 +449,7 @@ FL_API void fl_observe(const engine *e, int64_t idx, int64_t m, int64_t out[3])
     for (; i < end; i++)
         count += s[i] == OCCUPIED;
     out[2] = count;
+    return 0;
 }
 
 FL_API const uint8_t *fl_states(const engine *e)

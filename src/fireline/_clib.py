@@ -87,7 +87,7 @@ def _declare(lib):
     lib.fl_run.argtypes = [c_void_p, c_double]
     lib.fl_run.restype = c_int
     lib.fl_observe.argtypes = [c_void_p, c_int64, c_int64, POINTER(c_int64)]
-    lib.fl_observe.restype = None
+    lib.fl_observe.restype = c_int
     lib.fl_states.argtypes = [c_void_p]
     lib.fl_states.restype = c_void_p
     lib.fl_seed_last.argtypes = [c_void_p]

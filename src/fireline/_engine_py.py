@@ -85,10 +85,9 @@ def check_engine_args(
         raise ValueError(f"ignite_site {ignite_site} outside the box")
 
 
-def check_observe_args(n_sites, idx, m):
-    """Raise ValueError for observe arguments that both cores reject."""
-    if not (0 <= idx < n_sites and m >= 0):
-        raise ValueError(f"cannot observe site {idx} with window {m} in a box of {n_sites}")
+def observe_refusal(n_sites, idx, m):
+    """The ValueError both cores raise for a site outside the box or m < 0."""
+    return ValueError(f"cannot observe site {idx} with window {m} in a box of {n_sites}")
 
 
 class PyEngineCore:
@@ -261,7 +260,8 @@ class PyEngineCore:
         """(lo, hi, count): the occupied run through site idx, or (-1, -1)
         when idx is not occupied, and the occupied count of the window of
         half-width m around idx, clipped to the box; read in place."""
-        check_observe_args(self.n_sites, idx, m)
+        if not (0 <= idx < self.n_sites and m >= 0):
+            raise observe_refusal(self.n_sites, idx, m)
         st = self._states
         lo = hi = -1
         if st[idx] == OCCUPIED:

@@ -28,9 +28,10 @@ from .scales import Scales, compute_scales
 STATE_VACANT, STATE_OCCUPIED, STATE_BURNING = 0, 1, 2
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClusterObservables:
-    """Observables at one space-time point.
+    """Observables at one space-time point, as a slotted, mutable dataclass
+    (a frozen one costs several times as much to build).
 
     cluster: occupied interval through the queried site (lattice indices),
       or None when that site is not occupied.
@@ -184,39 +185,58 @@ class DiscreteFFP:
     def observables(self, x: float) -> ClusterObservables:
         """Cluster and window observables at macroscopic position x."""
         sc = self.scales
-        site0 = math.floor(sc.n * x)
-        if abs(site0) > self.a_sites:
+        n, a, m = sc.n, sc.a, sc.m
+        a_sites = self.a_sites
+        site0 = math.floor(n * x)
+        if not -a_sites <= site0 <= a_sites:
             raise ValueError(f"x={x} maps to site {site0}, outside the box")
-        idx = site0 + self.a_sites
-        lo, hi, occ = self._eng.observe(idx, sc.m)
+        idx = site0 + a_sites
+        lo, hi, occ = self._eng.observe(idx, m)
 
         if lo >= 0:
-            cluster = (lo - self.a_sites, hi - self.a_sites)
+            cluster = (lo - a_sites, hi - a_sites)
             size = hi - lo + 1
-            d = (cluster[0] / sc.n, cluster[1] / sc.n)
-            w = min(math.log(size) / sc.a, 1.0)
+            d = (cluster[0] / n, cluster[1] / n)
+            w = math.log(size) / a
+            if w > 1.0:
+                w = 1.0
         else:
             cluster = None
             size = 0
             d = None
             w = 0.0
 
-        wlo = max(idx - sc.m, 0)
-        whi = min(idx + sc.m, self.n_sites - 1)
+        wlo = idx - m if idx > m else 0
+        whi = idx + m if idx + m < self.n_sites else self.n_sites - 1
         k = occ / (whi - wlo + 1)
         if k >= 1.0:
             z = 1.0
         else:
-            z = min(-math.log1p(-k) / sc.a, 1.0)
-        return ClusterObservables(cluster=cluster, D=d, size=size, K=k, Z=z, W=w)
+            z = -math.log1p(-k) / a
+            if z > 1.0:
+                z = 1.0
+        # positional: keyword arguments double the cost of the build
+        return ClusterObservables(cluster, d, size, k, z, w)
 
     def sample(self, grid: Sequence[float]) -> List[ClusterObservables]:
         """Advance through the grid, reading the observables at the origin
-        at each time."""
+        at each time.  A grid that advance_to would refuse at some point (a
+        non-finite time, a time before the one before it, or a first time
+        before now, compared in raw time) is refused before anything runs."""
+        times = np.asarray(grid, dtype=float)
+        with np.errstate(over="ignore"):  # an overflow to inf is refused below
+            raw = self.scales.a * times
+        if raw.size and not (
+            np.isfinite(raw).all() and raw[0] >= self.now_raw and (raw[1:] >= raw[:-1]).all()
+        ):
+            raise ValueError(
+                f"cannot sample the grid: need finite times, nondecreasing from now={self.now}"
+            )
+        advance_to, observables = self.advance_to, self.observables
         out = []
-        for t in grid:
-            self.advance_to(float(t))
-            out.append(self.observables(0.0))
+        for t in times.tolist():
+            advance_to(t)
+            out.append(observables(0.0))
         return out
 
     # -- export ----------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._clib import FALLBACK_REASON, MEMORY_CAP_SITES, ResourceLimitError
 from ._clib import lib as _lib
-from ._engine_py import PyEngineCore, check_engine_args, check_observe_args
+from ._engine_py import PyEngineCore, check_engine_args, observe_refusal
 
 # log ids and row widths, as in the LOG_* enum of _ccore.c
 (_LOG_FRONT_PLUS, _LOG_FRONT_MINUS, _LOG_SPARK,
@@ -137,9 +137,13 @@ class CEngineCore:
         """(lo, hi, count): the occupied run through site idx, or (-1, -1)
         when idx is not occupied, and the occupied count of the window of
         half-width m around idx, clipped to the box; read in place."""
-        check_observe_args(self.n_sites, idx, m)
+        # ctypes wraps an integer beyond 64 bits instead of refusing it, so
+        # the arguments are checked here too, and a window wider than the
+        # box is passed as the box, which reads the same
+        n = self.n_sites
         out = self._observed
-        _lib.fl_observe(self._handle, idx, m, out)
+        if not 0 <= idx < n or m < 0 or _lib.fl_observe(self._handle, idx, m if m < n else n, out):
+            raise observe_refusal(n, idx, m)
         return out[0], out[1], out[2]
 
     def reset_burn_bounds(self):

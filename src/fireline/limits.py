@@ -57,6 +57,9 @@ EVENT_FRONT_MEET = 1
 EVENT_FRONT_STOP = 2
 EVENT_MARK = 3
 
+# blocker x grid time cells per array pass of LimitStateP.trajectory
+_CLUSTER_CELLS = 1 << 17
+
 # a front stop's cause by its cause-rank, the last key before list order;
 # marks, expiries and meets rank 0
 _STOP_CAUSES = ("barrier", "wake", "edge")
@@ -252,7 +255,8 @@ class LimitStateP:
 
     def trajectory(self, grid: Sequence[float]) -> Trajectory:
         """Z and D at the origin over a time grid: the values of Z(0, t) and
-        D(0, t) at each grid time, from one sweep of the resets at 0."""
+        D(0, t) at each grid time, from one sweep of the resets at 0 and
+        one array pass over the blockers."""
         times = np.asarray(grid, dtype=float)
         if times.size:
             self._check_point(0.0, float(times.min()))
@@ -265,14 +269,71 @@ class LimitStateP:
             + [s.t for s in self.sweeps if s.lo < 0.0 < s.hi and s.t > 0.0]
         ))
         ages = times - resets[np.searchsorted(resets, times, side="right") - 1]
-        barriers = [(b.create, b.expiry) for b in self.barriers if b.x == 0.0]
-        intervals = []
-        for t, age in zip(times.tolist(), ages.tolist()):
-            if age < 1.0 or any(c <= t < e for c, e in barriers):
-                intervals.append((0.0, 0.0))
-            else:
-                intervals.append(self._cluster(0.0, t))
+        at_zero = np.array(
+            [(b.create, b.expiry) for b in self.barriers if b.x == 0.0], dtype=float
+        ).reshape(-1, 2)
+        barred = ((at_zero[:, :1] <= times) & (times < at_zero[:, 1:])).any(axis=0)
+        # D(0, t) is (0, 0) where Z < 1 or a barrier sits at 0, else the cluster
+        clustered = np.flatnonzero((ages >= 1.0) & ~barred)
+        intervals = [(0.0, 0.0)] * len(times)
+        blockers = self._blocker_arrays()
+        step = max(1, _CLUSTER_CELLS // (1 + sum(group.shape[2] for group in blockers)))
+        for start in range(0, len(clustered), step):
+            cols = clustered[start:start + step]
+            for i, bounds in zip(cols.tolist(), self._clusters_at_zero(times[cols], blockers)):
+                intervals[i] = bounds
         return Trajectory(times, np.minimum(ages, 1.0), intervals)
+
+    def _blocker_arrays(self):
+        """The barriers, fronts and sweeps that _blockers reads, each field
+        as one row of a (1, count) array."""
+        def fields(rows, width):
+            return np.array(rows, dtype=float).reshape(-1, width).T[:, None, :]
+
+        return (
+            fields([(b.x, b.create, b.expiry) for b in self.barriers], 3),
+            fields([(f.x0, f.t0, f.direction, f.t_end) for f in self.fronts], 4),
+            fields([(s.t, s.lo, s.hi) for s in self.sweeps], 3),
+        )
+
+    def _clusters_at_zero(self, t: np.ndarray, blockers) -> List[Tuple[float, float]]:
+        """_cluster(0.0, t) at each time of t, with _blockers(t) as arrays:
+        the same float expressions, and on a tie the first nearest blocker
+        in list order, the one _cluster's strict comparisons keep (it
+        decides the sign of a zero bound), with the box edge before all."""
+        (bx, bc, be), (x0, t0, direction, t_end), (st, slo, shi) = blockers
+        n = len(t)
+        t = t[:, None]  # a row per time, a column per blocker
+        p = self.p
+        cap = x0 + direction * (np.where(t_end < t, t_end, t) - t0) / p
+        healed = t - 1.0 - t0
+        rightward = direction > 0
+        reach = p * np.where(rightward, cap - x0, x0 - cap)
+        back = np.where(healed > 0.0, healed, 0.0) / p
+
+        def columns(*groups):
+            return np.concatenate([np.broadcast_to(g, (n, g.shape[1])) for g in groups], axis=1)
+
+        edge = np.zeros((n, 1))  # column 0 stands for the box edges
+        lo = columns(edge, bx, np.where(rightward, x0 + back, cap), slo)
+        hi = columns(edge, bx, np.where(rightward, cap, x0 - back), shi)
+        active = columns(edge > 0.0, (bc <= t) & (t < be), (t0 <= t) & ~(healed >= reach),
+                         (t - 1.0 < st) & (st <= t))
+        left = active & (hi <= 0.0)
+        below = np.where(left, hi, -np.inf)
+        below[:, 0] = -self.A
+        above = np.where(active & ~left & (lo >= 0.0), lo, np.inf)
+        above[:, 0] = self.A
+        # argmax and argmin return the first of equal extremes
+        rows = np.arange(n)
+        bounds = []
+        for side, j, edge_value in ((below, below.argmax(axis=1), -self.A),
+                                    (above, above.argmin(axis=1), self.A)):
+            values = side[rows, j].tolist()
+            for i in np.flatnonzero(j == 0).tolist():
+                values[i] = edge_value  # the box edge as _cluster returns it
+            bounds.append(values)
+        return list(zip(*bounds))
 
     def _blockers(self, t: float) -> List[Tuple[float, float]]:
         """Intervals where Z_t < 1 plus active barrier points."""

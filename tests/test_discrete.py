@@ -2,6 +2,7 @@
 the replay oracle, and the propagation process."""
 
 import ctypes
+import dataclasses
 import math
 
 import numpy as np
@@ -264,10 +265,21 @@ def test_observe_parity_on_random_states():
     full = make_engine(50, 1.0, 0.0, 1, 0, initial_occupied=True, force="compiled")
     assert full.observe(0, 3) == (0, 49, 4)
     assert full.observe(49, 60) == (0, 49, 50)
-    for eng in (py, full):
-        for idx, m in ((-1, 3), (eng.n_sites, 3), (0, -1)):
-            with pytest.raises(ValueError, match="cannot observe"):
+    # both cores refuse with the same message, integers beyond 64 bits
+    # included, and read a window wider than any integer the same
+    twin = make_engine(50, 1.0, 0.0, 1, 0, initial_occupied=True, force="python")
+    for idx, m in ((-1, 3), (50, 3), (0, -1), (2**64 + 5, 3), (0, -(2**64))):
+        for eng in (twin, full):
+            with pytest.raises(ValueError) as refused:
                 eng.observe(idx, m)
+            assert str(refused.value) == f"cannot observe site {idx} with window {m} in a box of 50"
+    for m in (2**63, 2**64):
+        assert twin.observe(49, m) == full.observe(49, m) == (0, 49, 50)
+    # the C entry point refuses on its own, leaving out untouched
+    out = (ctypes.c_int64 * 3)(7, 7, 7)
+    for idx, m in ((-1, 3), (50, 3), (0, -1)):
+        assert clib.fl_observe(full._handle, idx, m, out) == -2
+        assert list(out) == [7, 7, 7]
 
 
 @pytest.mark.parametrize("engine", _CORES)
@@ -418,6 +430,32 @@ def test_sample_equals_per_point_calls(engine):
     assert any(o.cluster is not None for o in rows)
     assert sampled.states() == stepped.states()
     assert sampled.matches() == stepped.matches()
+
+
+@pytest.mark.parametrize("engine", _CORES)
+def test_sample_refuses_a_bad_grid_before_advancing(engine):
+    d = DiscreteFFP(0.02, 5.0, 2.0, seed=3, engine=engine)
+    d.advance_to(0.387)  # now exceeds 0.387 by an ulp in macroscopic time
+    before = (d.now, d.event_count, d.states(), d.matches())
+    for grid in ([1.0, 0.5], [0.5, 1.0, 0.9, 1.5], [0.3, 1.0], [-1.0],
+                 [0.5, math.nan], [0.5, math.inf], [1.0, -math.inf], [1e308, 1e308]):
+        with pytest.raises(ValueError, match="cannot sample the grid"):
+            d.sample(grid)
+        assert (d.now, d.event_count, d.states(), d.matches()) == before, grid
+    # the current time, compared in raw time as advance_to compares it, and
+    # repeated times are accepted
+    assert len(d.sample([0.387, 0.387, 1.0])) == 3
+    assert d.sample([]) == []
+
+
+def test_cluster_observables_compare_and_replace():
+    d = DiscreteFFP(0.02, 5.0, 2.0, seed=3, initial="occupied", injected_matches=())
+    obs = d.observables(0.0)
+    assert obs == d.observables(0.0)
+    assert obs.cluster == (-d.a_sites, d.a_sites) and obs.K == 1.0
+    changed = dataclasses.replace(obs, K=0.5)
+    assert changed != obs and (changed.K, changed.cluster) == (0.5, obs.cluster)
+    assert not hasattr(obs, "__dict__")  # slotted
 
 
 def test_advance_to_checks_the_macroscopic_target():

@@ -1,5 +1,6 @@
 """Experiment-harness tests: statistics helpers, coupling, batch drivers."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -156,6 +157,51 @@ def test_coupled_run_equals_per_point_calls(pi, kind):
         zl = [state.Z(0.0, float(t)) for t in run.times]
     assert run.limit.values.tolist() == zl
     assert run.limit.intervals == [state.D(0.0, float(t)) for t in run.times]
+
+
+# d_T as .hex() and sha256 of repr(limit.intervals), repr(discrete.intervals) and
+# repr(match_log), for coupled_run(lam, pi, 2.0, 2.0, 42, stream_id=stream) on the
+# criterion-6 ladder: pinned so that a faster implementation keeps every
+# realization bit for bit
+_GOLDEN_COUPLED = {
+    (4, 0): ("0x1.676309cffcf16p+1",
+             "49be7beba342d2ca860fc9c37e1ff9627bc7e5baad430fce2b93d936a458701b",
+             "cb06a63c87862a0c6ec7c5dfbe2d28b565ca201674e23dcfb8818f2dd87d465e",
+             "076025fe93ef33caa9dcbef0c90d400b506aaee9960a46f62352a055964ee120"),
+    (4, 7): ("0x1.46d102eb2b89bp+0",
+             "54377d5018ec4e7feef2a28a39db3b3146a3053d4c8f2cc161ccbf4dc8396912",
+             "feb090e3cb7460fea6fe3741e1a3e55b85d3da7eb8b5445830bf68c375300ff0",
+             "467907e6dee086b5c2a85eb499af82cd8b3be2f9a666ef3c67394211aec19bbe"),
+    (6, 0): ("0x1.c2afed20107e6p+0",
+             "49be7beba342d2ca860fc9c37e1ff9627bc7e5baad430fce2b93d936a458701b",
+             "e187d3831f0a419b6c9a91f4513630f5968749d7831db090562718dca85e2750",
+             "5bbe500938de60e9a81eff16be9bec12029ce3e6cc3790ae52dedf514816eef7"),
+    (6, 7): ("0x1.fbede330f93bep-1",
+             "54377d5018ec4e7feef2a28a39db3b3146a3053d4c8f2cc161ccbf4dc8396912",
+             "5cdb1c96d7a8dd900db39034c7f0b2324f6eee4ed020ff1ec7b455f9b0cf3898",
+             "2ebdceba6adc4d1a548220370e901a27643d841af596e79d992f107940fd60fe"),
+    (8, 0): ("0x1.f1a28ae911163p+0",
+             "49be7beba342d2ca860fc9c37e1ff9627bc7e5baad430fce2b93d936a458701b",
+             "c95942fda1720130ab3399cf051aa6a6b4247d15a55e468091b5e53ab56d5c1a",
+             "8ff2dfccc8eb876b55562675bef0d2366b474a14d34fda4d8928a249b231c635"),
+    (8, 7): ("0x1.4193bebe96d8fp+0",
+             "54377d5018ec4e7feef2a28a39db3b3146a3053d4c8f2cc161ccbf4dc8396912",
+             "088846a460d7384be24b3677d13e751cf3cc162ccca0a5a36858bf370beaa598",
+             "9b8cba7b6dd542989b4961eb8df55cde158f57af30a1298ab1eba2f27685d06b"),
+}
+
+
+@pytest.mark.parametrize("k, stream", sorted(_GOLDEN_COUPLED))
+def test_coupled_run_golden_realizations(k, stream):
+    lam, pi = _intermediate_point(k)
+    run = coupled_run(lam, pi, 2.0, 2.0, 42, stream_id=stream)
+
+    def digest(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    got = (run.distance.hex(), digest(run.limit.intervals), digest(run.discrete.intervals),
+           digest(run.match_log))
+    assert got == _GOLDEN_COUPLED[k, stream]
 
 
 # -- cluster experiments -----------------------------------------------------------

@@ -57,7 +57,7 @@ EVENT_FRONT_MEET = 1
 EVENT_FRONT_STOP = 2
 EVENT_MARK = 3
 
-# blocker x grid time cells per array pass of LimitStateP.trajectory
+# blocker x grid time cells per array pass of a limit state's trajectory
 _CLUSTER_CELLS = 1 << 17
 
 # a front stop's cause by its cause-rank, the last key before list order;
@@ -704,11 +704,42 @@ class LimitStateInf:
         return (lo, hi)
 
     def trajectory(self, grid: Sequence[float]) -> Trajectory:
-        """D at the origin over a time grid; the values are NaN, since the
-        slow limit has no regrowth observable."""
-        intervals = [self.D(0.0, float(t)) for t in grid]
-        values = np.full(len(intervals), math.nan)
-        return Trajectory(np.asarray(grid, dtype=float), values, intervals)
+        """D at the origin over a time grid, from array passes over the
+        features' activity windows; the values are NaN, since the slow
+        limit has no regrowth observable."""
+        times = np.asarray(grid, dtype=float)
+        if times.size:
+            self._check_point(0.0, float(times.min()))
+            self._check_point(0.0, float(times.max()))
+        x = np.array([f.x for f in self.features], dtype=float)
+        start = np.array([f.tau for f in self.features], dtype=float)
+        stop = np.array([math.inf if f.permanent else 2.0 * f.tau for f in self.features])
+        # D keeps on each side the nearest active feature strictly inside the
+        # box, the first in list order among equals (it decides the sign of
+        # a zero bound), else the box edge: order each side's features so,
+        # append the edge as an always active column, take the first active
+        sides = []
+        for inside, nearness, edge in (
+            ((x <= 0.0) & (x > -self.A), -x, -self.A),
+            ((x >= 0.0) & (x < self.A), x, self.A),
+        ):
+            idx = np.flatnonzero(inside)
+            idx = idx[np.argsort(nearness[idx], kind="stable")]
+            sides.append((np.append(start[idx], -math.inf), np.append(stop[idx], math.inf),
+                          x[idx].tolist() + [edge]))
+        intervals = [(0.0, 0.0)] * len(times)  # D(0, t) for t < 1
+        late = np.flatnonzero(times >= 1.0)
+        step = max(1, _CLUSTER_CELLS // (2 + len(x)))
+        for first in range(0, len(late), step):
+            rows = late[first:first + step]
+            t = times[rows, None]
+            lo, hi = (
+                [bounds[j] for j in ((on <= t) & (t < off)).argmax(axis=1).tolist()]
+                for on, off, bounds in sides
+            )
+            for i, bound in zip(rows.tolist(), zip(lo, hi)):
+                intervals[i] = bound
+        return Trajectory(times, np.full(len(times), math.nan), intervals)
 
 
 def simulate_lffp_inf(

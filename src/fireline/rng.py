@@ -10,9 +10,12 @@ any component in any order reproduces identical numbers.
 Draws may be taken in blocks.  draw_block gives the words of consecutive
 counter indices in one call, through the compiled library's loop when it
 loads and through draw_u64 otherwise, and a block equals the scalar draws
-word for word.  The samplers that draw in blocks (poisson_rectangle,
-exp_samples) return the values, and leave the stream at the position, that
-drawing one word at a time would.
+word for word.  draw_rows gives many such blocks, for different sites and
+first indices, in one numpy pass that never calls the compiled library;
+the Python engine core's seed walks read their words from it.  The
+samplers that draw in blocks (poisson_rectangle, exp_samples) return the
+values, and leave the stream at the position, that drawing one word at a
+time would.
 
 There is no global generator; every consumer receives an RngStream.
 """
@@ -81,6 +84,50 @@ def _draw_block_py(master_seed, stream_id, purpose, site, first, count):
         [draw_u64(master_seed, stream_id, purpose, site, first + i) for i in range(count)],
         dtype=np.uint64,
     )
+
+
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(a, m):
+    """The high and low words of the 128-bit products a * m, for a uint64
+    array a and a constant m, from 32-bit halves whose products fit in 64
+    bits.  Every scalar is an np.uint64, so numpy < 2 does not upcast."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _LO32, a >> _SHIFT32
+    t = a_lo * m_lo
+    u = a_hi * m_lo + (t >> _SHIFT32)
+    v = a_lo * m_hi + (u & _LO32)
+    return a_hi * m_hi + (u >> _SHIFT32) + (v >> _SHIFT32), a * np.uint64(m)
+
+
+def draw_rows(master_seed: int, stream_id: int, purpose: int, sites, firsts,
+              count: int) -> np.ndarray:
+    """The words draw_u64 gives at (site, first + j) for j < count, a row
+    per pair of the int sequences sites and firsts: philox4x64 on numpy
+    arrays, all rows in one pass.  A pass costs about the same whatever its
+    width up to some thousands of words, so it pays only when it draws many
+    rows at once."""
+    if len(firsts) and not 0 <= min(firsts) <= max(firsts) <= 2**64 - count:
+        raise ValueError(f"rows of {count} words from {min(firsts)} to {max(firsts)} "
+                         "leave the 64-bit counter range")
+    firsts = np.asarray(firsts, dtype=np.uint64)
+    sites = np.asarray(sites, dtype=np.uint64)
+    shape = (len(firsts), count)
+    c0 = np.full(shape, purpose, dtype=np.uint64)
+    c1 = sites[:, None]
+    c2 = firsts[:, None] + np.arange(count, dtype=np.uint64)
+    c3 = np.zeros(shape, dtype=np.uint64)
+    k0, k1 = master_seed, stream_id
+    for _ in range(9):
+        hi0, lo0 = _mulhilo(c0, _M0)
+        hi1, lo1 = _mulhilo(c2, _M1)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0 = (k0 + _W0) & _MASK64
+        k1 = (k1 + _W1) & _MASK64
+    # the tenth round's word 0 reads only c1, c2 and k0
+    return _mulhilo(c2, _M1)[0] ^ c1 ^ np.uint64(k0)
 
 
 def u64_to_unit(x: int) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from _reference import reference_run, reference_states
+from fireline import _engine_py
 from fireline._engine_py import (
     BURNING,
     KIND_MATCH,
@@ -27,6 +28,7 @@ from fireline.discrete import (
 )
 from fireline.engine import COMPILED, FALLBACK_REASON, make_engine
 from fireline.engine import _lib as clib
+from fireline.rng import PURPOSE_MATCH, PURPOSE_PROPAGATE, PURPOSE_SEED
 
 # -- engine semantics ---------------------------------------------------------
 
@@ -352,6 +354,29 @@ def test_lazy_seed_clocks_skip_rings_on_occupied_sites(engine):
     run = run_propagation(9.0, 100.0, seed=7, engine=engine)
     assert len(run.times_plus) == 935 and len(run.spark_log) == 321
     assert run.event_count < 10_000, run.event_count
+
+
+def test_python_walks_draw_no_scalar_seed_words(monkeypatch):
+    # the Python core's walks read block-drawn words; after construction no
+    # seed word may come from the scalar draw_u64
+    calls = {PURPOSE_SEED: 0, PURPOSE_MATCH: 0, PURPOSE_PROPAGATE: 0}
+    scalar = _engine_py.draw_u64
+
+    def counted(master_seed, stream_id, purpose, site, index):
+        calls[purpose] += 1
+        return scalar(master_seed, stream_id, purpose, site, index)
+
+    monkeypatch.setattr(_engine_py, "draw_u64", counted)
+    run = run_propagation(9.0, 10.0, seed=7, engine="python")
+    assert run.seed_rings_skipped > 500
+    assert calls[PURPOSE_SEED] == calls[PURPOSE_MATCH] == 0
+    assert calls[PURPOSE_PROPAGATE] > 100  # one per ignition, still scalar
+    # a vacant box draws each site's first seed word at construction only
+    eng = make_engine(200, 2.0, 0.05, 3, 1, force="python")
+    assert calls[PURPOSE_SEED] == 200
+    eng.advance_to(30.0)
+    assert eng.seed_rings_skipped > 1000
+    assert calls[PURPOSE_SEED] == 200
 
 
 # -- wrapper ------------------------------------------------------------------

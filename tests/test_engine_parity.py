@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fireline._engine_py import PyEngineCore
+from fireline._engine_py import _CHUNK, _REFILL, PyEngineCore
 from fireline.discrete import run_propagation
 from fireline.engine import COMPILED, FALLBACK_REASON, make_engine
 from fireline.rng import PURPOSE_PROPAGATE, PURPOSE_SEED, draw_u64
@@ -95,6 +95,42 @@ def test_parity_driving_methods():
     assert seed_last.tobytes() == cy.seed_last_view().tobytes()
     assert seed_last[lo : hi + 1].min() > 0.25
     assert py.state_view() == cy.state_view()
+
+
+def _assert_same_run(py, cy):
+    assert py.state_view() == cy.state_view()
+    assert (py.now, py.event_count, py.seed_rings_skipped, py.burning_count) == (
+        cy.now, cy.event_count, cy.seed_rings_skipped, cy.burning_count
+    )
+    for name, width in (("match_log", 3), ("front_plus", 1), ("front_minus", 1),
+                        ("spark_log", 3), ("omega_right", 1), ("omega_left", 1)):
+        assert _same_log(getattr(py, name), getattr(cy, name), width), name
+    seed_last = np.asarray(py.seed_last_view(), dtype=np.float64)
+    assert seed_last.tobytes() == cy.seed_last_view().tobytes()
+
+
+@pytest.mark.parametrize("start", ["fire", "vacant"])
+def test_parity_block_drawn_walks(start):
+    """The Python core's walks read block-drawn seed words, a chunk of sites
+    at a time; they must step over the chain points the C core's scalar
+    draws give, across chunk boundaries, refills and the last, partial
+    chunk."""
+    n_sites = 3 * _CHUNK + 21
+    if start == "fire":
+        py, cy = _pair(n_sites, 1.0, 0.0, 31, 2, initial_occupied=True,
+                       ignite_site=n_sites // 2)
+        horizon = 150.0
+    else:
+        py, cy = _pair(n_sites, 1.0, 0.02, 31, 2)
+        horizon = 200.0
+    for t in (horizon / 3, 2 * horizon / 3, horizon):
+        py.advance_to(t)
+        cy.advance_to(t)
+        _assert_same_run(py, cy)
+    assert py.seed_rings_skipped > 10 * n_sites
+    assert len(py.spark_log if start == "fire" else py.match_log) > 100
+    # every site, the last chunk's too, read past its first refill
+    assert min(py._draws[PURPOSE_SEED]) > _REFILL
 
 
 def _exp(seed, purpose, k):

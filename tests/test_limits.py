@@ -427,6 +427,34 @@ def test_inf_trajectory_has_intervals_and_nan_values():
     assert all(math.isnan(v) for v in traj.values)
 
 
+def test_inf_trajectory_equals_state_queries():
+    # lattice features, x = 0 as 0.0 or -0.0 at random and some on the box
+    # edges, queried at every tau and 2 tau and between them; half of the
+    # boxes have an int A, which D returns as its box edge
+    rng = random.Random(23)
+    signed = 0
+    for k in range(60):
+        cells = sorted(
+            (0.25 * rng.randint(0, 12), 0.5 * rng.randint(-4, 4))
+            for _ in range(rng.randint(0, 20))
+        )
+        marks = [Mark(x or rng.choice((0.0, -0.0)), t) for t, x in cells]
+        s = simulate_lffp_inf(rng.choice((0.0, 0.5, 0.75, 1.0)), (2.0, 2)[k % 2], 4.0,
+                              marks=marks)
+        grid = sorted(
+            {0.125 * i for i in range(33)}
+            | {f.tau for f in s.features}
+            | {2.0 * f.tau for f in s.features if 2.0 * f.tau <= 4.0}
+        )
+        traj = s.trajectory(grid)
+        assert traj.times.tolist() == grid
+        assert repr(traj.intervals) == repr([s.D(0.0, t) for t in grid])
+        signed += sum(repr(bound) == "-0.0" for interval in traj.intervals for bound in interval)
+    assert signed > 0
+    with pytest.raises(ValueError):
+        s.trajectory([1.0, 4.5])
+
+
 def test_mark_validation():
     with pytest.raises(ValueError, match="sorted"):
         simulate_alffp_p(1.0, 2.0, 3.0, marks=[Mark(0.0, 1.0), Mark(0.1, 0.5)])

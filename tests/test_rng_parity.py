@@ -2,6 +2,7 @@
 against draw_u64, and the block samplers against their scalar oracles."""
 
 import os
+import random
 import shlex
 import shutil
 
@@ -19,6 +20,7 @@ from fireline.rng import (
     PURPOSE_STREAM,
     RngStream,
     draw_block,
+    draw_rows,
     draw_u64,
     exp_sample,
     exp_samples,
@@ -61,6 +63,41 @@ def test_python_block_equals_scalar_draws(counter):
     block = rng._draw_block_py(*counter, 10)
     assert block.dtype == np.uint64
     assert block.tolist() == _scalar(*counter, 10)
+
+
+def test_numpy_rows_equal_scalar_draws():
+    r = random.Random(6)
+    for purpose in (PURPOSE_STREAM, PURPOSE_SEED, PURPOSE_MATCH, PURPOSE_PROPAGATE):
+        seed, stream = r.getrandbits(64), r.getrandbits(64)
+        # rows with different sites and first indices in one call
+        sites = [r.getrandbits(64) for _ in range(4)] + [3, 3]
+        firsts = [r.randrange(2**64 - 8) for _ in range(4)] + [0, 5]
+        rows = draw_rows(seed, stream, purpose, sites, firsts, 9)
+        assert rows.dtype == np.uint64
+        assert rows.tolist() == [
+            _scalar(seed, stream, purpose, site, first, 9) for site, first in zip(sites, firsts)
+        ]
+
+
+@pytest.mark.parametrize("counter", COUNTERS)
+def test_numpy_rows_at_the_counter_edges(counter):
+    seed, stream, purpose, site, first = counter
+    rows = draw_rows(seed, stream, purpose, [site, _TOP, site], [first, first, _TOP - 9], 10)
+    assert rows.tolist() == [
+        _scalar(seed, stream, purpose, site, first, 10),
+        _scalar(seed, stream, purpose, _TOP, first, 10),
+        _scalar(seed, stream, purpose, site, _TOP - 9, 10),
+    ]
+    top = draw_rows(_TOP, _TOP, purpose, [_TOP], [2**64 - 10], 10)
+    assert top.tolist() == [_scalar(_TOP, _TOP, purpose, _TOP, 2**64 - 10, 10)]
+
+
+def test_numpy_rows_bounds():
+    assert draw_rows(1, 2, PURPOSE_SEED, [], [], 64).shape == (0, 64)
+    with pytest.raises(ValueError):
+        draw_rows(1, 2, PURPOSE_SEED, [0, 1], [0, 2**64 - 9], 10)
+    with pytest.raises(ValueError):
+        draw_rows(1, 2, PURPOSE_SEED, [0], [-1], 10)
 
 
 def test_block_bounds():

@@ -418,8 +418,10 @@ def _run_alffp(state: LimitStateP) -> None:
     # it would fire, or None when it is not (and never again will be) one.
 
     def barrier_time(f, b):
+        # a front standing on the barrier point has not passed it: another
+        # event at the instant it arrives must not let it through
         pos_now = f.x0 + f.direction * (now - f.t0) / p
-        if not (b.x > pos_now if f.direction > 0 else b.x < pos_now):
+        if not (b.x >= pos_now if f.direction > 0 else b.x <= pos_now):
             return None
         v = f.t0 + p * abs(b.x - f.x0)
         if b.create < v < b.expiry:

@@ -7,6 +7,9 @@ the smallest by (t, kind, x, cause-rank), earlier list entries winning
 ties.  It shares the state class and its queries (the regrowth field at a
 mark, D for the p = 0 sweeps) with the package, so a comparison isolates
 the event scheduling.  Do not edit run_alffp_rescan: it is the reference.
+Its one rule change since it was frozen: a front standing exactly on an
+active barrier's point counts as ahead of it (the barrier test's `>=`), so
+an event at the instant it arrives no longer lets it through.
 """
 
 from typing import Optional, Sequence
@@ -87,7 +90,7 @@ def run_alffp_rescan(state: LimitStateP) -> None:
                         (f.t0 + p * (f.x0 + A), EVENT_FRONT_STOP, -A, (f, "edge", -A))
                     )
                 for b in barriers:
-                    ahead = b.x > pos_now if f.direction > 0 else b.x < pos_now
+                    ahead = b.x >= pos_now if f.direction > 0 else b.x <= pos_now
                     if not ahead:
                         continue
                     v = f.t0 + p * abs(b.x - f.x0)

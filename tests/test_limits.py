@@ -552,13 +552,11 @@ def test_large_box_matches_oracle():
     assert_matches_oracle(1.0, 40.0, 4.0, seed=3)
 
 
-@pytest.mark.xfail(strict=True, reason="a front that reaches an active barrier at "
-                   "the instant of another event passes it")
 def test_front_stops_at_barrier_despite_simultaneous_event():
     # the right front launched at (-0.5, 2.5) reaches the barrier at x=0,
     # active on [2.25, 3.25), at t=2.75; its twin's edge stop has the same
     # time and a smaller key, and after it the front sits exactly on x=0,
-    # no longer ahead of the barrier, so it runs on to the edge
+    # which still counts as ahead of the barrier, so it stops there
     s = simulate_alffp_p(0.5, 1.0, 4.0, marks=[Mark(x, t) for x, t in PASS_THROUGH])
     f = next(f for f in s.fronts if f.t0 == 2.5 and f.direction > 0)
     assert (f.t_end, f.x_end, f.cause) == (2.75, 0.0, "barrier")

@@ -1,7 +1,9 @@
 """Limit-process engines: exact event geometry and the slow-regime features."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -550,6 +552,23 @@ def test_lattice_ties_match_oracle(p):
 
 def test_large_box_matches_oracle():
     assert_matches_oracle(1.0, 40.0, 4.0, seed=3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_larger_box_matches_oracle(seed):
+    assert_matches_oracle(1.0, 48.0, 4.0, seed=seed)
+
+
+GOLDEN_STATS = json.loads((Path(__file__).parent / "limit_stats_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_STATS, ids=lambda c: f"p{c['p']}-A{c['A']}-s{c['seed']}")
+def test_stats_equal_the_recorded_runs(case):
+    # the counters of the queue and of the event log, recorded at T=4 from
+    # the engine that tested every open barrier and recent front: equal
+    # counts mean the same candidates were queued
+    stats = simulate_alffp_p(case["p"], case["A"], 4.0, seed=case["seed"]).stats()
+    assert {key: stats[key] for key in case["stats"]} == case["stats"]
 
 
 def test_front_stops_at_barrier_despite_simultaneous_event():

@@ -36,13 +36,28 @@ and fired otherwise.  Equal keys fall back to a fixed list order: the
 mark; expiries by barrier index; then per front, by index, its edge, its
 barriers by index and its wakes by front index; then meets by front
 indices.  This gives, bit for bit, the log of a full rescan of every
-candidate after every event (kept frozen as the test oracle).  An event
-costs O(log Q) for the queue plus what it derives: O(live fronts) for a
-barrier or a death, O(open barriers + recent fronts) for a front pair.
+candidate after every event (kept frozen as the test oracle).
+
+Lookups.  The open barriers are kept in x order and the fronts alive or
+dead for under two time units in position order, one list per direction
+(the fronts of a direction all move at speed 1/p, so their order never
+changes).  A derivation bisects these lists and tests only the entries
+within reach, in a window widened past the float rounding of its bounds:
+for a new front, the barriers it reaches before they expire, the wakes
+within 1/p (ahead, begun or ended under a time unit ago, or of the live
+fronts within 1/p behind it) and the opposing fronts it reaches by the
+horizon; for a new barrier or a death, the live fronts within reach of it.
+A mark reads Z from the fronts that can have crossed its point in the
+last two time units (an older reset leaves Z = 1; the second unit is a
+margin for rounding), its active barrier by exact x, and at p = 0 D from
+the active barriers and the sweeps of the last time unit.  An event costs
+O(log Q) for the queue plus O(log n) and the entries within reach for
+each lookup, so a new front's tests stay flat as the box grows.
 """
 
 import math
-from collections import Counter
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from typing import List, Optional, Sequence, Tuple
@@ -65,9 +80,11 @@ _CLUSTER_CELLS = 1 << 17
 _STOP_CAUSES = ("barrier", "wake", "edge")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LimitEvent:
-    """One entry of the event log: what happened, when, where."""
+    """One entry of the event log: what happened, when, where.  A slotted,
+    mutable dataclass built positionally: a frozen one costs about four
+    times as much to build, and a run logs one per event."""
 
     t: float
     kind: int
@@ -76,7 +93,7 @@ class LimitEvent:
     data: Tuple[float, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class _Front:
     x0: float
     t0: float
@@ -88,7 +105,7 @@ class _Front:
     cause: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class _Barrier:
     x: float
     create: float
@@ -96,7 +113,7 @@ class _Barrier:
     logged: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class _Sweep:
     t: float
     lo: float
@@ -111,18 +128,67 @@ class LimitObservables:
 
 
 def _validate_marks(marks: Sequence[Mark], A: float, T: float) -> List[Mark]:
-    out = []
+    """The marks as a new list, checked in one pass: sorted by time, inside
+    the box and the window.  A Mark with float fields is kept as it is;
+    anything else is rebuilt as a Mark of floats."""
+    out = list(marks)
     prev = -math.inf
-    for m in marks:
-        if m.t < prev:
+    for k, m in enumerate(out):
+        x = m.x
+        t = m.t
+        if t < prev:
             raise ValueError("mark set must be sorted by time")
-        prev = m.t
-        if not -A <= m.x <= A:
-            raise ValueError(f"mark at x={m.x} outside the box [-{A}, {A}]")
-        if not 0.0 <= m.t <= T:
-            raise ValueError(f"mark at t={m.t} outside the time window [0, {T}]")
-        out.append(Mark(float(m.x), float(m.t)))
+        prev = t
+        if not -A <= x <= A:
+            raise ValueError(f"mark at x={x} outside the box [-{A}, {A}]")
+        if not 0.0 <= t <= T:
+            raise ValueError(f"mark at t={t} outside the time window [0, {T}]")
+        if type(m) is not Mark or type(x) is not float or type(t) is not float:
+            out[k] = Mark(float(x), float(t))
     return out
+
+
+def _between(x: float, blockers, lo: float, hi: float) -> Tuple[float, float]:
+    """The interval between the nearest blockers around x, inside (lo, hi).
+    On a tie the first nearest blocker in the given order is kept (it
+    decides the sign of a zero bound)."""
+    for blo, bhi in blockers:
+        if bhi <= x:
+            if bhi > lo:
+                lo = bhi
+        elif blo >= x:
+            if blo < hi:
+                hi = blo
+    return (lo, hi)
+
+
+class _Ordered:
+    """(index, object) items in key order, for range lookups by bisection.
+    Items of equal keys stay in the order they were added."""
+
+    __slots__ = ("keys", "items")
+
+    def __init__(self):
+        self.keys: List[float] = []
+        self.items: list = []
+
+    def add(self, key: float, item) -> None:
+        j = bisect_right(self.keys, key)
+        self.keys.insert(j, key)
+        self.items.insert(j, item)
+
+    def remove(self, key: float, obj) -> None:
+        j = bisect_left(self.keys, key)
+        while self.items[j][1] is not obj:
+            j += 1
+        del self.keys[j], self.items[j]
+
+    def within(self, lo: float, hi: float) -> list:
+        """The items keyed in [lo, hi], in key order.  A NaN bound (an
+        overflowed window) bounds nothing: bisect_left puts NaN before every
+        key and bisect_right after every key."""
+        keys = self.keys
+        return self.items[bisect_left(keys, lo):bisect_right(keys, hi)]
 
 
 class LimitStateP:
@@ -145,9 +211,11 @@ class LimitStateP:
         self._queue_counts: dict = {}  # set by the LFFP(p) engine
 
     def stats(self) -> dict:
-        """Deterministic counters of the run: events by cause, and the event
+        """Deterministic counters of the run: events by cause; the event
         queue's candidates queued, dropped as stale, re-keyed, and its
-        high-water mark."""
+        high-water mark; and candidate_tests, the stop and meet tests made to
+        derive candidates for new fronts, barriers and deaths (the entries
+        their lookups find within reach)."""
         causes = Counter(e.cause for e in self.events)
         return {"events_by_cause": dict(sorted(causes.items())), **self._queue_counts}
 
@@ -239,16 +307,7 @@ class LimitStateP:
 
     def _cluster(self, x: float, t: float) -> Tuple[float, float]:
         """The interval between the nearest blockers around x at time t."""
-        lo = -self.A
-        hi = self.A
-        for blo, bhi in self._blockers(t):
-            if bhi <= x:
-                if bhi > lo:
-                    lo = bhi
-            elif blo >= x:
-                if blo < hi:
-                    hi = blo
-        return (lo, hi)
+        return _between(x, self._blockers(t), -self.A, self.A)
 
     def query(self, x: float, t: float) -> LimitObservables:
         return LimitObservables(Z=self.Z(x, t), H=self.H(x, t), D=self.D(x, t))
@@ -406,13 +465,28 @@ def _run_alffp(state: LimitStateP) -> None:
     marks = state.marks
     fronts = state.fronts
     barriers = state.barriers
+    sweeps = state.sweeps
     events = state.events
-    live = {}  # front index -> alive front, in index order
-    recent = []  # (index, front) alive or dead for under a time unit
-    open_barriers = []  # (index, barrier) not yet expired
+    crossing = state._crossing
     heap: list = []
-    queued = stale = rekeyed = peak = 0
+    queued = stale = rekeyed = peak = tests = 0
     now = 0.0
+
+    # Ordered lookups of (index, object) items.  The fronts of one direction
+    # all move at speed 1/p, so their order by position never changes: a
+    # front of direction d is keyed d * x0 - t0 / p, its way along d as of
+    # time 0, and a front of direction d at x now would have the key
+    # d * x - now / p, so a stretch of positions is a stretch of keys.  A
+    # dead front keeps its key for two time units.
+    open_barriers = _Ordered()  # by x; an expired segment of a stack lingers
+    recent = {+1: _Ordered(), -1: _Ordered()}  # fronts alive or dead under two time units
+    buried: deque = deque()  # dead fronts in death order
+    first_sweep = 0  # the sweeps before it are two time units old
+    max_expiry = -math.inf  # of every barrier so far
+    if p > 0.0:
+        reach = 1.0 / p  # the way a front travels in a time unit
+        # widens every window well past the float rounding of its bounds
+        slack = 1e-9 * (1.0 + A + (T + 2.0) / p)
 
     # The rescan's tests for one candidate at the current time: the time
     # it would fire, or None when it is not (and never again will be) one.
@@ -485,24 +559,50 @@ def _run_alffp(state: LimitStateP) -> None:
             push((t, EVENT_FRONT_STOP, x, 1, i, 2, gi, f, g))
 
     def add_front(i, f):
-        if f.direction > 0:
-            push((f.t0 + p * (A - f.x0), EVENT_FRONT_STOP, A, 2, i, 0, 0, f, None))
+        # Only what lies within reach of a front launched now at x0 is
+        # tested: a barrier within (expiry - now) / p ahead; the origin of a
+        # front launched under a time unit ago, within 1/p ahead, and a live
+        # front within 1/p behind, for the wakes of one direction; the death
+        # point of an opposing front dead under a time unit, within 1/p
+        # ahead, and a live opposing front it reaches by the horizon.
+        nonlocal tests
+        d = f.direction
+        x0 = f.x0
+        if d > 0:
+            push((f.t0 + p * (A - x0), EVENT_FRONT_STOP, A, 2, i, 0, 0, f, None))
         else:
-            push((f.t0 + p * (f.x0 + A), EVENT_FRONT_STOP, -A, 2, i, 0, 0, f, None))
-        for bi, b in open_barriers:
-            add_barrier_stop(i, f, bi, b)
-        for gi, g in recent:
-            if g.direction == f.direction:
-                # f arrives no earlier than now, so it can enter only a wake
-                # begun less than a time unit before now
-                if g.t0 > now - 1.0:
-                    add_wake_stop(i, f, gi, g)
-                if g.alive:
-                    add_wake_stop(gi, g, i, f)
-            elif not g.alive:
+            push((f.t0 + p * (x0 + A), EVENT_FRONT_STOP, -A, 2, i, 0, 0, f, None))
+        ahead = (max_expiry - now) / p
+        lo, hi = (x0, x0 + ahead) if d > 0 else (x0 - ahead, x0)
+        for bi, b in open_barriers.within(lo - slack, hi + slack):
+            if b.expiry > now:  # an expired segment of a stack stops nothing
+                tests += 1
+                add_barrier_stop(i, f, bi, b)
+        # fronts of f's direction: one launched under a time unit ago with
+        # its origin within 1/p ahead (f may enter its wake) is now under
+        # 2/p ahead; a live one within 1/p behind may enter f's wake
+        key = d * x0 - now / p
+        for gi, g in recent[d].within(key - reach - slack, key + 2.0 * reach + slack):
+            if g.t0 > now - 1.0:
+                tests += 1
                 add_wake_stop(i, f, gi, g)
-            elif g.x0 != f.x0 or g.t0 != f.t0:  # twins diverge, they never meet
-                r, ri, l, li = (f, i, g, gi) if f.direction > 0 else (g, gi, f, i)
+            if g.alive:
+                tests += 1
+                add_wake_stop(gi, g, i, f)
+        # opposing fronts, whose keys fall the farther ahead of f they are:
+        # one dead under a time unit with its death point within 1/p ahead
+        # would now be within 1/p of x0; a live one that f meets by the
+        # horizon is ahead by at most the way both cover by then
+        key = -d * x0 - now / p
+        horizon = max(reach, 2.0 * (T - now) / p)
+        for gi, g in recent[-d].within(key - horizon - slack, key + reach + slack):
+            if not g.alive:
+                if g.t_end > now - 1.0:
+                    tests += 1
+                    add_wake_stop(i, f, gi, g)
+            elif g.x0 != x0 or g.t0 != f.t0:  # twins diverge, they never meet
+                tests += 1
+                r, ri, l, li = (f, i, g, gi) if d > 0 else (g, gi, f, i)
                 t = meet_time(r, l)
                 if t is not None:
                     tstar = (p * (l.x0 - r.x0) + r.t0 + l.t0) / 2.0
@@ -510,31 +610,67 @@ def _run_alffp(state: LimitStateP) -> None:
                     push((t, EVENT_FRONT_MEET, xm, 0, ri, li, 0, r, l))
 
     def add_pair():
-        # A barrier expired by now, or a front dead for a time unit, can
-        # never stop a front launched now: the front arrives no earlier
-        # than now, after the barrier's window or the wake's healing.
-        nonlocal open_barriers, recent
-        open_barriers = [(bi, b) for bi, b in open_barriers if b.expiry > now]
-        recent = [(gi, g) for gi, g in recent if g.t_end > now - 1.0]
         for i in (len(fronts) - 2, len(fronts) - 1):
-            live[i] = fronts[i]
-            add_front(i, fronts[i])
-            recent.append((i, fronts[i]))
+            f = fronts[i]
+            add_front(i, f)
+            recent[f.direction].add(f.direction * f.x0 - f.t0 / p, (i, f))
 
     def add_deaths(dead):
-        for gi, _ in dead:
-            del live[gi]
+        # a live opposing front can enter a wake that died now only within
+        # 1/p of its death point
+        nonlocal tests
         for gi, g in dead:
-            for i, f in live.items():
-                if f.direction != g.direction:
+            buried.append(g)
+            d = -g.direction
+            key = d * g.x_end - now / p
+            for i, f in recent[d].within(key - reach - slack, key + slack):
+                if f.alive:
+                    tests += 1
                     add_wake_stop(i, f, gi, g)
 
     def add_barrier(bi, b):
-        if b.expiry > b.create:
-            push((b.expiry, EVENT_BARRIER_EXPIRY, b.x, 0, bi, 0, 0, b, None))
-        for i, f in live.items():
-            add_barrier_stop(i, f, bi, b)
-        open_barriers.append((bi, b))
+        # a live front can reach a barrier created now only within
+        # (expiry - now) / p of it
+        nonlocal max_expiry, tests
+        if b.expiry <= b.create:
+            return  # it is never active
+        push((b.expiry, EVENT_BARRIER_EXPIRY, b.x, 0, bi, 0, 0, b, None))
+        open_barriers.add(b.x, (bi, b))
+        max_expiry = max(max_expiry, b.expiry)
+        if p > 0.0:
+            for d in (+1, -1):
+                key = d * b.x - now / p
+                for i, f in recent[d].within(key - (b.expiry - now) / p - slack, key + slack):
+                    if f.alive:
+                        tests += 1
+                        add_barrier_stop(i, f, bi, b)
+
+    def last_reset(x):
+        # _last_reset(x, now) over the fronts and sweeps that can have reset
+        # x in the last two time units: the others leave Z = 1 either way
+        r = 0.0
+        if p > 0.0:
+            for d in (+1, -1):
+                # a front that crossed x within two time units is now (or
+                # would be, had it lived) under 2/p past x
+                key = d * x - now / p
+                for _, g in recent[d].within(key - slack, key + 2.0 * reach + slack):
+                    ct = crossing(g, x, now)
+                    if ct is not None and ct > r:
+                        r = ct
+        else:
+            for s in sweeps[first_sweep:]:
+                if s.lo < x < s.hi and r < s.t <= now:
+                    r = s.t
+        return r
+
+    def active_barrier(x):
+        # _active_barrier(x, now): equal keys keep the barriers' list order
+        out = None
+        for _, b in open_barriers.within(x, x):
+            if b.create <= now < b.expiry and (out is None or b.expiry > out.expiry):
+                out = b
+        return out
 
     if marks:
         push((marks[0].t, EVENT_MARK, marks[0].x, 0, 0, 0, 0, None, None))
@@ -573,8 +709,15 @@ def _run_alffp(state: LimitStateP) -> None:
             if i + 1 < len(marks):
                 nxt = marks[i + 1]
                 push((nxt.t, EVENT_MARK, nxt.x, 0, i + 1, 0, 0, None, None))
-            z = min(m.t - state._last_reset(m.x, m.t), 1.0)
-            b_active = state._active_barrier(m.x, m.t)
+            # forget what can no longer stop a front launched now or reset
+            # x within two time units
+            while buried and buried[0].t_end <= now - 2.0:
+                g = buried.popleft()
+                recent[g.direction].remove(g.direction * g.x0 - g.t0 / p, g)
+            while first_sweep < len(sweeps) and sweeps[first_sweep].t <= now - 2.0:
+                first_sweep += 1
+            z = min(m.t - last_reset(m.x), 1.0)
+            b_active = active_barrier(m.x)
             if z >= 1.0 and b_active is None:
                 if p > 0.0:
                     fronts.append(_Front(m.x, m.t, +1))
@@ -582,8 +725,18 @@ def _run_alffp(state: LimitStateP) -> None:
                     events.append(LimitEvent(m.t, EVENT_MARK, m.x, "macro"))
                     add_pair()
                 else:
-                    lo, hi = state.D(m.x, m.t)
-                    state.sweeps.append(_Sweep(m.t, lo, hi))
+                    # D(m.x, m.t): the active barriers in x order, then the
+                    # sweeps of the last time unit, in _cluster's list order
+                    # on ties
+                    lo, hi = _between(
+                        m.x,
+                        [(bb.x, bb.x) for _, bb in open_barriers.items
+                         if bb.create <= now < bb.expiry]
+                        + [(s.lo, s.hi) for s in sweeps[first_sweep:] if now - 1.0 < s.t],
+                        -A,
+                        A,
+                    )
+                    sweeps.append(_Sweep(m.t, lo, hi))
                     events.append(LimitEvent(m.t, EVENT_MARK, m.x, "macro", (lo, hi)))
             elif z < 1.0:
                 if b_active is not None:
@@ -602,6 +755,10 @@ def _run_alffp(state: LimitStateP) -> None:
         elif kind == EVENT_BARRIER_EXPIRY:
             a.logged = True
             events.append(LimitEvent(t, kind, x, "expiry"))
+            # this segment and the older ones of its stack stop nothing more
+            for _, bb in open_barriers.within(x, x):
+                if bb.expiry <= now:
+                    open_barriers.remove(x, bb)
         elif kind == EVENT_FRONT_MEET:
             for h in (a, b):
                 h.alive = False
@@ -620,13 +777,15 @@ def _run_alffp(state: LimitStateP) -> None:
             a.cause = cause
             events.append(LimitEvent(t, kind, x, cause))
             add_deaths(((i, a),))
-        peak = max(peak, len(heap))
+        if len(heap) > peak:
+            peak = len(heap)
 
     state._queue_counts = {
         "candidates_queued": queued,
         "candidates_stale": stale,
         "candidates_rekeyed": rekeyed,
         "queue_peak": peak,
+        "candidate_tests": tests,
     }
 
 

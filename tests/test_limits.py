@@ -5,6 +5,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from _limits_reference import reference_alffp
@@ -13,7 +14,9 @@ from fireline.limits import (
     EVENT_FRONT_MEET,
     EVENT_FRONT_STOP,
     EVENT_MARK,
+    LimitEvent,
     LimitObservables,
+    _validate_marks,
     sample_cluster_length_inf,
     simulate_alffp_p,
     simulate_lffp_0,
@@ -457,6 +460,27 @@ def test_inf_trajectory_equals_state_queries():
         s.trajectory([1.0, 4.5])
 
 
+def test_mark_validation_keeps_float_marks_and_rebuilds_the_rest():
+    class Point:
+        x = 0.25
+        t = 2.5
+
+    kept = Mark(0.5, 1.0)
+    given = [kept, Mark(np.float64(-0.5), 1.5), Mark(1, 2), Point()]
+    out = _validate_marks(given, 1.0, 3.0)
+    assert out is not given and out[0] is kept
+    assert out == [Mark(0.5, 1.0), Mark(-0.5, 1.5), Mark(1.0, 2.0), Mark(0.25, 2.5)]
+    assert all(type(m) is Mark and type(m.x) is float and type(m.t) is float for m in out)
+    assert len(given) == 4 and type(given[2].x) is int
+
+
+def test_limit_event_fields_and_defaults():
+    e = LimitEvent(1.5, EVENT_MARK, -0.25, "micro")
+    assert (e.t, e.kind, e.x, e.cause, e.data) == (1.5, EVENT_MARK, -0.25, "micro", ())
+    assert e == LimitEvent(t=1.5, kind=EVENT_MARK, x=-0.25, cause="micro", data=())
+    assert repr(e) == "LimitEvent(t=1.5, kind=3, x=-0.25, cause='micro', data=())"
+
+
 def test_mark_validation():
     with pytest.raises(ValueError, match="sorted"):
         simulate_alffp_p(1.0, 2.0, 3.0, marks=[Mark(0.0, 1.0), Mark(0.1, 0.5)])
@@ -594,6 +618,21 @@ def test_stats_are_deterministic_and_count_every_event():
     assert stats["queue_peak"] <= stats["candidates_queued"]
     s0 = simulate_lffp_0(6.0, 3.0, seed=11)
     assert sum(s0.stats()["events_by_cause"].values()) == len(s0.events)
+
+
+def test_candidate_tests_per_front_stay_flat_in_the_box():
+    # testing every open barrier and recent front made a new front's tests
+    # grow about 9x from A=6 to A=48; lookups within reach keep them flat
+    def tests_per_front(A, seeds):
+        tests = fronts = 0
+        for seed in seeds:
+            s = simulate_alffp_p(1.0, A, 4.0, seed=seed)
+            tests += s.stats()["candidate_tests"]
+            fronts += len(s.fronts)
+        return tests / fronts
+
+    small = tests_per_front(6.0, range(20))
+    assert 0.0 < tests_per_front(48.0, range(3)) < 2.0 * small
 
 
 def test_queue_work_grows_near_linearly_in_the_box():

@@ -4,10 +4,14 @@
  * Plain C99 with no Python C-API; fireline._clib loads it with ctypes.
  * Every clock draw is the same counter-based Philox4x64-10 word as
  * fireline.rng.draw_u64(master_seed, stream_id, purpose, site, index), the
- * event queue pops in the same (time, site, kind) order, and every branch
- * below mirrors a branch of the Python twin, so the two cores produce the
- * same realization bit for bit.  Any divergence is a bug; the parity tests
- * compare them.
+ * event queue pops in the same (time, site, kind) order, and every state
+ * transition and log row below mirrors one of the Python twin, so the two
+ * cores produce the same realization bit for bit.  Any divergence is a
+ * bug; the parity tests compare them.
+ *
+ * The ten Philox round keys of (master_seed, stream_id) are computed once,
+ * into the engine (or once per fl_draw_block call), and the rounds are
+ * written out; the last round computes only the half that word 0 needs.
  *
  * Seed clocks are lazy, as in the twin: only vacant sites keep one in the
  * heap.  The ring that occupies a site stores its time in seed_last and
@@ -16,6 +20,11 @@
  * point at or after t and pushes that point.  Rings on non-vacant sites are
  * never events: event_count counts the events the heap processed, and
  * seed_rings_skipped the chain points the walks stepped over.
+ *
+ * The walk is where the two cores differ in shape, not in bits: the twin
+ * reads its seed words from per-site buffers filled many sites at a time,
+ * this core draws one word per chain point.  A word depends only on its
+ * counter, so both add the same E_k in the same order.
  *
  * A run that starts with a fire (ignite_site >= 0, the propagation process)
  * also logs its front advances, sparks and clean vacancy windows; without a
@@ -75,6 +84,12 @@ static const uint64_t M0 = 0xD2E7470EE14C6C93u, M1 = 0xCA5A826395121157u;
 static const uint64_t W0 = 0x9E3779B97F4A7C15u, W1 = 0xBB67AE8584CAA73Bu;
 static const double INV53 = 1.0 / 9007199254740992.0;
 
+/* The ten round keys of one (master_seed, stream_id): round r uses
+ * (master_seed + r * W0, stream_id + r * W1), wrapping. */
+typedef struct {
+    uint64_t k0[10], k1[10];
+} philox_key;
+
 typedef struct {
     double *v;
     int64_t rows, cap;
@@ -92,7 +107,7 @@ typedef struct {
 
     int64_t n_sites;
     double pi, match_rate;
-    uint64_t master_seed, stream_id;
+    philox_key key; /* the round keys of (master_seed, stream_id) */
     uint8_t *states;
     uint64_t *draws[4]; /* per-site draw counters, indexed by purpose */
     double *seed_last;  /* each site's latest occupation time, 0.0 at start */
@@ -121,30 +136,59 @@ static uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
 #endif
 }
 
-static uint64_t philox_word0(uint64_t c0, uint64_t c1, uint64_t c2, uint64_t c3,
-                             uint64_t k0, uint64_t k1)
+static philox_key philox_schedule(uint64_t master_seed, uint64_t stream_id)
 {
+    philox_key key;
     for (int r = 0; r < 10; r++) {
-        uint64_t hi0, hi1;
-        uint64_t lo0 = mulhilo(c0, M0, &hi0);
-        uint64_t lo1 = mulhilo(c2, M1, &hi1);
-        c0 = hi1 ^ c1 ^ k0;
-        c1 = lo1;
-        c2 = hi0 ^ c3 ^ k1;
-        c3 = lo0;
-        k0 += W0;
-        k1 += W1;
+        key.k0[r] = master_seed;
+        key.k1[r] = stream_id;
+        master_seed += W0;
+        stream_id += W1;
     }
-    return c0;
+    return key;
 }
+
+/* One Philox4x64 round on the caller's locals c0..c3 with round keys
+ * (k0, k1).  The rounds are written out because gcc -O2 keeps a loop over
+ * them, which is slower. */
+#define PHILOX_ROUND(k0, k1)                                                   \
+    do {                                                                       \
+        uint64_t hi0, hi1;                                                     \
+        uint64_t lo0 = mulhilo(c0, M0, &hi0);                                  \
+        uint64_t lo1 = mulhilo(c2, M1, &hi1);                                  \
+        c0 = hi1 ^ c1 ^ (k0);                                                  \
+        c1 = lo1;                                                              \
+        c2 = hi0 ^ c3 ^ (k1);                                                  \
+        c3 = lo0;                                                              \
+    } while (0)
+
+/* Word 0 of Philox4x64-10 of counter (c0, c1, c2, c3). */
+static inline uint64_t philox_word0(const philox_key *key, uint64_t c0, uint64_t c1,
+                                    uint64_t c2, uint64_t c3)
+{
+    PHILOX_ROUND(key->k0[0], key->k1[0]);
+    PHILOX_ROUND(key->k0[1], key->k1[1]);
+    PHILOX_ROUND(key->k0[2], key->k1[2]);
+    PHILOX_ROUND(key->k0[3], key->k1[3]);
+    PHILOX_ROUND(key->k0[4], key->k1[4]);
+    PHILOX_ROUND(key->k0[5], key->k1[5]);
+    PHILOX_ROUND(key->k0[6], key->k1[6]);
+    PHILOX_ROUND(key->k0[7], key->k1[7]);
+    PHILOX_ROUND(key->k0[8], key->k1[8]);
+    /* the last round's word 0 needs only the high half of c2 * M1 */
+    uint64_t hi1;
+    mulhilo(c2, M1, &hi1);
+    return hi1 ^ c1 ^ key->k0[9];
+}
+
+#undef PHILOX_ROUND
 
 /* The next exponential clock of one site and purpose; rate 1.0 divides
  * exactly, so seed clocks match the twin's undivided draw. */
 static double exp_draw(engine *e, int purpose, int64_t site, double rate)
 {
     uint64_t k = e->draws[purpose][site]++;
-    uint64_t x = philox_word0((uint64_t)purpose, (uint64_t)site, k, 0,
-                              e->master_seed, e->stream_id);
+    uint64_t x = philox_word0(&e->key, (uint64_t)purpose, (uint64_t)site, k, 0);
     return -log((double)((x >> 11) + 1) * INV53) / rate;
 }
 
@@ -349,8 +393,7 @@ FL_API engine *fl_new(int64_t n_sites, double pi, double match_rate, uint64_t ma
     e->n_sites = n_sites;
     e->pi = pi;
     e->match_rate = match_rate;
-    e->master_seed = master_seed;
-    e->stream_id = stream_id;
+    e->key = philox_schedule(master_seed, stream_id);
     e->burn_lo = n_sites;
     e->burn_hi = -1;
     e->track = ignite_site >= 0;
@@ -473,6 +516,7 @@ FL_API const double *fl_log(const engine *e, int which, int64_t *rows)
 FL_API void fl_draw_block(uint64_t master_seed, uint64_t stream_id, uint64_t purpose,
                           uint64_t site, uint64_t first, int64_t n, uint64_t *out)
 {
+    philox_key key = philox_schedule(master_seed, stream_id);
     for (int64_t i = 0; i < n; i++)
-        out[i] = philox_word0(purpose, site, first + (uint64_t)i, 0, master_seed, stream_id);
+        out[i] = philox_word0(&key, purpose, site, first + (uint64_t)i, 0);
 }

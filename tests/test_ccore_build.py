@@ -1,6 +1,8 @@
 """_ccore.c is plain C99: it builds with strict warnings as errors, both
 with the compiler's 128-bit integers and without them (the portable
-mulhilo); and every function it exports is declared for ctypes."""
+mulhilo); a build at another optimisation level or with the portable
+mulhilo gives the same draws and realizations as the loaded library; and
+every function it exports is declared for ctypes."""
 
 import ctypes
 import os
@@ -9,27 +11,74 @@ import shlex
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from fireline import engine
-from fireline._clib import _SOURCE
+from fireline._clib import _SOURCE, _declare
+from fireline.rng import PURPOSE_PROPAGATE, PURPOSE_SEED
 
 _CC = os.environ.get("CC", "cc")
 _STRICT = ["-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-shared", "-fPIC"]
 
-
-@pytest.mark.skipif(
+needs_cc = pytest.mark.skipif(
     not shlex.split(_CC) or shutil.which(shlex.split(_CC)[0]) is None,
     reason=f"no C compiler {_CC!r} (set CC)",
 )
-@pytest.mark.parametrize("extra", [[], ["-U__SIZEOF_INT128__"]], ids=["int128", "portable"])
-def test_ccore_builds_as_strict_c99(tmp_path, extra):
+
+
+def _build(dest, extra):
     proc = subprocess.run(
-        [*shlex.split(_CC), *_STRICT, *extra, "-o", str(tmp_path / "core.so"),
-         str(_SOURCE), "-lm"],
+        [*shlex.split(_CC), *_STRICT, *extra, "-o", str(dest), str(_SOURCE), "-lm"],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return dest
+
+
+@needs_cc
+@pytest.mark.parametrize("extra", [[], ["-U__SIZEOF_INT128__"]], ids=["int128", "portable"])
+def test_ccore_builds_as_strict_c99(tmp_path, extra):
+    _build(tmp_path / "core.so", extra)
+
+
+def _realization(lib, monkeypatch):
+    """Block words of two counters (one with wrapping seed, stream and
+    index), and the states, seed_last, logs and counters of a fast front
+    and of slow extinguishes with re-ignitions, run on lib."""
+    got = []
+    for args in ((7, 0, PURPOSE_SEED, 5, 0),
+                 (2**64 - 1, 2**63 + 5, PURPOSE_PROPAGATE, 10**12, 2**64 - 500)):
+        out = np.empty(1000, dtype=np.uint64)
+        lib.fl_draw_block(*args, len(out), out.ctypes.data)
+        got.append(out.tobytes())
+    slow = [(25.0 * k + 0.1 * i, i) for k in range(1, 6) for i in range(0, 40, 3)]
+    runs = (
+        (dict(n_sites=301, pi=9.0, master_seed=123, stream_id=0, ignite_site=150), 15.0),
+        (dict(n_sites=40, pi=0.05, master_seed=51, stream_id=2, ignite_site=20,
+              injected_t=[t for t, _ in slow], injected_site=[i for _, i in slow]), 150.0),
+    )
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_lib", lib)
+        for kwargs, horizon in runs:
+            eng = engine.CEngineCore(match_rate=0.0, initial_occupied=True, **kwargs)
+            eng.advance_to(horizon)
+            got += [eng.state_view(), eng.seed_last_view().tobytes(),
+                    (eng.event_count, eng.seed_rings_skipped)]
+            got += [getattr(eng, name).tobytes() for name in (
+                "front_plus", "front_minus", "spark_log", "omega_right", "omega_left",
+                "match_log")]
+            del eng  # freed by the library that made it
+    return got
+
+
+@needs_cc
+@pytest.mark.parametrize("extra", [["-O0"], ["-O3"], ["-O2", "-U__SIZEOF_INT128__"]],
+                         ids=["O0", "O3", "portable"])
+def test_build_flags_do_not_change_the_output(tmp_path, monkeypatch, extra):
+    assert engine._lib is not None, engine.FALLBACK_REASON
+    built = _declare(ctypes.CDLL(str(_build(tmp_path / "core.so", extra))))
+    assert _realization(built, monkeypatch) == _realization(engine._lib, monkeypatch)
 
 
 # C return types and the ctypes restype each must be declared with
@@ -44,10 +93,7 @@ def _exports():
             for ret, name, params in found]
 
 
-@pytest.mark.skipif(
-    not shlex.split(_CC) or shutil.which(shlex.split(_CC)[0]) is None,
-    reason=f"no C compiler {_CC!r} (set CC)",
-)
+@needs_cc
 def test_every_export_is_declared():
     assert engine._lib is not None, engine.FALLBACK_REASON
     exports = _exports()

@@ -3,6 +3,7 @@ the replay oracle, and the propagation process."""
 
 import ctypes
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -664,6 +665,34 @@ def test_propagation_fronts_match_oracle(engine, pi, horizon, radius, seed, trun
     for k, t in enumerate(run.times_minus, 1):
         assert first[r - k] == t
     assert run.truncated == (burned[0] == -r or burned[-1] == r) == truncated
+
+
+# sha256 of the raw bytes of each record of run_propagation(9, 600, seed=7),
+# the criterion-2 run, on the C core (spark_log as float64 rows): pinned so
+# that a faster draw or walk keeps the realization bit for bit
+_GOLDEN_CRITERION_2 = {
+    "times_plus": "452f5a5d5c023275c9a5e82453be2a63f493f6667ef1cb01e9bd277dd2513109",
+    "times_minus": "5375531315da93ac783cd81957aadbe1a33bb9be5cb68ff7c32a5901503d784f",
+    "spark_log": "d15bcc2562c18b5e3c641d2433c2943da165aa56fae1e06d4f137ae6e4eeff1c",
+    "omega_right": "b0f5f5948c95424138e6b370383f7fdf1f807da4e661dd3a67df461c8b46c3fc",
+    "omega_left": "300fbdfa17b6b4654e490812989f66f8b65fc03c6331e45523bf4ea0544de471",
+}
+
+
+@pytest.mark.skipif(not COMPILED, reason=f"C core unavailable: {FALLBACK_REASON}")
+def test_criterion_2_run_golden_realization():
+    run = run_propagation(9.0, 600.0, seed=7, engine="compiled")
+    assert (run.event_count, run.seed_rings_skipped) == (88_997, 5_469_018)
+    records = {
+        "times_plus": run.times_plus,
+        "times_minus": run.times_minus,
+        "spark_log": np.asarray(run.spark_log, dtype=np.float64),
+        "omega_right": run.omega_right,
+        "omega_left": run.omega_left,
+    }
+    got = {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+           for name, a in records.items()}
+    assert got == _GOLDEN_CRITERION_2
 
 
 def test_propagation_truncation_flag():

@@ -163,6 +163,35 @@ def test_parity_seed_rings_skipped():
         assert eng.state_view() == b"\x01"
 
 
+def test_parity_long_walks_resume_from_their_counters():
+    """Slow extinguishes (pi = 0.05) leave gaps of tens of rings, and
+    injected matches re-ignite the regrown sites, so a site walks its seed
+    chain again from where its counter stopped, possibly inside the Python
+    core's buffered words.  Both cores must agree after every round."""
+    n_sites, seed = 12, 51
+    injected = [(30.0 * k + 0.5 * i / n_sites, i) for k in range(1, 8) for i in range(n_sites)]
+    py, cy = _pair(n_sites, 0.05, 0.0, seed, 0, initial_occupied=True,
+                   ignite_site=n_sites // 2, injected_t=[t for t, _ in injected],
+                   injected_site=[i for _, i in injected])
+    walks = []  # (site, last chain point, target)
+    walk = py._walk
+
+    def recorded(site, t):
+        walks.append((site, py._seed_last[site], t))
+        return walk(site, t)
+
+    py._walk = recorded
+    for t in (90.0, 180.0, 260.0):
+        py.advance_to(t)
+        cy.advance_to(t)
+        _assert_same_run(py, cy)
+    long_walks = [w for w in walks if w[2] - w[1] > 16]
+    assert len(long_walks) > 50
+    # every site walks a long gap more than once, resuming from its counter
+    assert all(sum(w[0] == site for w in long_walks) >= 2 for site in range(n_sites))
+    assert sum(effective for _, _, effective in py.match_log) > 2 * n_sites
+
+
 def test_parity_validation_errors():
     for bad in (
         dict(n_sites=0),

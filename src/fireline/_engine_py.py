@@ -104,6 +104,9 @@ def check_engine_args(
         raise ValueError("master_seed must fit in 64 bits")
     if not 0 <= stream_id < 2**64:
         raise ValueError("stream_id must fit in 64 bits")
+    for t in injected_t:
+        if not 0.0 <= t < math.inf:
+            raise ValueError("injected match times must be nonnegative and finite")
     for i in injected_site:
         if not 0 <= i < n_sites:
             raise ValueError(f"injected match site {i} outside the box")

@@ -113,11 +113,9 @@ class DiscreteFFP:
         schedule = () if injected_matches is None else injected_matches
         inj_t = [a * t for t, _ in schedule]
         inj_s = [s + self.a_sites for _, s in schedule]
-        for (t, s), idx in zip(schedule, inj_s):
+        for (_, s), idx in zip(schedule, inj_s):  # make_engine checks the times
             if not 0 <= idx < self.n_sites:
                 raise ValueError(f"injected match at site {s} is outside the box")
-            if t < 0.0:
-                raise ValueError("injected match times must be nonnegative")
 
         self._eng = make_engine(
             self.n_sites,
@@ -281,8 +279,8 @@ class PropagationRun:
     times_minus[k-1] are also the first burn times of offsets +k and -k,
     and the sites ever burned are exactly the offsets
     -len(times_minus)..len(times_plus).  truncated says that a front
-    reached the box edge.  spark_log lists burning intervals (offset,
-    ignite time, extinguish time) of sites ignited away from a front tip.
+    reached the box edge.  spark_log has a float64 row (offset, ignite time,
+    extinguish time) per ignition away from a front tip: an (n, 3) array.
     omega_right and omega_left hold one indicator per closed vacancy window:
     True when no seed landed on the site between the two successive front
     extinctions bracketing the window.
@@ -304,7 +302,7 @@ class PropagationRun:
     stream_id: int
     times_plus: np.ndarray
     times_minus: np.ndarray
-    spark_log: List[Tuple[int, float, float]]
+    spark_log: np.ndarray
     omega_right: np.ndarray
     omega_left: np.ndarray
     event_count: int = 0
@@ -365,6 +363,7 @@ def run_propagation(
     eng.advance_to(horizon)
 
     sparks = np.asarray(eng.spark_log, dtype=np.float64).reshape(-1, 3)
+    sparks[:, 0] -= radius  # site index to offset, exact in float64
     return PropagationRun(
         pi=pi,
         horizon=horizon,
@@ -373,7 +372,7 @@ def run_propagation(
         stream_id=stream_id,
         times_plus=np.asarray(eng.front_plus, dtype=np.float64),
         times_minus=np.asarray(eng.front_minus, dtype=np.float64),
-        spark_log=[(int(s) - radius, t0, t1) for s, t0, t1 in sparks.tolist()],
+        spark_log=sparks,
         omega_right=np.asarray(eng.omega_right, dtype=bool),
         omega_left=np.asarray(eng.omega_left, dtype=bool),
         event_count=eng.event_count,

@@ -34,6 +34,7 @@ from .scales import (
     classify_regime,
     compute_scales,
     d_T,
+    # unused here, but perfbench's tracer patches harness.delta_interval by name
     delta_interval,
     kappa0,
     uniform_grid,
@@ -95,8 +96,6 @@ class CoupledRun:
     times: np.ndarray
     discrete: Trajectory
     limit: Trajectory
-    w_values: np.ndarray
-    per_time: np.ndarray
     distance: float
     match_log: List[Tuple[float, int, bool]]
 
@@ -148,9 +147,6 @@ def coupled_run(
         # no limit regrowth observable: neutral value channel
         limit.values = discrete.values.copy()
 
-    per_time = np.abs(discrete.values - limit.values) + np.fromiter(
-        map(delta_interval, discrete.intervals, limit.intervals), float, len(times)
-    )
     return CoupledRun(
         lam=lam,
         pi=pi,
@@ -163,8 +159,6 @@ def coupled_run(
         times=times,
         discrete=discrete,
         limit=limit,
-        w_values=np.array([o.W for o in obs]),
-        per_time=per_time,
         distance=d_T(discrete, limit),
         match_log=disc.matches(),
     )

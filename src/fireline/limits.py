@@ -127,6 +127,21 @@ class LimitObservables:
     D: Tuple[float, float]
 
 
+def _window_marks(A: float, T: float, marks, seed, stream_id: int) -> List[Mark]:
+    """The simulators' argument check, then their validated marks: given,
+    or drawn from (seed, stream_id).  A non-finite window is refused in
+    poisson_rectangle's words, whether or not the marks are drawn."""
+    if not (math.isfinite(A) and math.isfinite(T)):
+        raise ValueError(f"non-finite rectangle [{-A}, {A}] x [0.0, {T}]")
+    if not (A > 0.0 and T > 0.0):
+        raise ValueError("A and T must be positive")
+    if marks is None:
+        if seed is None:
+            raise ValueError("either marks or a seed is required")
+        marks = poisson_rectangle(RngStream(seed, stream_id), -A, A, 0.0, T)
+    return _validate_marks(marks, A, T)
+
+
 def _validate_marks(marks: Sequence[Mark], A: float, T: float) -> List[Mark]:
     """The marks as a new list, checked in one pass: sorted by time, inside
     the box and the window.  A Mark with float fields is kept as it is;
@@ -436,13 +451,7 @@ def simulate_alffp_p(
     """
     if not 0.0 <= p < math.inf:
         raise ValueError(f"p must be nonnegative and finite, got {p}")
-    if A <= 0.0 or T <= 0.0:
-        raise ValueError("A and T must be positive")
-    if marks is None:
-        if seed is None:
-            raise ValueError("either marks or a seed is required")
-        marks = poisson_rectangle(RngStream(seed, stream_id), -A, A, 0.0, T)
-    state = LimitStateP(p, A, T, _validate_marks(marks, A, T))
+    state = LimitStateP(p, A, T, _window_marks(A, T, marks, seed, stream_id))
     _run_alffp(state)
     return state
 
@@ -833,11 +842,7 @@ class LimitStateInf:
         events.sort(key=lambda e: (e.t, e.kind, e.x))
         self.events = events
 
-    def _check_point(self, x: float, t: float) -> None:
-        if not -self.A <= x <= self.A:
-            raise ValueError(f"x={x} outside the box [-{self.A}, {self.A}]")
-        if not 0.0 <= t <= self.T:
-            raise ValueError(f"t={t} outside the simulated window [0, {self.T}]")
+    _check_point = LimitStateP._check_point  # the same box and window
 
     def Y(self, x: float, t: float) -> float:
         """Feature height at exactly x (0 where no feature sits)."""
@@ -914,13 +919,7 @@ def simulate_lffp_inf(
     """Slow-regime limit on [-A, A] x [0, T] with threshold z0 in [0, 1]."""
     if not 0.0 <= z0 <= 1.0:
         raise ValueError("z0 must lie in [0, 1]")
-    if A <= 0.0 or T <= 0.0:
-        raise ValueError("A and T must be positive")
-    if marks is None:
-        if seed is None:
-            raise ValueError("either marks or a seed is required")
-        marks = poisson_rectangle(RngStream(seed, stream_id), -A, A, 0.0, T)
-    return LimitStateInf(z0, A, T, _validate_marks(marks, A, T))
+    return LimitStateInf(z0, A, T, _window_marks(A, T, marks, seed, stream_id))
 
 
 def sample_cluster_lengths_inf(z0: float, t: float, stream, count: int) -> List[float]:

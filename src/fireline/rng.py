@@ -9,7 +9,7 @@ any component in any order reproduces identical numbers.
 
 Draws may be taken in blocks.  draw_block gives the words of consecutive
 counter indices in one call, through the compiled library's loop when it
-loads and through draw_u64 otherwise, and a block equals the scalar draws
+loads and through draw_rows otherwise, and a block equals the scalar draws
 word for word.  draw_rows gives many such blocks, for different sites and
 first indices, in one numpy pass that never calls the compiled library;
 the Python engine core's seed walks read their words from it.  The
@@ -72,18 +72,10 @@ def draw_block(master_seed: int, stream_id: int, purpose: int, site: int, first:
     if not 0 <= first <= first + count <= 2**64:
         raise ValueError(f"block [{first}, {first + count}) leaves the 64-bit counter range")
     if _lib is None:
-        return _draw_block_py(master_seed, stream_id, purpose, site, first, count)
+        return draw_rows(master_seed, stream_id, purpose, [site], [first], count)[0]
     out = np.empty(count, dtype=np.uint64)
     _lib.fl_draw_block(master_seed, stream_id, purpose, site, first, count, out.ctypes.data)
     return out
-
-
-def _draw_block_py(master_seed, stream_id, purpose, site, first, count):
-    """draw_block without the compiled library: one scalar draw per word."""
-    return np.array(
-        [draw_u64(master_seed, stream_id, purpose, site, first + i) for i in range(count)],
-        dtype=np.uint64,
-    )
 
 
 _LO32 = np.uint64(0xFFFFFFFF)

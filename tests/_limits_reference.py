@@ -4,15 +4,16 @@ This is the limit engine as it stood before the event queue: after every
 event it rebuilds every candidate (the next mark, barrier expiries, each
 live front's edge, barrier and wake stops, opposing-front meets) and takes
 the smallest by (t, kind, x, cause-rank), earlier list entries winning
-ties.  It shares the state class and its queries (the regrowth field at a
-mark, D for the p = 0 sweeps) with the package, so a comparison isolates
-the event scheduling.  Do not edit run_alffp_rescan: it is the reference.
-Its one rule change since it was frozen: a front standing exactly on an
-active barrier's point counts as ahead of it (the barrier test's `>=`), so
-an event at the instant it arrives no longer lets it through.
+ties.  It shares the state class with the package, but reads a state
+only through its own frozen copies of the package's scalar scans (below),
+so a bug in those scans cannot reach the engine and its oracle alike.  Do
+not edit run_alffp_rescan or the scans: they are the reference.  Its one
+rule change since it was frozen: a front standing exactly on an active
+barrier's point counts as ahead of it (the barrier test's `>=`), so an
+event at the instant it arrives no longer lets it through.
 """
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from fireline.limits import (
     EVENT_BARRIER_EXPIRY,
@@ -54,6 +55,117 @@ def reference_alffp(
     return state
 
 
+# -- the scalar scans, frozen ------------------------------------------------------
+
+
+def _pos(state: LimitStateP, f: _Front, t: float) -> float:
+    return f.x0 + f.direction * (t - f.t0) / state.p
+
+
+def _cap(state: LimitStateP, f: _Front, t: float) -> float:
+    """Farthest point f has reached by time t."""
+    return _pos(state, f, min(t, f.t_end))
+
+
+def _crossing(state: LimitStateP, f: _Front, x: float, t: float) -> Optional[float]:
+    """When front f crossed x, if it did so by time t."""
+    if f.direction > 0:
+        if x < f.x0:
+            return None
+        ct = f.t0 + state.p * (x - f.x0)
+    else:
+        if x > f.x0:
+            return None
+        ct = f.t0 + state.p * (f.x0 - x)
+    if ct > t:
+        return None
+    if not f.alive:
+        if f.blocked:
+            # the death point itself is not crossed
+            if (f.direction > 0 and x >= f.x_end) or (f.direction < 0 and x <= f.x_end):
+                return None
+        elif (f.direction > 0 and x > f.x_end) or (f.direction < 0 and x < f.x_end):
+            return None
+    return ct
+
+
+def _last_reset(state: LimitStateP, x: float, t: float) -> float:
+    r = 0.0
+    for f in state.fronts:
+        ct = _crossing(state, f, x, t)
+        if ct is not None and ct > r:
+            r = ct
+    for s in state.sweeps:
+        if s.lo < x < s.hi and r < s.t <= t:
+            r = s.t
+    return r
+
+
+def _active_barrier(state: LimitStateP, x: float, t: float) -> Optional[_Barrier]:
+    """The barrier active at x at time t with the largest expiry (the first
+    in list order on a tie), or None."""
+    out = None
+    for b in state.barriers:
+        if b.x == x and b.create <= t < b.expiry:
+            if out is None or b.expiry > out.expiry:
+                out = b
+    return out
+
+
+def _blockers(state: LimitStateP, t: float) -> List[Tuple[float, float]]:
+    """Intervals where Z_t < 1 plus active barrier points."""
+    out: List[Tuple[float, float]] = []
+    for b in state.barriers:
+        if b.create <= t < b.expiry:
+            out.append((b.x, b.x))
+    for f in state.fronts:
+        if f.t0 > t:
+            continue
+        cap = _cap(state, f, t)
+        healed = t - 1.0 - f.t0  # travel budget whose crossings have healed
+        if f.direction > 0:
+            if healed >= state.p * (cap - f.x0):
+                continue  # entire wake healed
+            flo = f.x0 + max(0.0, healed) / state.p
+            out.append((flo, cap))
+        else:
+            if healed >= state.p * (f.x0 - cap):
+                continue
+            fhi = f.x0 - max(0.0, healed) / state.p
+            out.append((cap, fhi))
+    for s in state.sweeps:
+        if t - 1.0 < s.t <= t:
+            out.append((s.lo, s.hi))
+    return out
+
+
+def _between(x: float, blockers, lo: float, hi: float) -> Tuple[float, float]:
+    """The interval between the nearest blockers around x, inside (lo, hi).
+    On a tie the first nearest blocker in the given order is kept (it
+    decides the sign of a zero bound)."""
+    for blo, bhi in blockers:
+        if bhi <= x:
+            if bhi > lo:
+                lo = bhi
+        elif blo >= x:
+            if blo < hi:
+                hi = blo
+    return (lo, hi)
+
+
+def _D(state: LimitStateP, x: float, t: float) -> Tuple[float, float]:
+    """The cluster interval through x at time t: (x, x) while Z < 1 or a
+    barrier stands at x, else the interval between the nearest blockers."""
+    barrier = _active_barrier(state, x, t)
+    height = 0.0 if barrier is None else barrier.expiry - t  # H(x, t)
+    if t - _last_reset(state, x, t) < 1.0 or height > 0.0:
+        return (x, x)
+    return _between(x, _blockers(state, t), -state.A, state.A)
+
+
+# -- the rescan ------------------------------------------------------------------
+
+
 def run_alffp_rescan(state: LimitStateP) -> None:
     p = state.p
     A = state.A
@@ -80,7 +192,7 @@ def run_alffp_rescan(state: LimitStateP) -> None:
         if p > 0.0:
             live = [f for f in fronts if f.alive]
             for f in live:
-                pos_now = state._pos(f, now)
+                pos_now = _pos(state, f, now)
                 if f.direction > 0:
                     cands.append(
                         (f.t0 + p * (A - f.x0), EVENT_FRONT_STOP, A, (f, "edge", A))
@@ -134,7 +246,7 @@ def run_alffp_rescan(state: LimitStateP) -> None:
                         continue
                     if g.x0 == f.x0 and g.t0 == f.t0:
                         continue  # twins diverge, they never meet
-                    if state._pos(g, now) < state._pos(f, now):
+                    if _pos(state, g, now) < _pos(state, f, now):
                         continue
                     tstar = (p * (g.x0 - f.x0) + f.t0 + g.t0) / 2.0
                     xm = f.x0 + (tstar - f.t0) / p
@@ -149,7 +261,7 @@ def run_alffp_rescan(state: LimitStateP) -> None:
         if kind == EVENT_MARK:
             m = marks[mi]
             mi += 1
-            z = min(m.t - state._last_reset(m.x, m.t), 1.0)
+            z = min(m.t - _last_reset(state, m.x, m.t), 1.0)
             b_active = None
             for b in barriers:
                 if b.x == m.x and b.create <= m.t < b.expiry:
@@ -161,7 +273,7 @@ def run_alffp_rescan(state: LimitStateP) -> None:
                     fronts.append(_Front(m.x, m.t, -1))
                     state.events.append(LimitEvent(m.t, EVENT_MARK, m.x, "macro"))
                 else:
-                    lo, hi = state.D(m.x, m.t)
+                    lo, hi = _D(state, m.x, m.t)
                     state.sweeps.append(_Sweep(m.t, lo, hi))
                     state.events.append(
                         LimitEvent(m.t, EVENT_MARK, m.x, "macro", (lo, hi))

@@ -428,6 +428,17 @@ def test_wrapper_argument_validation():
         DiscreteFFP(0.01, 2.0, 1.0, seed=1, initial="smoldering")
 
 
+@pytest.mark.parametrize("engine", _CORES)
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+def test_injected_match_times_are_checked_on_both_cores(engine, t):
+    # a NaN time would order differently in the two cores' queues
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        make_engine(10, 1.0, 0.0, 1, 0, injected_t=[0.5, t], injected_site=[2, 3], force=engine)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        DiscreteFFP(0.01, 2.0, 1.0, seed=1, injected_matches=[(0.5, 0), (t, 1)], engine=engine)
+    make_engine(10, 1.0, 0.0, 1, 0, injected_t=[0.0], injected_site=[2], force=engine)
+
+
 def test_empty_schedule_means_no_matches():
     # injected_matches=() is the chain without matches: the bare engine with
     # match rate 0 on the same box, at the same raw time
@@ -633,11 +644,16 @@ def test_propagation_sparks_and_windows():
     assert total > 1200
     p = 9.0 / 10.0
     assert abs(frac - p) < 3.0 * math.sqrt(p * (1 - p) / total)
-    rmax = len(run.times_plus)
-    lmax = len(run.times_minus)
-    for off, t0, t1 in run.spark_log:
-        assert -lmax <= off <= rmax
-        assert 0.0 < t0 < t1 <= 80.0
+    sparks = run.spark_log
+    assert sparks.dtype == np.float64 and sparks.shape == (len(sparks), 3)
+    assert len(sparks) > 0
+    off, t0, t1 = sparks.T
+    assert np.array_equal(off, np.floor(off))
+    assert ((-len(run.times_minus) <= off) & (off <= len(run.times_plus))).all()
+    assert ((0.0 < t0) & (t0 < t1) & (t1 <= 80.0)).all()
+    if COMPILED:  # run is the C core's; the Python core logs the same rows
+        twin = run_propagation(9.0, 80.0, seed=21, engine="python")
+        assert np.array_equal(twin.spark_log, sparks)
 
 
 @pytest.mark.parametrize("engine", [

@@ -102,7 +102,10 @@ def test_coupled_run_determinism():
     r2 = coupled_run(lam, pi, 1.0, 1.0, seed=9, grid_points=32)
     assert r1.distance == r2.distance
     assert r1.marks == r2.marks
-    assert np.array_equal(r1.per_time, r2.per_time)
+    assert np.array_equal(r1.discrete.values, r2.discrete.values)
+    assert r1.discrete.intervals == r2.discrete.intervals
+    assert np.array_equal(r1.limit.values, r2.limit.values)
+    assert r1.limit.intervals == r2.limit.intervals
 
 
 def test_coupled_run_slow_regime_compares_clusters_only():
@@ -147,7 +150,6 @@ def test_coupled_run_equals_per_point_calls(pi, kind):
         obs.append(disc.observables(0.0))
     assert run.discrete.values.tolist() == [o.Z for o in obs]
     assert run.discrete.intervals == [o.D for o in obs]
-    assert run.w_values.tolist() == [o.W for o in obs]
     if kind == "slow":
         state = simulate_lffp_inf(run.regime.z0, A, T, marks=run.marks)
         zl = run.discrete.values.tolist()  # the neutral value channel

@@ -502,6 +502,16 @@ def test_mark_validation():
         s.Z(0.0, 3.1)
 
 
+@pytest.mark.parametrize("A, T", [(math.nan, 3.0), (math.inf, 3.0), (2.0, math.nan),
+                                  (2.0, math.inf)])
+def test_simulators_refuse_a_window_that_is_not_finite(A, T):
+    for simulate in (lambda: simulate_alffp_p(1.0, A, T, marks=[]),
+                     lambda: simulate_lffp_0(A, T, seed=1),
+                     lambda: simulate_lffp_inf(0.5, A, T, marks=[])):
+        with pytest.raises(ValueError, match="non-finite rectangle"):
+            simulate()
+
+
 # -- the event queue against the frozen rescan oracle ------------------------------
 
 

@@ -1,5 +1,6 @@
-"""Block draws equal scalar draws: the C block loop and its Python twin
-against draw_u64, and the block samplers against their scalar oracles."""
+"""Block draws equal scalar draws: the C block loop and the numpy rows of
+the no-compiler path against draw_u64, and the block samplers against
+their scalar oracles."""
 
 import os
 import random
@@ -59,8 +60,9 @@ def test_c_block_equals_scalar_draws(counter):
 
 
 @pytest.mark.parametrize("counter", COUNTERS)
-def test_python_block_equals_scalar_draws(counter):
-    block = rng._draw_block_py(*counter, 10)
+def test_python_block_equals_scalar_draws(counter, monkeypatch):
+    monkeypatch.setattr(rng, "_lib", None)  # the path without a compiler
+    block = draw_block(*counter, 10)
     assert block.dtype == np.uint64
     assert block.tolist() == _scalar(*counter, 10)
 
@@ -100,9 +102,12 @@ def test_numpy_rows_bounds():
         draw_rows(1, 2, PURPOSE_SEED, [0], [-1], 10)
 
 
-def test_block_bounds():
+def test_block_bounds(monkeypatch):
     assert draw_block(1, 2, PURPOSE_STREAM, 0, 5, 0).shape == (0,)
-    assert rng._draw_block_py(1, 2, PURPOSE_STREAM, 0, 5, 0).dtype == np.uint64
+    with monkeypatch.context() as m:
+        m.setattr(rng, "_lib", None)
+        empty = draw_block(1, 2, PURPOSE_STREAM, 0, 5, 0)
+        assert empty.shape == (0,) and empty.dtype == np.uint64
     with pytest.raises(ValueError):
         draw_block(1, 2, PURPOSE_STREAM, 0, _TOP - 2, 4)
     with pytest.raises(ValueError):

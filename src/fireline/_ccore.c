@@ -1,5 +1,6 @@
-/* Compiled event core, the C twin of fireline._engine_py.PyEngineCore, and
- * block draws for fireline.rng.
+/* Compiled event core, the C twin of fireline._engine_py.PyEngineCore; block
+ * draws for fireline.rng; and the C twin of the LFFP(p) event loop of
+ * fireline.limits.
  *
  * Plain C99 with no Python C-API; fireline._clib loads it with ctypes.
  * Every clock draw is the same counter-based Philox4x64-10 word as
@@ -46,11 +47,37 @@
  * draws of fireline.rng: out[i] is draw_u64(seed, stream, purpose, site,
  * first + i), so a block equals the scalar draws word for word.
  *
+ * fl_limit_run(p, A, T, n, marks, rows, counts) runs LFFP(p) on [-A, A] x
+ * [0, T] from n validated marks, (x, t) pairs sorted by time.  It is the
+ * loop of fireline.limits._run_alffp_py: the same lazy queue, the same
+ * lookup windows bisected as bisect does, the same candidate tests and
+ * counters, and Python's float semantics (max and min as explicit
+ * comparisons, the same operand order, no FMA contraction).  It writes
+ * rows of doubles into the caller's buffer of 39n doubles, in four blocks
+ * with room for 4n events, 2n fronts, n barriers and n sweeps (a mark makes
+ * at most one barrier, one sweep or two fronts; a barrier expires once and
+ * a front dies once):
+ *   events   (t, cause, x, a, b), a and b the (z,) or swept (lo, hi) data;
+ *   fronts   (x0, t0, direction, t_end, x_end, cause of death or LC_ALIVE);
+ *   barriers (x, create, expiry, logged);
+ *   sweeps   (t, lo, hi).
+ * counts gets the four row counts, then the queue's candidates queued, stale
+ * and rekeyed, its peak size and the candidate tests.  Its scratch (the
+ * queue, the ordered lookups) is allocated and freed inside the call.  It
+ * returns 0, or -1 when an allocation fails.
+ *
  * Sizes and indices are 64-bit throughout, and so are the per-site draw
  * counters (Python's are unbounded).  The heap and the logs grow on demand;
  * the only failure is an allocation failure, reported as a nonzero status
  * or a NULL engine.
  */
+
+/* The limit engine must round as Python does: a * b + c must not become a
+ * fused multiply-add.  gcc ignores this pragma (and warns about it), so it
+ * is built with -ffp-contract=off instead. */
+#if defined(__clang__) || !defined(__GNUC__)
+#pragma STDC FP_CONTRACT OFF
+#endif
 
 #include <math.h>
 #include <stdint.h>
@@ -519,4 +546,734 @@ FL_API void fl_draw_block(uint64_t master_seed, uint64_t stream_id, uint64_t pur
     philox_key key = philox_schedule(master_seed, stream_id);
     for (int64_t i = 0; i < n; i++)
         out[i] = philox_word0(&key, purpose, site, first + (uint64_t)i, 0);
+}
+
+/* -- LFFP(p) limit engine ------------------------------------------------- */
+
+/* Queue kinds, fireline.limits.EVENT_*: ties in time order by kind. */
+enum { LK_EXPIRY, LK_MEET, LK_STOP, LK_MARK };
+
+/* Event causes, as fireline.limits._EVENT_CODES and _FRONT_CODES read them.
+ * LC_SWEEP is a macroscopic mark at p = 0 (it logs the swept interval).  A
+ * front row holds the cause of its death, LC_ALIVE while it lives. */
+enum {
+    LC_ALIVE, LC_MACRO, LC_SWEEP, LC_MICRO, LC_EXTENDED, LC_ABSORBED,
+    LC_EXPIRY, LC_MEET, LC_BARRIER, LC_WAKE, LC_EDGE
+};
+
+/* The caller's rows, as fireline.limits reads and rebuilds them. */
+typedef struct {
+    double x, t;
+} lim_mark;
+
+typedef struct {
+    double t, cause, x, a, b; /* a, b: (z,) or the swept (lo, hi), by cause */
+} lim_event;
+
+typedef struct {
+    double x0, t0, dir, t_end, x_end, cause;
+} lim_front;
+
+typedef struct {
+    double x, create, expiry, logged;
+} lim_barrier;
+
+typedef struct {
+    double t, lo, hi;
+} lim_sweep;
+
+/* A queued candidate, keyed (t, kind, x, rank, i, j, k) as the Python loop's
+ * tuples.  (i, j, k) name its participants and give the rescan's list order
+ * for equal keys:
+ *   mark    (mark index, 0, 0)
+ *   expiry  (barrier index, 0, 0)
+ *   stop    (front index, 0 edge | 1 barrier | 2 wake, barrier or front index)
+ *   meet    (rightward front index, leftward front index, 0) */
+typedef struct {
+    double t, x;
+    int64_t kind, rank, i, j, k;
+} lim_entry;
+
+/* Indices in key order, bisected as bisect does, so that a NaN bound
+ * behaves as in Python; equal keys keep their insertion order. */
+typedef struct {
+    double *keys;
+    int64_t *idx;
+    int64_t n;
+} lim_ordered;
+
+typedef struct {
+    double p, A, T, now, reach, slack, max_expiry;
+    const lim_mark *marks;
+    int64_t n_marks;
+    lim_event *events;
+    lim_front *fronts;
+    lim_barrier *barriers;
+    lim_sweep *sweeps;
+    int64_t n_events, n_fronts, n_barriers, n_sweeps;
+    lim_entry *heap;
+    int64_t hsize, hcap;
+    lim_ordered open;      /* barriers by x; an expired segment of a stack lingers */
+    lim_ordered recent[2]; /* rightward, leftward fronts alive or dead under two units */
+    int64_t *buried;       /* dead fronts in death order */
+    int64_t buried_head, buried_tail, first_sweep;
+    int64_t queued, stale, rekeyed, peak, tests;
+} lim_run;
+
+/* Python's max(a, b) and min(a, b): the first argument unless the second is
+ * strictly greater (smaller); signed zeros and NaN kept as Python keeps them. */
+static double py_max(double a, double b)
+{
+    return b > a ? b : a;
+}
+
+static double py_min(double a, double b)
+{
+    return b < a ? b : a;
+}
+
+/* The comparison of the Python loop's key tuples. */
+static int lim_less(const lim_entry *a, const lim_entry *b)
+{
+    if (a->t != b->t)
+        return a->t < b->t;
+    if (a->kind != b->kind)
+        return a->kind < b->kind;
+    if (a->x != b->x)
+        return a->x < b->x;
+    if (a->rank != b->rank)
+        return a->rank < b->rank;
+    if (a->i != b->i)
+        return a->i < b->i;
+    if (a->j != b->j)
+        return a->j < b->j;
+    return a->k < b->k;
+}
+
+/* heapq's _siftdown and _siftup, so the heap holds what heapq would. */
+static void lim_siftdown(lim_entry *heap, int64_t start, int64_t pos)
+{
+    lim_entry item = heap[pos];
+    while (pos > start) {
+        int64_t parent = (pos - 1) >> 1;
+        if (!lim_less(&item, &heap[parent]))
+            break;
+        heap[pos] = heap[parent];
+        pos = parent;
+    }
+    heap[pos] = item;
+}
+
+static void lim_siftup(lim_entry *heap, int64_t n, int64_t pos)
+{
+    lim_entry item = heap[pos];
+    int64_t start = pos, child = 2 * pos + 1;
+    while (child < n) {
+        if (child + 1 < n && !lim_less(&heap[child], &heap[child + 1]))
+            child++;
+        heap[pos] = heap[child];
+        pos = child;
+        child = 2 * pos + 1;
+    }
+    heap[pos] = item;
+    lim_siftdown(heap, start, pos);
+}
+
+static void lim_pop(lim_run *r)
+{
+    lim_entry last = r->heap[--r->hsize];
+    if (r->hsize > 0) {
+        r->heap[0] = last;
+        lim_siftup(r->heap, r->hsize, 0);
+    }
+}
+
+/* Queue a candidate; keys only grow, so one past the horizon never fires. */
+static int lim_push(lim_run *r, double t, int64_t kind, double x, int64_t rank, int64_t i,
+                    int64_t j, int64_t k)
+{
+    if (!(t <= r->T))
+        return 0;
+    if (r->hsize == r->hcap && grow((void **)&r->heap, &r->hcap, sizeof(lim_entry)))
+        return -1;
+    lim_entry e = {t, x, kind, rank, i, j, k};
+    r->heap[r->hsize] = e;
+    lim_siftdown(r->heap, 0, r->hsize++);
+    r->queued++;
+    return 0;
+}
+
+static int64_t bisect_left(const double *keys, int64_t n, double x)
+{
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = (int64_t)(((uint64_t)lo + (uint64_t)hi) / 2);
+        if (keys[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+static int64_t bisect_right(const double *keys, int64_t n, double x)
+{
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = (int64_t)(((uint64_t)lo + (uint64_t)hi) / 2);
+        if (x < keys[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+static void ord_add(lim_ordered *o, double key, int64_t item)
+{
+    int64_t j = bisect_right(o->keys, o->n, key);
+    memmove(o->keys + j + 1, o->keys + j, (size_t)(o->n - j) * sizeof(double));
+    memmove(o->idx + j + 1, o->idx + j, (size_t)(o->n - j) * sizeof(int64_t));
+    o->keys[j] = key;
+    o->idx[j] = item;
+    o->n++;
+}
+
+static void ord_remove(lim_ordered *o, double key, int64_t item)
+{
+    int64_t j = bisect_left(o->keys, o->n, key);
+    while (o->idx[j] != item)
+        j++;
+    o->n--;
+    memmove(o->keys + j, o->keys + j + 1, (size_t)(o->n - j) * sizeof(double));
+    memmove(o->idx + j, o->idx + j + 1, (size_t)(o->n - j) * sizeof(int64_t));
+}
+
+/* The positions [*lo, *hi) of the items keyed in [klo, khi]; a NaN bound
+ * bounds nothing. */
+static void ord_within(const lim_ordered *o, double klo, double khi, int64_t *lo, int64_t *hi)
+{
+    *lo = bisect_left(o->keys, o->n, klo);
+    *hi = bisect_right(o->keys, o->n, khi);
+}
+
+static int alive(const lim_front *f)
+{
+    return f->cause == LC_ALIVE;
+}
+
+static lim_ordered *recent(lim_run *r, double dir)
+{
+    return &r->recent[dir > 0 ? 0 : 1];
+}
+
+static double pos_now(const lim_run *r, const lim_front *f)
+{
+    return f->x0 + f->dir * (r->now - f->t0) / r->p;
+}
+
+/* The candidate tests of the Python loop at the current time: each returns
+ * 1 and sets *t to the time the candidate would fire, or returns 0 when it
+ * is not (and never again will be) one. */
+
+static int barrier_time(const lim_run *r, const lim_front *f, const lim_barrier *b, double *t)
+{
+    /* a front standing on the barrier point has not passed it */
+    double pos = pos_now(r, f);
+    if (!(f->dir > 0 ? b->x >= pos : b->x <= pos))
+        return 0;
+    double v = f->t0 + r->p * fabs(b->x - f->x0);
+    if (b->create < v && v < b->expiry) {
+        *t = py_max(v, r->now);
+        return 1;
+    }
+    return 0;
+}
+
+static int wake_time(const lim_run *r, const lim_front *f, const lim_front *g, double *t)
+{
+    double pos = pos_now(r, f);
+    if (g->dir == f->dir) {
+        /* a same-direction wake, entered at its origin edge */
+        if (!(f->dir > 0 ? g->x0 > pos : g->x0 < pos))
+            return 0;
+        double v = f->t0 + r->p * fabs(g->x0 - f->x0);
+        if (v - 1.0 < g->t0 && g->t0 < v) {
+            *t = py_max(v, r->now);
+            return 1;
+        }
+        return 0;
+    }
+    /* a dead opposing wake, entered at its death edge, unless it swept only
+     * its origin */
+    if (alive(g) || g->x_end == g->x0)
+        return 0;
+    double xd = g->x_end;
+    if (!(f->dir > 0 ? xd >= pos : xd <= pos))
+        return 0;
+    double v = f->t0 + r->p * fabs(xd - f->x0);
+    if (g->t_end > v - 1.0) {
+        *t = py_max(v, r->now);
+        return 1;
+    }
+    return 0;
+}
+
+/* f moves right, g left, and they are not twins */
+static int meet_time(const lim_run *r, const lim_front *f, const lim_front *g, double *t)
+{
+    if (pos_now(r, g) < pos_now(r, f))
+        return 0;
+    *t = py_max((r->p * (g->x0 - f->x0) + f->t0 + g->t0) / 2.0, r->now);
+    return 1;
+}
+
+/* When front f crossed x, if it did so by time t (LimitStateP._crossing). */
+static int crossing(const lim_run *r, const lim_front *f, double x, double t, double *ct)
+{
+    if (f->dir > 0) {
+        if (x < f->x0)
+            return 0;
+        *ct = f->t0 + r->p * (x - f->x0);
+    } else {
+        if (x > f->x0)
+            return 0;
+        *ct = f->t0 + r->p * (f->x0 - x);
+    }
+    if (*ct > t)
+        return 0;
+    if (!alive(f)) {
+        if (f->cause == LC_BARRIER || f->cause == LC_WAKE) {
+            /* the death point of a blocked front is not crossed */
+            if ((f->dir > 0 && x >= f->x_end) || (f->dir < 0 && x <= f->x_end))
+                return 0;
+        } else if ((f->dir > 0 && x > f->x_end) || (f->dir < 0 && x < f->x_end)) {
+            return 0;
+        }
+    }
+    return 1;
+}
+
+static int add_barrier_stop(lim_run *r, int64_t i, int64_t bi)
+{
+    double t;
+    const lim_barrier *b = &r->barriers[bi];
+    if (!barrier_time(r, &r->fronts[i], b, &t))
+        return 0;
+    return lim_push(r, t, LK_STOP, b->x, 0, i, 1, bi);
+}
+
+static int add_wake_stop(lim_run *r, int64_t i, int64_t gi)
+{
+    double t;
+    const lim_front *f = &r->fronts[i], *g = &r->fronts[gi];
+    if (!wake_time(r, f, g, &t))
+        return 0;
+    return lim_push(r, t, LK_STOP, g->dir == f->dir ? g->x0 : g->x_end, 1, i, 2, gi);
+}
+
+/* A new front's candidates: its edge; the barriers it reaches before they
+ * expire; the wakes within 1/p; the opposing fronts it meets by the
+ * horizon (the Python loop's add_front). */
+static int add_front(lim_run *r, int64_t i)
+{
+    const lim_front *f = &r->fronts[i];
+    double p = r->p, now = r->now, d = f->dir, x0 = f->x0, slack = r->slack;
+    int64_t lo, hi;
+    if (d > 0 ? lim_push(r, f->t0 + p * (r->A - x0), LK_STOP, r->A, 2, i, 0, 0)
+              : lim_push(r, f->t0 + p * (x0 + r->A), LK_STOP, -r->A, 2, i, 0, 0))
+        return -1;
+    double ahead = (r->max_expiry - now) / p;
+    double blo = d > 0 ? x0 : x0 - ahead, bhi = d > 0 ? x0 + ahead : x0;
+    ord_within(&r->open, blo - slack, bhi + slack, &lo, &hi);
+    for (int64_t q = lo; q < hi; q++) {
+        int64_t bi = r->open.idx[q];
+        if (r->barriers[bi].expiry > now) {
+            r->tests++;
+            if (add_barrier_stop(r, i, bi))
+                return -1;
+        }
+    }
+    const lim_ordered *same = recent(r, d), *opposing = recent(r, -d);
+    double key = d * x0 - now / p;
+    ord_within(same, key - r->reach - slack, key + 2.0 * r->reach + slack, &lo, &hi);
+    for (int64_t q = lo; q < hi; q++) {
+        int64_t gi = same->idx[q];
+        const lim_front *g = &r->fronts[gi];
+        if (g->t0 > now - 1.0) {
+            r->tests++;
+            if (add_wake_stop(r, i, gi))
+                return -1;
+        }
+        if (alive(g)) {
+            r->tests++;
+            if (add_wake_stop(r, gi, i))
+                return -1;
+        }
+    }
+    key = -d * x0 - now / p;
+    double horizon = py_max(r->reach, 2.0 * (r->T - now) / p);
+    ord_within(opposing, key - horizon - slack, key + r->reach + slack, &lo, &hi);
+    for (int64_t q = lo; q < hi; q++) {
+        int64_t gi = opposing->idx[q];
+        const lim_front *g = &r->fronts[gi];
+        if (!alive(g)) {
+            if (g->t_end > now - 1.0) {
+                r->tests++;
+                if (add_wake_stop(r, i, gi))
+                    return -1;
+            }
+        } else if (g->x0 != x0 || g->t0 != f->t0) { /* twins never meet */
+            r->tests++;
+            int64_t ri = d > 0 ? i : gi, li = d > 0 ? gi : i;
+            const lim_front *rf = &r->fronts[ri], *lf = &r->fronts[li];
+            double t;
+            if (meet_time(r, rf, lf, &t)) {
+                double tstar = (p * (lf->x0 - rf->x0) + rf->t0 + lf->t0) / 2.0;
+                double xm = rf->x0 + (tstar - rf->t0) / p;
+                if (lim_push(r, t, LK_MEET, xm, 0, ri, li, 0))
+                    return -1;
+            }
+        }
+    }
+    return 0;
+}
+
+/* A front that died now: a live opposing front can enter its wake only
+ * within 1/p of its death point. */
+static int add_death(lim_run *r, int64_t gi)
+{
+    const lim_front *g = &r->fronts[gi];
+    r->buried[r->buried_tail++] = gi;
+    double d = -g->dir, key = d * g->x_end - r->now / r->p;
+    const lim_ordered *o = recent(r, d);
+    int64_t lo, hi;
+    ord_within(o, key - r->reach - r->slack, key + r->slack, &lo, &hi);
+    for (int64_t q = lo; q < hi; q++) {
+        if (alive(&r->fronts[o->idx[q]])) {
+            r->tests++;
+            if (add_wake_stop(r, o->idx[q], gi))
+                return -1;
+        }
+    }
+    return 0;
+}
+
+/* A new barrier: its expiry, and the live fronts that reach it before it
+ * expires, within (expiry - now) / p of it. */
+static int add_barrier(lim_run *r, int64_t bi)
+{
+    const lim_barrier *b = &r->barriers[bi];
+    double p = r->p, now = r->now;
+    if (b->expiry <= b->create)
+        return 0; /* it is never active */
+    if (lim_push(r, b->expiry, LK_EXPIRY, b->x, 0, bi, 0, 0))
+        return -1;
+    ord_add(&r->open, b->x, bi);
+    r->max_expiry = py_max(r->max_expiry, b->expiry);
+    if (!(p > 0.0))
+        return 0;
+    for (int s = 0; s < 2; s++) {
+        double d = s == 0 ? 1.0 : -1.0, key = d * b->x - now / p;
+        const lim_ordered *o = recent(r, d);
+        int64_t lo, hi;
+        ord_within(o, key - (b->expiry - now) / p - r->slack, key + r->slack, &lo, &hi);
+        for (int64_t q = lo; q < hi; q++) {
+            if (alive(&r->fronts[o->idx[q]])) {
+                r->tests++;
+                if (add_barrier_stop(r, o->idx[q], bi))
+                    return -1;
+            }
+        }
+    }
+    return 0;
+}
+
+/* The last reset at x by now, over the fronts and sweeps that can have
+ * reset x in the last two time units. */
+static double last_reset(lim_run *r, double x)
+{
+    double out = 0.0, now = r->now;
+    if (r->p > 0.0) {
+        for (int s = 0; s < 2; s++) {
+            double d = s == 0 ? 1.0 : -1.0, key = d * x - now / r->p, ct;
+            const lim_ordered *o = recent(r, d);
+            int64_t lo, hi;
+            ord_within(o, key - r->slack, key + 2.0 * r->reach + r->slack, &lo, &hi);
+            for (int64_t q = lo; q < hi; q++)
+                if (crossing(r, &r->fronts[o->idx[q]], x, now, &ct) && ct > out)
+                    out = ct;
+        }
+    } else {
+        for (int64_t q = r->first_sweep; q < r->n_sweeps; q++) {
+            const lim_sweep *s = &r->sweeps[q];
+            if (s->lo < x && x < s->hi && out < s->t && s->t <= now)
+                out = s->t;
+        }
+    }
+    return out;
+}
+
+/* The active barrier at x with the largest expiry, the first in list order
+ * on a tie, or -1. */
+static int64_t active_barrier(const lim_run *r, double x)
+{
+    int64_t out = -1, lo, hi;
+    ord_within(&r->open, x, x, &lo, &hi);
+    for (int64_t q = lo; q < hi; q++) {
+        const lim_barrier *b = &r->barriers[r->open.idx[q]];
+        if (b->create <= r->now && r->now < b->expiry
+            && (out < 0 || b->expiry > r->barriers[out].expiry))
+            out = r->open.idx[q];
+    }
+    return out;
+}
+
+/* One blocker (blo, bhi) of limits._between: it bounds the interval around
+ * x on its side. */
+static void between_step(double x, double blo, double bhi, double *lo, double *hi)
+{
+    if (bhi <= x) {
+        if (bhi > *lo)
+            *lo = bhi;
+    } else if (blo >= x) {
+        if (blo < *hi)
+            *hi = blo;
+    }
+}
+
+static void log_event(lim_run *r, double t, int cause, double x, double a, double b)
+{
+    lim_event *e = &r->events[r->n_events++];
+    e->t = t;
+    e->cause = cause;
+    e->x = x;
+    e->a = a;
+    e->b = b;
+}
+
+static void kill_front(lim_front *f, double t, double x, int cause)
+{
+    f->t_end = t;
+    f->x_end = x;
+    f->cause = cause;
+}
+
+static int add_front_pair(lim_run *r, double x, double t)
+{
+    for (int s = 0; s < 2; s++) {
+        lim_front f = {x, t, s == 0 ? 1.0 : -1.0, INFINITY, NAN, LC_ALIVE};
+        r->fronts[r->n_fronts++] = f;
+    }
+    for (int64_t i = r->n_fronts - 2; i < r->n_fronts; i++) {
+        const lim_front *f = &r->fronts[i];
+        if (add_front(r, i))
+            return -1;
+        ord_add(recent(r, f->dir), f->dir * f->x0 - f->t0 / r->p, i);
+    }
+    return 0;
+}
+
+static int add_mark_barrier(lim_run *r, double x, double t, double expiry)
+{
+    lim_barrier b = {x, t, expiry, 0.0};
+    r->barriers[r->n_barriers++] = b;
+    return add_barrier(r, r->n_barriers - 1);
+}
+
+static int mark_event(lim_run *r, int64_t i)
+{
+    double x = r->marks[i].x, t = r->marks[i].t, now = r->now;
+    if (i + 1 < r->n_marks
+        && lim_push(r, r->marks[i + 1].t, LK_MARK, r->marks[i + 1].x, 0, i + 1, 0, 0))
+        return -1;
+    /* forget what can no longer stop a front launched now or reset x
+     * within two time units */
+    while (r->buried_head < r->buried_tail
+           && r->fronts[r->buried[r->buried_head]].t_end <= now - 2.0) {
+        int64_t gi = r->buried[r->buried_head++];
+        const lim_front *g = &r->fronts[gi];
+        ord_remove(recent(r, g->dir), g->dir * g->x0 - g->t0 / r->p, gi);
+    }
+    while (r->first_sweep < r->n_sweeps && r->sweeps[r->first_sweep].t <= now - 2.0)
+        r->first_sweep++;
+    double z = py_min(t - last_reset(r, x), 1.0);
+    int64_t active = active_barrier(r, x);
+    if (z >= 1.0 && active < 0) {
+        if (r->p > 0.0) {
+            log_event(r, t, LC_MACRO, x, 0.0, 0.0);
+            return add_front_pair(r, x, t);
+        }
+        /* D(x, t): the active barriers in x order, then the sweeps of the
+         * last time unit */
+        double lo = -r->A, hi = r->A;
+        for (int64_t q = 0; q < r->open.n; q++) {
+            const lim_barrier *b = &r->barriers[r->open.idx[q]];
+            if (b->create <= now && now < b->expiry)
+                between_step(x, b->x, b->x, &lo, &hi);
+        }
+        for (int64_t q = r->first_sweep; q < r->n_sweeps; q++)
+            if (now - 1.0 < r->sweeps[q].t)
+                between_step(x, r->sweeps[q].lo, r->sweeps[q].hi, &lo, &hi);
+        lim_sweep s = {t, lo, hi};
+        r->sweeps[r->n_sweeps++] = s;
+        log_event(r, t, LC_SWEEP, x, lo, hi);
+    } else if (z < 1.0) {
+        if (active >= 0) {
+            /* stack on the active barrier: the new segment carries the
+             * combined height, the old one loses its own expiry event */
+            r->barriers[active].logged = 1.0;
+            log_event(r, t, LC_EXTENDED, x, z, 0.0);
+            return add_mark_barrier(r, x, t, r->barriers[active].expiry + z);
+        }
+        log_event(r, t, LC_MICRO, x, z, 0.0);
+        return add_mark_barrier(r, x, t, t + z);
+    } else {
+        log_event(r, t, LC_ABSORBED, x, 0.0, 0.0);
+    }
+    return 0;
+}
+
+/* At a barrier's expiry: it and the older segments of its stack at x stop
+ * nothing more, so they leave the open barriers, the others keeping their
+ * order. */
+static void close_barriers(lim_run *r, double x)
+{
+    lim_ordered *o = &r->open;
+    int64_t lo, hi;
+    ord_within(o, x, x, &lo, &hi);
+    int64_t kept = lo;
+    for (int64_t q = lo; q < hi; q++) {
+        if (!(r->barriers[o->idx[q]].expiry <= r->now)) {
+            o->keys[kept] = o->keys[q];
+            o->idx[kept++] = o->idx[q];
+        }
+    }
+    memmove(o->keys + kept, o->keys + hi, (size_t)(o->n - hi) * sizeof(double));
+    memmove(o->idx + kept, o->idx + hi, (size_t)(o->n - hi) * sizeof(int64_t));
+    o->n -= hi - kept;
+}
+
+/* Re-derive the queue head at the current time: 1 with its time in *t, or 0
+ * when it is no longer a candidate. */
+static int head_time(const lim_run *r, const lim_entry *e, double *t)
+{
+    *t = e->t;
+    switch (e->kind) {
+    case LK_STOP: {
+        const lim_front *a = &r->fronts[e->i];
+        if (!alive(a))
+            return 0;
+        if (e->j == 1)
+            return barrier_time(r, a, &r->barriers[e->k], t);
+        if (e->j == 2)
+            return wake_time(r, a, &r->fronts[e->k], t);
+        return 1;
+    }
+    case LK_MEET: {
+        const lim_front *a = &r->fronts[e->i], *b = &r->fronts[e->j];
+        return alive(a) && alive(b) && meet_time(r, a, b, t);
+    }
+    case LK_EXPIRY:
+        return r->barriers[e->i].logged == 0.0;
+    default:
+        return 1;
+    }
+}
+
+static int lim_loop(lim_run *r)
+{
+    if (r->n_marks > 0 && lim_push(r, r->marks[0].t, LK_MARK, r->marks[0].x, 0, 0, 0, 0))
+        return -1;
+    r->peak = r->hsize;
+    while (r->hsize > 0) {
+        lim_entry e = r->heap[0];
+        double t;
+        if (!head_time(r, &e, &t)) {
+            lim_pop(r);
+            r->stale++;
+            continue;
+        }
+        if (t != e.t) {
+            r->heap[0].t = t;
+            lim_siftup(r->heap, r->hsize, 0);
+            r->rekeyed++;
+            continue;
+        }
+        if (t > r->T)
+            break;
+        lim_pop(r);
+        r->now = t;
+        if (e.kind == LK_MARK) {
+            if (mark_event(r, e.i))
+                return -1;
+        } else if (e.kind == LK_EXPIRY) {
+            r->barriers[e.i].logged = 1.0;
+            log_event(r, t, LC_EXPIRY, e.x, 0.0, 0.0);
+            close_barriers(r, e.x);
+        } else if (e.kind == LK_MEET) {
+            kill_front(&r->fronts[e.i], t, e.x, LC_MEET);
+            kill_front(&r->fronts[e.j], t, e.x, LC_MEET);
+            log_event(r, t, LC_MEET, e.x, 0.0, 0.0);
+            if (add_death(r, e.i) || add_death(r, e.j))
+                return -1;
+        } else {
+            kill_front(&r->fronts[e.i], t, e.x, LC_BARRIER + (int)e.rank);
+            log_event(r, t, LC_BARRIER + (int)e.rank, e.x, 0.0, 0.0);
+            if (add_death(r, e.i))
+                return -1;
+        }
+        if (r->hsize > r->peak)
+            r->peak = r->hsize;
+    }
+    return 0;
+}
+
+/* LFFP(p) on [-A, A] x [0, T] from n validated marks, sorted by time.  See
+ * the header comment for the buffers and counts.  Returns 0, or -1 when an
+ * allocation fails. */
+FL_API int fl_limit_run(double p, double A, double T, int64_t n, const lim_mark *marks,
+                        double *rows, int64_t counts[9])
+{
+    lim_run r;
+    memset(&r, 0, sizeof r);
+    r.p = p;
+    r.A = A;
+    r.T = T;
+    r.max_expiry = -INFINITY;
+    if (p > 0.0) {
+        r.reach = 1.0 / p;
+        r.slack = 1e-9 * (1.0 + A + (T + 2.0) / p);
+    }
+    r.marks = marks;
+    r.n_marks = n;
+    r.events = (lim_event *)rows;
+    r.fronts = (lim_front *)(rows + 20 * n);
+    r.barriers = (lim_barrier *)(rows + 32 * n);
+    r.sweeps = (lim_sweep *)(rows + 36 * n);
+    /* each list holds at most n barriers or fronts of one direction */
+    size_t cap = n > 0 ? (size_t)n : 1;
+    r.open.keys = malloc(cap * sizeof(double));
+    r.open.idx = malloc(cap * sizeof(int64_t));
+    for (int s = 0; s < 2; s++) {
+        r.recent[s].keys = malloc(cap * sizeof(double));
+        r.recent[s].idx = malloc(cap * sizeof(int64_t));
+    }
+    r.buried = malloc(2 * cap * sizeof(int64_t));
+    int status = -1;
+    if (r.open.keys && r.open.idx && r.recent[0].keys && r.recent[0].idx && r.recent[1].keys
+        && r.recent[1].idx && r.buried)
+        status = lim_loop(&r);
+    int64_t out[9] = {r.n_events, r.n_fronts, r.n_barriers, r.n_sweeps,
+                      r.queued, r.stale, r.rekeyed, r.peak, r.tests};
+    memcpy(counts, out, sizeof out);
+    free(r.heap);
+    free(r.open.keys);
+    free(r.open.idx);
+    for (int s = 0; s < 2; s++) {
+        free(r.recent[s].keys);
+        free(r.recent[s].idx);
+    }
+    free(r.buried);
+    return status;
 }

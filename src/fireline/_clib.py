@@ -1,13 +1,13 @@
 """The compiled C library and the memory cap, below both engine and rng.
 
-The library is _ccore.c: the C event core that fireline.engine wraps, and
-the block draws of fireline.rng.  It uses no Python C-API and is loaded
-with ctypes.  setup.py compiles it next to this module.  In a source
-checkout without that build, the first import compiles the source with the
-system C compiler ($CC, default cc) into
-$XDG_CACHE_HOME/fireline/<source hash>/ (default ~/.cache), publishing the
-library by atomic rename so that concurrent processes never load a partial
-file.  If no library can be built or loaded, lib is None and
+The library is _ccore.c: the C event core that fireline.engine wraps, the
+block draws of fireline.rng, and the LFFP(p) event loop of fireline.limits.
+It uses no Python C-API and is loaded with ctypes.  setup.py compiles it
+next to this module.  In a source checkout without that build, the first
+import compiles the source with the system C compiler ($CC, default cc)
+into $XDG_CACHE_HOME/fireline/<source hash>/ (default ~/.cache), publishing
+the library by atomic rename so that concurrent processes never load a
+partial file.  If no library can be built or loaded, lib is None and
 FALLBACK_REASON says why.
 """
 
@@ -29,6 +29,10 @@ _LIB_NAME = "_ccore" + (sysconfig.get_config_var("EXT_SUFFIX") or ".so")
 # poisson_rectangle samples.
 MEMORY_CAP_SITES = 2**30
 
+# The flags of the library built on import.  No FMA contraction: the limit
+# engine must round a * b + c as Python does.
+CFLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
+
 
 class ResourceLimitError(RuntimeError):
     """A requested simulation exceeds the configured memory cap."""
@@ -43,7 +47,7 @@ def _compile(dest):
     os.close(fd)
     try:
         proc = subprocess.run(
-            [*cc, "-O2", "-shared", "-fPIC", "-o", tmp, str(_SOURCE), "-lm"],
+            [*cc, *CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
             capture_output=True, text=True, timeout=300,
         )
         if proc.returncode != 0:
@@ -98,6 +102,10 @@ def _declare(lib):
         c_uint64, c_uint64, c_uint64, c_uint64, c_uint64, c_int64, c_void_p,
     ]
     lib.fl_draw_block.restype = None
+    lib.fl_limit_run.argtypes = [
+        c_double, c_double, c_double, c_int64, c_void_p, c_void_p, POINTER(c_int64),
+    ]
+    lib.fl_limit_run.restype = c_int
     return lib
 
 

@@ -38,6 +38,13 @@ barriers by index and its wakes by front index; then meets by front
 indices.  This gives, bit for bit, the log of a full rescan of every
 candidate after every event (kept frozen as the test oracle).
 
+The loop exists twice.  _run_alffp_c makes one call of its C twin,
+fl_limit_run in _ccore.c, which runs the same queue, lookups, tests and
+counters with Python's float semantics, and rebuilds the state's objects
+from the rows it writes.  _run_alffp_py is the Python loop, the fallback
+when the compiled library does not load.  _run_alffp is chosen at import;
+the two give the same realization bit for bit.
+
 Lookups.  The open barriers are kept in x order and the fronts alive or
 dead for under two time units in position order, one list per direction
 (the fronts of a direction all move at speed 1/p, so their order never
@@ -58,12 +65,15 @@ each lookup, so a new front's tests stay flat as the box grows.
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
+from ctypes import c_int64
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._clib import lib as _lib
 from .rng import Mark, RngStream, exp_samples, poisson_rectangle
 from .scales import Trajectory
 
@@ -467,7 +477,7 @@ def simulate_lffp_0(
     return simulate_alffp_p(0.0, A, T, marks=marks, seed=seed, stream_id=stream_id)
 
 
-def _run_alffp(state: LimitStateP) -> None:
+def _run_alffp_py(state: LimitStateP) -> None:
     p = state.p
     A = state.A
     T = state.T
@@ -796,6 +806,72 @@ def _run_alffp(state: LimitStateP) -> None:
         "queue_peak": peak,
         "candidate_tests": tests,
     }
+
+
+# fl_limit_run's cause codes (LC_* in _ccore.c): an event's kind, cause and
+# data width, and a front's alive, blocked and cause
+_EVENT_CODES = {
+    1.0: (EVENT_MARK, "macro", 0),
+    2.0: (EVENT_MARK, "macro", 2),
+    3.0: (EVENT_MARK, "micro", 1),
+    4.0: (EVENT_MARK, "extended", 1),
+    5.0: (EVENT_MARK, "absorbed", 0),
+    6.0: (EVENT_BARRIER_EXPIRY, "expiry", 0),
+    7.0: (EVENT_FRONT_MEET, "meet", 0),
+    8.0: (EVENT_FRONT_STOP, "barrier", 0),
+    9.0: (EVENT_FRONT_STOP, "wake", 0),
+    10.0: (EVENT_FRONT_STOP, "edge", 0),
+}
+_FRONT_CODES = {
+    0.0: (True, False, ""),
+    7.0: (False, False, "meet"),
+    8.0: (False, True, "barrier"),
+    9.0: (False, True, "wake"),
+    10.0: (False, False, "edge"),
+}
+_QUEUE_COUNTERS = ("candidates_queued", "candidates_stale", "candidates_rekeyed",
+                   "queue_peak", "candidate_tests")
+# fl_limit_run's row buffer: blocks of 4n events, 2n fronts, n barriers and
+# n sweeps for n marks, as (rows per mark, row width)
+_ROW_BLOCKS = ((4, 5), (2, 6), (1, 4), (1, 3))
+
+
+def _run_alffp_c(state: LimitStateP) -> None:
+    """_run_alffp_py as one call of its C twin, fl_limit_run: the marks go in
+    as (x, t) pairs, and the state's events, fronts, barriers, sweeps and
+    queue counters are rebuilt from the rows it writes."""
+    n = len(state.marks)
+    marks = np.fromiter(chain.from_iterable(state.marks), float, 2 * n)
+    rows = np.empty(39 * n)
+    counts = (c_int64 * 9)()
+    status = _lib.fl_limit_run(state.p, state.A, state.T, n, marks.ctypes.data,
+                               rows.ctypes.data, counts)
+    if status != 0:  # -1, the one failure
+        raise MemoryError("the limit engine could not allocate its event queue")
+    blocks = []
+    start = 0
+    for (per_mark, width), size in zip(_ROW_BLOCKS, counts):
+        if not 0 <= size <= per_mark * n:
+            raise RuntimeError(f"fl_limit_run returned {size} rows for a buffer of {per_mark * n}")
+        blocks.append(rows[start:start + size * width].reshape(size, width).tolist())
+        start += per_mark * n * width
+    events, fronts, barriers, sweeps = blocks
+    codes = _EVENT_CODES
+    state.events += [LimitEvent(t, kind, x, cause, (a, b)[:width])
+                     for t, code, x, a, b in events
+                     for kind, cause, width in (codes[code],)]
+    codes = _FRONT_CODES
+    state.fronts += [_Front(x0, t0, int(direction), alive, t_end, x_end, blocked, cause)
+                     for x0, t0, direction, t_end, x_end, code in fronts
+                     for alive, blocked, cause in (codes[code],)]
+    state.barriers += [_Barrier(x, create, expiry, logged != 0.0)
+                       for x, create, expiry, logged in barriers]
+    state.sweeps += [_Sweep(t, lo, hi) for t, lo, hi in sweeps]
+    state._queue_counts = dict(zip(_QUEUE_COUNTERS, counts[4:]))
+
+
+# the C twin when the compiled library loads, else the Python loop
+_run_alffp = _run_alffp_py if _lib is None else _run_alffp_c
 
 
 # -- slow-regime limit ----------------------------------------------------------

@@ -9,10 +9,11 @@ any component in any order reproduces identical numbers.
 
 Draws may be taken in blocks.  draw_block gives the words of consecutive
 counter indices in one call, through the compiled library's loop when it
-loads and through draw_rows otherwise, and a block equals the scalar draws
-word for word.  draw_rows gives many such blocks, for different sites and
-first indices, in one numpy pass that never calls the compiled library;
-the Python engine core's seed walks read their words from it.  The
+loads, and otherwise through draw_rows, or draw_u64 for a small block; a
+block equals the scalar draws word for word.  draw_rows gives many such
+blocks, for different sites and first indices, in one numpy pass that
+never calls the compiled library; the Python engine core's seed walks
+read their words from it.  The
 samplers that draw in blocks (poisson_rectangle, exp_samples) return the
 values, and leave the stream at the position, that drawing one word at a
 time would.
@@ -40,6 +41,11 @@ PURPOSE_STREAM = 0
 PURPOSE_SEED = 1
 PURPOSE_MATCH = 2
 PURPOSE_PROPAGATE = 3
+
+# Without the compiled library, a block of at most this many words is drawn
+# word by word: a scalar draw_u64 takes about 9 us and a draw_rows pass
+# about 0.4 ms at any width up to some hundreds of words.
+_SCALAR_BLOCK = 40
 
 # Strips wider than this are split before Knuth inversion so the uniform
 # product never underflows.
@@ -72,6 +78,9 @@ def draw_block(master_seed: int, stream_id: int, purpose: int, site: int, first:
     if not 0 <= first <= first + count <= 2**64:
         raise ValueError(f"block [{first}, {first + count}) leaves the 64-bit counter range")
     if _lib is None:
+        if count <= _SCALAR_BLOCK:
+            return np.array([draw_u64(master_seed, stream_id, purpose, site, first + i)
+                             for i in range(count)], dtype=np.uint64)
         return draw_rows(master_seed, stream_id, purpose, [site], [first], count)[0]
     out = np.empty(count, dtype=np.uint64)
     _lib.fl_draw_block(master_seed, stream_id, purpose, site, first, count, out.ctypes.data)

@@ -1,8 +1,10 @@
 """_ccore.c is plain C99: it builds with strict warnings as errors, both
 with the compiler's 128-bit integers and without them (the portable
-mulhilo); a build at another optimisation level or with the portable
-mulhilo gives the same draws and realizations as the loaded library; and
-every function it exports is declared for ctypes."""
+mulhilo); a build at another optimisation level, with the portable mulhilo,
+or with the library's own flags for the build machine's instruction set
+(where a * b + c could become a fused multiply-add) gives the same draws,
+realizations and limit runs as the loaded library; and every function it
+exports is declared for ctypes."""
 
 import ctypes
 import os
@@ -14,9 +16,9 @@ import subprocess
 import numpy as np
 import pytest
 
-from fireline import engine
-from fireline._clib import _SOURCE, _declare
-from fireline.rng import PURPOSE_PROPAGATE, PURPOSE_SEED
+from fireline import engine, limits
+from fireline._clib import _SOURCE, CFLAGS, _declare
+from fireline.rng import PURPOSE_PROPAGATE, PURPOSE_SEED, Mark, RngStream, poisson_rectangle
 
 _CC = os.environ.get("CC", "cc")
 _STRICT = ["-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-shared", "-fPIC"]
@@ -27,9 +29,9 @@ needs_cc = pytest.mark.skipif(
 )
 
 
-def _build(dest, extra):
+def _build(dest, flags):
     proc = subprocess.run(
-        [*shlex.split(_CC), *_STRICT, *extra, "-o", str(dest), str(_SOURCE), "-lm"],
+        [*shlex.split(_CC), *flags, "-o", str(dest), str(_SOURCE), "-lm"],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -39,13 +41,17 @@ def _build(dest, extra):
 @needs_cc
 @pytest.mark.parametrize("extra", [[], ["-U__SIZEOF_INT128__"]], ids=["int128", "portable"])
 def test_ccore_builds_as_strict_c99(tmp_path, extra):
-    _build(tmp_path / "core.so", extra)
+    _build(tmp_path / "core.so", [*_STRICT, *extra])
 
 
 def _realization(lib, monkeypatch):
     """Block words of two counters (one with wrapping seed, stream and
-    index), and the states, seed_last, logs and counters of a fast front
-    and of slow extinguishes with re-ignitions, run on lib."""
+    index); the states, seed_last, logs and counters of a fast front and of
+    slow extinguishes with re-ignitions; and the events, fronts, barriers,
+    sweeps and counters of LFFP(0), LFFP(1) and LFFP(0.1) on Poisson marks
+    (at p = 0.1 a fused multiply-add rounds some event times differently)
+    and of LFFP(0.5) on lattice marks, whose event keys often tie; run on
+    lib."""
     got = []
     for args in ((7, 0, PURPOSE_SEED, 5, 0),
                  (2**64 - 1, 2**63 + 5, PURPOSE_PROPAGATE, 10**12, 2**64 - 500)):
@@ -69,15 +75,29 @@ def _realization(lib, monkeypatch):
                 "front_plus", "front_minus", "spark_log", "omega_right", "omega_left",
                 "match_log")]
             del eng  # freed by the library that made it
+        m.setattr(limits, "_lib", lib)
+        lattice = [Mark(0.5 * (k % 9 - 4), 0.25 * (k // 3)) for k in range(48)]
+        for p, A, marks in ((0.0, 6.0, poisson_rectangle(RngStream(3, 0), -6.0, 6.0, 0.0, 4.0)),
+                            (1.0, 6.0, poisson_rectangle(RngStream(3, 1), -6.0, 6.0, 0.0, 4.0)),
+                            (0.1, 6.0, poisson_rectangle(RngStream(1, 6), -6.0, 6.0, 0.0, 4.0)),
+                            (0.5, 2.0, lattice)):
+            state = limits.LimitStateP(p, A, 4.0, limits._validate_marks(marks, A, 4.0))
+            limits._run_alffp_c(state)
+            got += [repr(state.events), repr(state.fronts), repr(state.barriers),
+                    repr(state.sweeps), state.stats()]
     return got
 
 
 @needs_cc
-@pytest.mark.parametrize("extra", [["-O0"], ["-O3"], ["-O2", "-U__SIZEOF_INT128__"]],
-                         ids=["O0", "O3", "portable"])
-def test_build_flags_do_not_change_the_output(tmp_path, monkeypatch, extra):
+@pytest.mark.parametrize("flags", [
+    [*_STRICT, "-O0"],
+    [*_STRICT, "-O3"],
+    [*_STRICT, "-O2", "-U__SIZEOF_INT128__"],
+    [*CFLAGS, "-O3", "-march=native"],
+], ids=["O0", "O3", "portable", "native"])
+def test_build_flags_do_not_change_the_output(tmp_path, monkeypatch, flags):
     assert engine._lib is not None, engine.FALLBACK_REASON
-    built = _declare(ctypes.CDLL(str(_build(tmp_path / "core.so", extra))))
+    built = _declare(ctypes.CDLL(str(_build(tmp_path / "core.so", flags))))
     assert _realization(built, monkeypatch) == _realization(engine._lib, monkeypatch)
 
 

@@ -1,0 +1,167 @@
+"""The two LFFP(p) event loops must give the same realization bit for bit:
+the C twin (fl_limit_run in _ccore.c, called by limits._run_alffp_c) and the
+Python loop (limits._run_alffp_py), each run on a fresh state.  The oracle
+tests of test_limits.py run the loop that simulate_alffp_p picks, the C one
+whenever the library loads; this file holds the Python loop to it."""
+
+import random
+
+import pytest
+
+from fireline import limits
+from fireline.engine import COMPILED, FALLBACK_REASON
+from fireline.limits import LimitStateP, _run_alffp_c, _run_alffp_py, _validate_marks
+from fireline.rng import Mark, RngStream, poisson_rectangle
+from test_limits import GOLDEN_STATS, HAND_MADE, outcome
+
+pytestmark = pytest.mark.skipif(
+    not COMPILED, reason=f"C core unavailable: {FALLBACK_REASON}"
+)
+
+
+def _run(loop, p, A, T, marks):
+    state = LimitStateP(p, A, T, _validate_marks(marks, A, T))
+    loop(state)
+    return state
+
+
+def _everything(state):
+    """What the scheduling decides, the counters, and every object's repr
+    (which shows its field types as well as its values)."""
+    return (
+        outcome(state),
+        state.stats(),
+        [repr(f) for f in state.fronts],
+        [repr(b) for b in state.barriers],
+        [repr(s) for s in state.sweeps],
+    )
+
+
+def assert_loops_agree(p, A, T, marks):
+    c = _run(_run_alffp_c, p, A, T, marks)
+    py = _run(_run_alffp_py, p, A, T, marks)
+    assert _everything(c) == _everything(py)
+    return c
+
+
+def _poisson(A, T, seed, stream_id=0):
+    return poisson_rectangle(RngStream(seed, stream_id), -A, A, 0.0, T)
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.1, 1.0, 5.0])
+@pytest.mark.parametrize("A", [2.0, 6.0, 10.0, 20.0])
+def test_poisson_realizations(p, A):
+    for seed in range(2):
+        assert_loops_agree(p, A, 4.0, _poisson(A, 4.0, seed, int(A)))
+
+
+@pytest.mark.parametrize("p, A, T, marks", HAND_MADE)
+def test_hand_made_sets(p, A, T, marks):
+    assert_loops_agree(p, A, T, [Mark(x, t) for x, t in marks])
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0])
+def test_lattice_ties(p):
+    # the mark sets of test_limits.test_lattice_ties_match_oracle: equal
+    # event keys are common
+    rng = random.Random(int(p * 4))
+    for _ in range(100):
+        A = float(rng.choice([1, 2, 3]))
+        cells = sorted(
+            (0.25 * rng.randint(0, 16), 0.5 * rng.randint(-2 * int(A), 2 * int(A)))
+            for _ in range(rng.randint(1, 16 * int(A)))
+        )
+        assert_loops_agree(p, A, 4.0, [Mark(x, t) for t, x in cells])
+
+
+@pytest.mark.parametrize("A, seed", [(40.0, 3), (48.0, 0), (48.0, 1), (48.0, 2)])
+def test_large_boxes(A, seed):
+    assert_loops_agree(1.0, A, 4.0, _poisson(A, 4.0, seed))
+
+
+@pytest.mark.parametrize("case", GOLDEN_STATS, ids=lambda c: f"p{c['p']}-A{c['A']}-s{c['seed']}")
+def test_golden_stats_cases(case):
+    state = assert_loops_agree(case["p"], case["A"], 4.0, _poisson(case["A"], 4.0, case["seed"]))
+    stats = state.stats()
+    assert {key: stats[key] for key in case["stats"]} == case["stats"]
+
+
+# -- edge cases ---------------------------------------------------------------------
+
+EDGE_SETS = {
+    "empty": [],
+    "box edges": [(-2.0, 0.0), (2.0, 0.0), (-2.0, 1.5), (2.0, 1.5), (0.0, 3.0), (-2.0, 3.0),
+                  (2.0, 3.0)],
+    "same point": [(0.5, 0.5), (0.5, 0.5), (0.5, 1.25), (0.5, 1.25), (0.5, 1.25),
+                   (-1.0, 2.0), (-1.0, 2.0)],
+    "signed zeros": [(-0.0, 1.0), (0.0, 1.0), (-0.0, 2.0), (1.0, 2.0), (-1.0, 2.5),
+                     (0.0, 2.5)],
+}
+
+
+def _everything_or_error(loop, p, A, T, marks):
+    try:
+        return _everything(_run(loop, p, A, T, marks))
+    except (ArithmeticError, LookupError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_loops_agree_or_fail_alike(p, A, T, marks):
+    assert (_everything_or_error(_run_alffp_c, p, A, T, marks)
+            == _everything_or_error(_run_alffp_py, p, A, T, marks))
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.5, 1.0])
+@pytest.mark.parametrize("name", sorted(EDGE_SETS))
+def test_edge_sets(p, name):
+    assert_loops_agree_or_fail_alike(p, 2.0, 3.0, [Mark(x, t) for x, t in EDGE_SETS[name]])
+
+
+@pytest.mark.parametrize("p", [1e-300, 5e-324])
+def test_vanishing_p(p):
+    # (T + 2) / p and the front keys reach 1e300, and at 5e-324 1/p
+    # overflows: windows get infinite and NaN bounds, which both loops'
+    # bisections read the same way
+    for marks in [_poisson(2.0, 3.0, 5), _poisson(6.0, 3.0, 6),
+                  [Mark(x, t) for x, t in EDGE_SETS["same point"]]]:
+        assert_loops_agree_or_fail_alike(p, 6.0, 3.0, marks)
+
+
+# -- the wrapper ---------------------------------------------------------------------
+
+
+class _FakeLib:
+    """Stands in for the library: fl_limit_run writes the given counts and
+    returns the given status."""
+
+    def __init__(self, status, counts):
+        self.status = status
+        self.counts = counts
+
+    def fl_limit_run(self, *args):
+        args[-1][:] = self.counts
+        return self.status
+
+
+def test_an_allocation_failure_raises_memory_error(monkeypatch):
+    monkeypatch.setattr(limits, "_lib", _FakeLib(-1, [0] * 9))
+    with pytest.raises(MemoryError):
+        _run(_run_alffp_c, 1.0, 2.0, 3.0, [Mark(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("which, bound", [(0, 4), (1, 2), (2, 1), (3, 1)])
+def test_row_counts_are_checked_against_their_buffers(monkeypatch, which, bound):
+    marks = [Mark(0.0, 1.0)]  # buffers of 4, 2, 1 and 1 rows
+    for count in (bound + 1, -1):
+        counts = [0] * 9
+        counts[which] = count
+        monkeypatch.setattr(limits, "_lib", _FakeLib(0, counts))
+        with pytest.raises(RuntimeError, match=f"returned {count} rows for a buffer of {bound}"):
+            _run(_run_alffp_c, 1.0, 2.0, 3.0, marks)
+
+
+def test_simulate_uses_the_c_loop():
+    assert limits._run_alffp is _run_alffp_c
+    state = limits.simulate_alffp_p(1.0, 6.0, 3.0, seed=19)
+    assert _everything(state) == _everything(_run(_run_alffp_py, 1.0, 6.0, 3.0,
+                                                  _poisson(6.0, 3.0, 19)))

@@ -67,6 +67,19 @@ def test_python_block_equals_scalar_draws(counter, monkeypatch):
     assert block.tolist() == _scalar(*counter, 10)
 
 
+@pytest.mark.parametrize("count", [rng._SCALAR_BLOCK, rng._SCALAR_BLOCK + 1])
+@pytest.mark.parametrize("counter", COUNTERS)
+def test_python_blocks_either_side_of_the_scalar_cut(counter, count, monkeypatch):
+    # small blocks are drawn word by word, wider ones by draw_rows; the
+    # block ends at the counter's top at the latest
+    seed, stream, purpose, site, first = counter
+    first = min(first, 2**64 - count)
+    monkeypatch.setattr(rng, "_lib", None)
+    block = draw_block(seed, stream, purpose, site, first, count)
+    assert block.dtype == np.uint64
+    assert block.tolist() == _scalar(seed, stream, purpose, site, first, count)
+
+
 def test_numpy_rows_equal_scalar_draws():
     r = random.Random(6)
     for purpose in (PURPOSE_STREAM, PURPOSE_SEED, PURPOSE_MATCH, PURPOSE_PROPAGATE):

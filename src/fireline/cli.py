@@ -24,8 +24,11 @@ from .harness import (
     barrier_height_experiment,
     cluster_dist_experiment,
     coupled_distances,
+    # unused here, but perfbench's tracer patches cli.front_speed_experiment
+    # and cli.spark_fraction_experiment by name
     front_speed_experiment,
     front_statistics,
+    fronts_experiment,
     gamma_test,
     spark_fraction_experiment,
 )
@@ -318,8 +321,7 @@ def _cmd_barrier(args):
 
 
 def _cmd_fronts(args):
-    speed = front_speed_experiment(args.pi, args.T, args.runs, args.seed, jobs=args.jobs)
-    spark = spark_fraction_experiment(args.pi, args.T, args.runs, args.seed, jobs=args.jobs)
+    speed, spark = fronts_experiment(args.pi, args.T, args.runs, args.seed, jobs=args.jobs)
     expected = args.pi * args.T
     print(
         f"runs={speed.runs} mean_plus={speed.mean_plus:.6f} "
@@ -346,6 +348,7 @@ def _cmd_fronts(args):
 def _add_common(p, *, seed=True, jobs=False, csv_out=False):
     if seed:
         p.add_argument("--seed", type=int, default=0, help="master seed")
+    if seed and not jobs:  # a batch command runs run k on stream k
         p.add_argument("--stream", type=int, default=0, help="stream id")
     if jobs:
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
@@ -459,6 +462,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         params, results = args.func(args)
         if getattr(args, "json", None):
             _write_json(args.json, args.command, params, results)

@@ -145,6 +145,65 @@ def test_zero_runs_exits_2(argv, capsys):
     assert capsys.readouterr().err == "error: need at least one run\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["couple", "--lambda", "0.02", "--pi", "5", "-A", "1", "-T", "1", "--runs", "1"],
+    ["cluster-dist", "--lambda", "0.02", "--pi", "5", "-A", "1", "-T", "1", "--runs", "1"],
+    ["barrier", "--lambda", "0.02", "--pi", "5", "--t0", "0", "--t1", "0.5", "--runs", "1"],
+    ["fronts", "--pi", "5", "-T", "2", "--runs", "4"],
+], ids=lambda argv: argv[0])
+def test_batch_commands_refuse_a_stream(argv, capsys):
+    # run k of a batch always uses stream k, so a --stream would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--stream", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --stream 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(jobs, capsys):
+    assert main(["fronts", "--pi", "5", "-T", "2", "--runs", "4", "--jobs", jobs]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+# `fireline fronts --json` results at small sizes of the criterion-1 and
+# criterion-2 pins, as the two-pass implementation wrote them
+_GOLDEN_FRONTS = {
+    "criterion-1": (
+        ["--pi", "50", "-T", "2", "--runs", "20", "--seed", "101"],
+        {
+            "expected": 100.0,
+            "mean_plus": 101.25,
+            "omega1": 0.9818858560794045,
+            "var_plus": 123.77631578947368,
+            "wilson": [0.9796623621757832, 0.9838702600023363],
+            "windows": 4030,
+        },
+    ),
+    "criterion-2": (
+        ["--pi", "9", "-T", "30", "--runs", "1", "--seed", "7"],
+        {
+            "expected": 270.0,
+            "mean_plus": 267.0,
+            "omega1": 0.9171270718232044,
+            "var_plus": 0.0,
+            "wilson": [0.904515336012162, 0.9282052522231321],
+            "windows": 543,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("pin", sorted(_GOLDEN_FRONTS))
+def test_fronts_json_golden_results(pin, jobs, tmp_path, capsys):
+    argv, results = _GOLDEN_FRONTS[pin]
+    path = tmp_path / "fronts.json"
+    assert main(["fronts", *argv, "--jobs", jobs, "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert json.loads(path.read_text())["results"] == results
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("simulated despite a refused grid")
 

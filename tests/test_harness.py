@@ -1,11 +1,13 @@
 """Experiment-harness tests: statistics helpers, coupling, batch drivers."""
 
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from fireline import harness
 from fireline.discrete import DiscreteFFP, match_schedule_from_marks, run_propagation
 from fireline.harness import (
     barrier_height_experiment,
@@ -14,6 +16,7 @@ from fireline.harness import (
     coupled_run,
     front_speed_experiment,
     front_statistics,
+    fronts_experiment,
     gamma_test,
     ks_statistic,
     limit_tail_experiment,
@@ -267,6 +270,46 @@ def test_spark_fraction_close_to_limit():
 def test_spark_fraction_no_windows_raises():
     with pytest.raises(ValueError, match="windows"):
         spark_fraction_experiment(9.0, 0.001, 1, seed=2)
+    # the front counts need no windows
+    assert front_speed_experiment(9.0, 0.001, 1, seed=2).counts_plus.tolist() == [0]
+
+
+def _assert_same_fields(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("pi, horizon, runs, seed", [
+    (50.0, 2.0, 20, 101),
+    (9.0, 30.0, 1, 7),
+    (3.0, 4.0, 5, 0),
+])
+def test_fronts_experiment_equals_the_two_experiments(pi, horizon, runs, seed, jobs):
+    speed, spark = fronts_experiment(pi, horizon, runs, seed, jobs=jobs)
+    _assert_same_fields(speed, front_speed_experiment(pi, horizon, runs, seed))
+    _assert_same_fields(spark, spark_fraction_experiment(pi, horizon, runs, seed))
+
+
+def test_fronts_experiment_simulates_each_realization_once(monkeypatch):
+    calls = []
+
+    def counting(pi, horizon, **kwargs):
+        calls.append(kwargs["stream_id"])
+        return run_propagation(pi, horizon, **kwargs)
+
+    monkeypatch.setattr(harness, "run_propagation", counting)
+    fronts_experiment(20.0, 1.0, 7, seed=3)
+    assert calls == list(range(7))
+
+
+def test_fronts_experiment_no_windows_raises():
+    with pytest.raises(ValueError, match="no complete windows"):
+        fronts_experiment(9.0, 0.001, 1, seed=2)
 
 
 def test_front_statistics_fit_and_validation():

@@ -8,8 +8,10 @@ import pytest
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fireline"
 
 # imported only to be re-exported, or to be patched by name from outside
-# (perfbench's tracer wraps harness.delta_interval), as each module documents
+# (perfbench's tracer wraps harness.delta_interval, cli.front_speed_experiment
+# and cli.spark_fraction_experiment), as each module documents
 _RE_EXPORTS = {
+    "cli.py": {"front_speed_experiment", "spark_fraction_experiment"},
     "discrete.py": {"MEMORY_CAP_SITES", "ResourceLimitError"},
     "harness.py": {"delta_interval"},
 }

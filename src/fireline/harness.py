@@ -46,10 +46,12 @@ def _map_runs(worker: Callable, argses: Sequence[tuple], jobs: int) -> list:
         raise ValueError("need at least one run")
     if jobs <= 1:
         return [worker(a) for a in argses]
+    # no more workers than runs: the pool forks all of them at the first submit
+    workers = min(jobs, len(argses))
     # batch short runs to save a round trip per run, in chunks small enough
     # (16 per worker) that uneven run times still balance across workers
-    chunksize = max(1, len(argses) // (16 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    chunksize = max(1, len(argses) // (16 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(worker, argses, chunksize=chunksize))
 
 

@@ -40,10 +40,12 @@ candidate after every event (kept frozen as the test oracle).
 
 The loop exists twice.  _run_alffp_c makes one call of its C twin,
 fl_limit_run in _ccore.c, which runs the same queue, lookups, tests and
-counters with Python's float semantics, and rebuilds the state's objects
-from the rows it writes.  _run_alffp_py is the Python loop, the fallback
-when the compiled library does not load.  _run_alffp is chosen at import;
-the two give the same realization bit for bit.
+counters with Python's float semantics, and keeps the rows it writes: the
+state builds its events, fronts, barriers and sweeps from them on first
+read, so a run whose reader asks only for D never builds its event log.
+_run_alffp_py is the Python loop, the fallback when the compiled library
+does not load, and fills the lists as it runs.  _run_alffp is chosen at
+import; the two give the same realization bit for bit.
 
 Lookups.  The open barriers are kept in x order and the fronts alive or
 dead for under two time units in position order, one list per direction
@@ -222,6 +224,10 @@ class LimitStateP:
     Built by simulate_alffp_p / simulate_lffp_0.  Fronts, barriers,
     sweeps, and the event log are exposed for inspection; Z, H, D, and
     reset_time answer any (x, t) in the simulated window.
+
+    After a C run each of the four lists is a block of fl_limit_run's rows
+    until it is first read; that read builds the list (__getattr__) and
+    keeps it, so later reads return the same list object.
     """
 
     def __init__(self, p: float, A: float, T: float, marks: List[Mark]):
@@ -233,7 +239,16 @@ class LimitStateP:
         self.barriers: List[_Barrier] = []
         self.sweeps: List[_Sweep] = []
         self.events: List[LimitEvent] = []
+        self._rows: dict = {}  # set by _run_alffp_c: the row blocks not read yet
         self._queue_counts: dict = {}  # set by the LFFP(p) engine
+
+    def __getattr__(self, name: str):
+        # called only for a name the instance lacks: a row block's first read
+        rows = vars(self).get("_rows", {}).pop(name, None)
+        if rows is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        built = vars(self)[name] = _built(name, rows.tolist())
+        return built
 
     def stats(self) -> dict:
         """Deterministic counters of the run: events by cause; the event
@@ -832,14 +847,34 @@ _FRONT_CODES = {
 _QUEUE_COUNTERS = ("candidates_queued", "candidates_stale", "candidates_rekeyed",
                    "queue_peak", "candidate_tests")
 # fl_limit_run's row buffer: blocks of 4n events, 2n fronts, n barriers and
-# n sweeps for n marks, as (rows per mark, row width)
-_ROW_BLOCKS = ((4, 5), (2, 6), (1, 4), (1, 3))
+# n sweeps for n marks, as (state list, rows per mark, row width)
+_ROW_BLOCKS = (("events", 4, 5), ("fronts", 2, 6), ("barriers", 1, 4), ("sweeps", 1, 3))
+
+
+def _built(name: str, rows: list) -> list:
+    """The state list called name, built from its block of fl_limit_run's
+    rows (as Python lists of floats)."""
+    if name == "events":
+        codes = _EVENT_CODES
+        return [LimitEvent(t, kind, x, cause, (a, b)[:width])
+                for t, code, x, a, b in rows
+                for kind, cause, width in (codes[code],)]
+    if name == "fronts":
+        codes = _FRONT_CODES
+        return [_Front(x0, t0, int(direction), alive, t_end, x_end, blocked, cause)
+                for x0, t0, direction, t_end, x_end, code in rows
+                for alive, blocked, cause in (codes[code],)]
+    if name == "barriers":
+        return [_Barrier(x, create, expiry, logged != 0.0)
+                for x, create, expiry, logged in rows]
+    return [_Sweep(t, lo, hi) for t, lo, hi in rows]
 
 
 def _run_alffp_c(state: LimitStateP) -> None:
     """_run_alffp_py as one call of its C twin, fl_limit_run: the marks go in
-    as (x, t) pairs, and the state's events, fronts, barriers, sweeps and
-    queue counters are rebuilt from the rows it writes."""
+    as (x, t) pairs.  The state's queue counters are read from it at once;
+    its events, fronts, barriers and sweeps stay views of the rows it
+    writes, each built on its first read (LimitStateP.__getattr__)."""
     n = len(state.marks)
     marks = np.fromiter(chain.from_iterable(state.marks), float, 2 * n)
     rows = np.empty(39 * n)
@@ -848,25 +883,16 @@ def _run_alffp_c(state: LimitStateP) -> None:
                                rows.ctypes.data, counts)
     if status != 0:  # -1, the one failure
         raise MemoryError("the limit engine could not allocate its event queue")
-    blocks = []
+    blocks = {}
     start = 0
-    for (per_mark, width), size in zip(_ROW_BLOCKS, counts):
+    for (name, per_mark, width), size in zip(_ROW_BLOCKS, counts):
         if not 0 <= size <= per_mark * n:
             raise RuntimeError(f"fl_limit_run returned {size} rows for a buffer of {per_mark * n}")
-        blocks.append(rows[start:start + size * width].reshape(size, width).tolist())
+        blocks[name] = rows[start:start + size * width].reshape(size, width)
         start += per_mark * n * width
-    events, fronts, barriers, sweeps = blocks
-    codes = _EVENT_CODES
-    state.events += [LimitEvent(t, kind, x, cause, (a, b)[:width])
-                     for t, code, x, a, b in events
-                     for kind, cause, width in (codes[code],)]
-    codes = _FRONT_CODES
-    state.fronts += [_Front(x0, t0, int(direction), alive, t_end, x_end, blocked, cause)
-                     for x0, t0, direction, t_end, x_end, code in fronts
-                     for alive, blocked, cause in (codes[code],)]
-    state.barriers += [_Barrier(x, create, expiry, logged != 0.0)
-                       for x, create, expiry, logged in barriers]
-    state.sweeps += [_Sweep(t, lo, hi) for t, lo, hi in sweeps]
+    for name in blocks:
+        delattr(state, name)  # the next read finds the block in _rows
+    state._rows = blocks
     state._queue_counts = dict(zip(_QUEUE_COUNTERS, counts[4:]))
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: output format, artifacts, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import re
@@ -314,6 +315,26 @@ def test_simulate_limit_modes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate-limit", "--p", "0.5", "--z0", "0.5", "-A", "2", "-T", "2"])
     assert exc.value.code == 2
+
+
+# sha256 of `fireline simulate-limit -A 6 -T 3 --seed 19` artifacts, as
+# written when the C twin rebuilt every list of the state in the run's call
+_GOLDEN_SIMULATE_LIMIT = {
+    "1": ("bfc5f9caa7eafa2b7329b6efa5b057aef74679e0eaacd78cbcea7cf6987461ef",
+          "957af79b303f5de54fc9913f47b1e38774db911a01c57a08dafc5f08e1079e6e"),
+    "0": ("4e7ec7d45878b8d6f5655fef0486f742945dc1c423b3601a02b3afa9f2689bda",
+          "72475aca42d10a6886cc1a7376d9a583569a6ee1d85be4036f32232a9640338a"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(_GOLDEN_SIMULATE_LIMIT))
+def test_simulate_limit_golden_artifacts(p, tmp_path, capsys):
+    doc, events = tmp_path / "run.json", tmp_path / "events.csv"
+    assert main(["simulate-limit", "--p", p, "-A", "6", "-T", "3", "--seed", "19",
+                 "--json", str(doc), "--events", str(events)]) == 0
+    capsys.readouterr()
+    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (doc, events))
+    assert got == _GOLDEN_SIMULATE_LIMIT[p]
 
 
 def test_output_dir_env(tmp_path, monkeypatch, capsys):

@@ -351,6 +351,34 @@ def test_limit_tail_zero_runs_raises():
         limit_tail_experiment(1.0, 1.0, 0, seed=0)
 
 
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("runs, jobs, workers", [(1, 5000, 1), (3, 8, 3), (5, 2, 2), (4, 4, 4)])
+def test_the_pool_has_no_more_workers_than_runs(monkeypatch, runs, jobs, workers):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    res = limit_tail_experiment(2.0, 1.5, runs, seed=3, p=1.0, jobs=jobs)
+    assert _RecordingExecutor.sizes == [workers]
+    assert np.array_equal(res.lengths, limit_tail_experiment(2.0, 1.5, runs, seed=3, p=1.0).lengths)
+
+
 def test_barrier_t0_zero_runs_and_determinism():
     lam = math.exp(-6.0)
     res = barrier_height_experiment(lam, 25.0, 0.0, 0.5, 6, seed=11)

@@ -165,3 +165,49 @@ def test_simulate_uses_the_c_loop():
     state = limits.simulate_alffp_p(1.0, 6.0, 3.0, seed=19)
     assert _everything(state) == _everything(_run(_run_alffp_py, 1.0, 6.0, 3.0,
                                                   _poisson(6.0, 3.0, 19)))
+
+
+# -- lists built on first read -------------------------------------------------------
+
+# a first read that builds one list, or none of them (D reads the fronts,
+# barriers and sweeps); _everything then reads the rest in its own order
+_FIRST_READS = {
+    "events": lambda state: state.events,
+    "D(0, T)": lambda state: state.D(0.0, state.T),
+    "fronts": lambda state: state.fronts,
+}
+_READ_ORDER_RUNS = (
+    [(p, A, seed, int(A)) for p in (0.0, 1.0) for A in (2.0, 6.0, 10.0, 20.0) for seed in range(2)]
+    + [(c["p"], c["A"], c["seed"], 0) for c in GOLDEN_STATS if c["p"] in (0.0, 1.0)]
+)
+
+
+@pytest.mark.parametrize("p, A, seed, stream", _READ_ORDER_RUNS)
+def test_a_c_state_read_in_any_order_equals_the_python_loop(p, A, seed, stream):
+    marks = _poisson(A, 4.0, seed, stream)
+    expected = _everything(_run(_run_alffp_py, p, A, 4.0, marks))
+    for name, first in _FIRST_READS.items():
+        state = _run(_run_alffp_c, p, A, 4.0, marks)
+        first(state)
+        assert _everything(state) == expected, name
+
+
+def test_a_built_list_is_kept():
+    state = limits.simulate_alffp_p(1.0, 6.0, 3.0, seed=19)
+    for name in ("events", "fronts", "barriers", "sweeps"):
+        assert getattr(state, name) is getattr(state, name)
+    extra = limits.LimitEvent(3.0, limits.EVENT_MARK, 0.0, "absorbed")
+    state.events.append(extra)
+    assert state.events[-1] is extra
+    assert not hasattr(state, "wakes")
+
+
+def test_a_tail_query_builds_no_event(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a LimitEvent")
+
+    monkeypatch.setattr(limits, "LimitEvent", refuse)
+    state = limits.simulate_alffp_p(1.0, 6.0, 3.0, seed=19)
+    state.D(0.0, 3.0)
+    with pytest.raises(AssertionError, match="built a LimitEvent"):
+        state.events

@@ -1,6 +1,6 @@
 /* Compiled event core, the C twin of fireline._engine_py.PyEngineCore; block
- * draws for fireline.rng; and the C twin of the LFFP(p) event loop of
- * fireline.limits.
+ * draws and the Poisson mark sampler for fireline.rng; and the C twin of the
+ * LFFP(p) event loop of fireline.limits.
  *
  * Plain C99 with no Python C-API; fireline._clib loads it with ctypes.
  * Every clock draw is the same counter-based Philox4x64-10 word as
@@ -46,6 +46,13 @@
  * fl_draw_block(seed, stream, purpose, site, first, n, out) serves the block
  * draws of fireline.rng: out[i] is draw_u64(seed, stream, purpose, site,
  * first + i), so a block equals the scalar draws word for word.
+ *
+ * fl_poisson_rectangle(seed, stream, first, x_lo, x_hi, t_lo, t_hi, strips,
+ * cap, out, used) draws the marks of fireline.rng.poisson_rectangle from
+ * the stream words at first, first + 1, ...: per time strip a Knuth count
+ * and its interleaved x and t words, then a stable merge sort by t.  It
+ * returns the count and the words read, and writes the (x, t) rows only
+ * when they fit in cap rows, never past them.
  *
  * fl_limit_run(p, A, T, n, marks, rows, counts) runs LFFP(p) on [-A, A] x
  * [0, T] from n validated marks, (x, t) pairs sorted by time.  It is the
@@ -548,6 +555,89 @@ FL_API void fl_draw_block(uint64_t master_seed, uint64_t stream_id, uint64_t pur
         out[i] = philox_word0(&key, purpose, site, first + (uint64_t)i, 0);
 }
 
+/* -- Poisson marks -------------------------------------------------------- */
+
+/* One mark, (x, t): a row of fireline.rng.MarkSet's (n, 2) array. */
+typedef struct {
+    double x, t;
+} mark_row;
+
+/* Stable merge sort of n rows by t, ping-ponging between rows and tmp;
+ * the sorted rows end in rows. */
+static void sort_by_t(mark_row *rows, mark_row *tmp, int64_t n)
+{
+    mark_row *src = rows, *dst = tmp;
+    for (int64_t width = 1; width < n; width *= 2) {
+        for (int64_t lo = 0; lo < n; lo += 2 * width) {
+            int64_t mid = lo + width < n ? lo + width : n;
+            int64_t hi = mid + width < n ? mid + width : n;
+            int64_t i = lo, j = mid, k = lo;
+            /* the right run's row goes first only when strictly earlier */
+            while (i < mid && j < hi)
+                dst[k++] = src[j].t < src[i].t ? src[j++] : src[i++];
+            while (i < mid)
+                dst[k++] = src[i++];
+            while (j < hi)
+                dst[k++] = src[j++];
+        }
+        mark_row *swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != rows)
+        memcpy(rows, src, (size_t)n * sizeof *rows);
+}
+
+/* Unit-intensity Poisson marks on [x_lo, x_hi] x [t_lo, t_hi], cut into
+ * n_strips equal time strips, from the stream words (purpose 0, site 0) at
+ * indices first, first + 1, ...: the draws of fireline.rng.poisson_rectangle.
+ * Per strip, the count is the number of running products of (w >> 11) + 1
+ * uniforms above exp(-mean), and 2 * count coordinate words follow, x and t
+ * interleaved.  The rows of all strips are then sorted stably by t.
+ * *used gets the words read.  Returns the mark count; the rows are written
+ * only when it is at most cap, and never past cap rows, so a caller whose
+ * buffer was too small calls again with the count.  Returns -1 when the
+ * sort's scratch cannot be allocated. */
+FL_API int64_t fl_poisson_rectangle(uint64_t master_seed, uint64_t stream_id, uint64_t first,
+                                    double x_lo, double x_hi, double t_lo, double t_hi,
+                                    int64_t n_strips, int64_t cap, mark_row *out,
+                                    uint64_t *used)
+{
+    philox_key key = philox_schedule(master_seed, stream_id);
+    uint64_t k = first;
+    double width = x_hi - x_lo, dt = (t_hi - t_lo) / (double)n_strips;
+    int64_t n = 0;
+    for (int64_t j = 0; j < n_strips; j++) {
+        double lo = t_lo + (double)j * dt, hi = t_lo + (double)(j + 1) * dt;
+        double threshold = exp(-(width * (hi - lo)));
+        int64_t count = 0;
+        double prod = (double)((philox_word0(&key, 0, 0, k++, 0) >> 11) + 1) * INV53;
+        while (prod > threshold) {
+            count++;
+            prod *= (double)((philox_word0(&key, 0, 0, k++, 0) >> 11) + 1) * INV53;
+        }
+        if (n + count <= cap)
+            for (int64_t i = n; i < n + count; i++) {
+                uint64_t wx = philox_word0(&key, 0, 0, k++, 0);
+                uint64_t wt = philox_word0(&key, 0, 0, k++, 0);
+                out[i].x = x_lo + width * ((double)(wx >> 11) * INV53);
+                out[i].t = lo + (hi - lo) * ((double)(wt >> 11) * INV53);
+            }
+        else
+            k += 2 * (uint64_t)count;
+        n += count;
+    }
+    *used = k - first;
+    if (n > cap || n < 2)
+        return n;
+    mark_row *tmp = malloc((size_t)n * sizeof *tmp);
+    if (!tmp)
+        return -1;
+    sort_by_t(out, tmp, n);
+    free(tmp);
+    return n;
+}
+
 /* -- LFFP(p) limit engine ------------------------------------------------- */
 
 /* Queue kinds, fireline.limits.EVENT_*: ties in time order by kind. */
@@ -560,11 +650,6 @@ enum {
     LC_ALIVE, LC_MACRO, LC_SWEEP, LC_MICRO, LC_EXTENDED, LC_ABSORBED,
     LC_EXPIRY, LC_MEET, LC_BARRIER, LC_WAKE, LC_EDGE
 };
-
-/* The caller's rows, as fireline.limits reads and rebuilds them. */
-typedef struct {
-    double x, t;
-} lim_mark;
 
 typedef struct {
     double t, cause, x, a, b; /* a, b: (z,) or the swept (lo, hi), by cause */
@@ -604,7 +689,7 @@ typedef struct {
 
 typedef struct {
     double p, A, T, now, reach, slack, max_expiry;
-    const lim_mark *marks;
+    const mark_row *marks;
     int64_t n_marks;
     lim_event *events;
     lim_front *fronts;
@@ -1232,7 +1317,7 @@ static int lim_loop(lim_run *r)
 /* LFFP(p) on [-A, A] x [0, T] from n validated marks, sorted by time.  See
  * the header comment for the buffers and counts.  Returns 0, or -1 when an
  * allocation fails. */
-FL_API int fl_limit_run(double p, double A, double T, int64_t n, const lim_mark *marks,
+FL_API int fl_limit_run(double p, double A, double T, int64_t n, const mark_row *marks,
                         double *rows, int64_t counts[9])
 {
     lim_run r;

@@ -1,7 +1,8 @@
 """The compiled C library and the memory cap, below both engine and rng.
 
 The library is _ccore.c: the C event core that fireline.engine wraps, the
-block draws of fireline.rng, and the LFFP(p) event loop of fireline.limits.
+block draws and the Poisson mark sampler of fireline.rng, and the LFFP(p)
+event loop of fireline.limits.
 It uses no Python C-API and is loaded with ctypes.  setup.py compiles it
 next to this module.  In a source checkout without that build, the first
 import compiles the source with the system C compiler ($CC, default cc)
@@ -26,7 +27,9 @@ _SOURCE = Path(__file__).with_name("_ccore.c")
 _LIB_NAME = "_ccore" + (sysconfig.get_config_var("EXT_SUFFIX") or ".so")
 
 # The largest box make_engine builds, and the largest expected mark count
-# poisson_rectangle samples.
+# poisson_rectangle samples.  It counts sites and marks, not bytes: a mark
+# takes 16 B (a row of a MarkSet's float64 array), so a rectangle at the cap
+# (simulate-limit -A 5000 -T 100000, area 10^9) would hold about 16 GB.
 MEMORY_CAP_SITES = 2**30
 
 # The flags of the library built on import.  No FMA contraction: the limit
@@ -102,6 +105,11 @@ def _declare(lib):
         c_uint64, c_uint64, c_uint64, c_uint64, c_uint64, c_int64, c_void_p,
     ]
     lib.fl_draw_block.restype = None
+    lib.fl_poisson_rectangle.argtypes = [
+        c_uint64, c_uint64, c_uint64, c_double, c_double, c_double, c_double, c_int64,
+        c_int64, c_void_p, POINTER(c_uint64),
+    ]
+    lib.fl_poisson_rectangle.restype = c_int64
     lib.fl_limit_run.argtypes = [
         c_double, c_double, c_double, c_int64, c_void_p, c_void_p, POINTER(c_int64),
     ]

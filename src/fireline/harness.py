@@ -26,7 +26,7 @@ from .limits import (
     simulate_lffp_0,
     simulate_lffp_inf,
 )
-from .rng import Mark, RngStream, poisson_rectangle
+from .rng import MarkSet, RngStream, poisson_rectangle
 from .scales import (
     DEFAULT_GRID_POINTS,
     Regime,
@@ -94,7 +94,7 @@ class CoupledRun:
     T: float
     seed: int
     stream_id: int
-    marks: List[Mark]
+    marks: MarkSet
     times: np.ndarray
     discrete: Trajectory
     limit: Trajectory

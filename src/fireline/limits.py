@@ -76,7 +76,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._clib import lib as _lib
-from .rng import Mark, RngStream, exp_samples, poisson_rectangle
+from .rng import Mark, MarkSet, RngStream, exp_samples, poisson_rectangle
 from .scales import Trajectory
 
 EVENT_BARRIER_EXPIRY = 0
@@ -139,7 +139,7 @@ class LimitObservables:
     D: Tuple[float, float]
 
 
-def _window_marks(A: float, T: float, marks, seed, stream_id: int) -> List[Mark]:
+def _window_marks(A: float, T: float, marks, seed, stream_id: int) -> Sequence[Mark]:
     """The simulators' argument check, then their validated marks: given,
     or drawn from (seed, stream_id).  A non-finite window is refused in
     poisson_rectangle's words, whether or not the marks are drawn."""
@@ -154,10 +154,23 @@ def _window_marks(A: float, T: float, marks, seed, stream_id: int) -> List[Mark]
     return _validate_marks(marks, A, T)
 
 
-def _validate_marks(marks: Sequence[Mark], A: float, T: float) -> List[Mark]:
-    """The marks as a new list, checked in one pass: sorted by time, inside
-    the box and the window.  A Mark with float fields is kept as it is;
-    anything else is rebuilt as a Mark of floats."""
+def _validate_marks(marks: Sequence[Mark], A: float, T: float) -> Sequence[Mark]:
+    """The marks checked in one pass: sorted by time, inside the box and the
+    window.  A MarkSet is checked on its array and returned as it is; any
+    other sequence comes back as a new list, where a Mark with float fields
+    is kept as it is and anything else is rebuilt as a Mark of floats."""
+    if type(marks) is MarkSet:
+        rows = marks.array
+        if len(rows):
+            x = rows[:, 0]
+            t = rows[:, 1]
+            # once t is sorted its ends bound it; NaN fails every comparison,
+            # so it is refused here too
+            if not ((t[1:] >= t[:-1]).all() and 0.0 <= t[0] and t[-1] <= T
+                    and -A <= x.min() and x.max() <= A):
+                # the list loop finds the first offending mark and raises
+                _validate_marks(list(marks), A, T)
+        return marks
     out = list(marks)
     prev = -math.inf
     for k, m in enumerate(out):
@@ -230,7 +243,7 @@ class LimitStateP:
     keeps it, so later reads return the same list object.
     """
 
-    def __init__(self, p: float, A: float, T: float, marks: List[Mark]):
+    def __init__(self, p: float, A: float, T: float, marks: Sequence[Mark]):
         self.p = p
         self.A = A
         self.T = T
@@ -496,7 +509,7 @@ def _run_alffp_py(state: LimitStateP) -> None:
     p = state.p
     A = state.A
     T = state.T
-    marks = state.marks
+    marks = list(state.marks)  # a MarkSet's Marks, built once
     fronts = state.fronts
     barriers = state.barriers
     sweeps = state.sweeps
@@ -872,11 +885,15 @@ def _built(name: str, rows: list) -> list:
 
 def _run_alffp_c(state: LimitStateP) -> None:
     """_run_alffp_py as one call of its C twin, fl_limit_run: the marks go in
-    as (x, t) pairs.  The state's queue counters are read from it at once;
-    its events, fronts, barriers and sweeps stay views of the rows it
-    writes, each built on its first read (LimitStateP.__getattr__)."""
+    as (x, t) rows, a MarkSet's own array.  The state's queue counters are
+    read from it at once; its events, fronts, barriers and sweeps stay views
+    of the rows it writes, each built on its first read
+    (LimitStateP.__getattr__)."""
     n = len(state.marks)
-    marks = np.fromiter(chain.from_iterable(state.marks), float, 2 * n)
+    if type(state.marks) is MarkSet:
+        marks = state.marks.array
+    else:
+        marks = np.fromiter(chain.from_iterable(state.marks), float, 2 * n)
     rows = np.empty(39 * n)
     counts = (c_int64 * 9)()
     status = _lib.fl_limit_run(state.p, state.A, state.T, n, marks.ctypes.data,
@@ -924,7 +941,7 @@ class LimitStateInf:
     """Slow-regime limit realization: marks become temporary or permanent
     features at points; clusters are bounded by the nearest active ones."""
 
-    def __init__(self, z0: float, A: float, T: float, marks: List[Mark]):
+    def __init__(self, z0: float, A: float, T: float, marks: Sequence[Mark]):
         self.z0 = z0
         self.A = A
         self.T = T

@@ -13,15 +13,23 @@ loads, and otherwise through draw_rows, or draw_u64 for a small block; a
 block equals the scalar draws word for word.  draw_rows gives many such
 blocks, for different sites and first indices, in one numpy pass that
 never calls the compiled library; the Python engine core's seed walks
-read their words from it.  The
-samplers that draw in blocks (poisson_rectangle, exp_samples) return the
-values, and leave the stream at the position, that drawing one word at a
-time would.
+read their words from it.  The samplers that draw in blocks
+(poisson_rectangle, exp_samples) return the values, and leave the stream
+at the position, that drawing one word at a time would.
+
+poisson_rectangle draws a whole rectangle in one call of the compiled
+library (fl_poisson_rectangle), or in numpy blocks without it, and returns
+a MarkSet: the marks as one read-only (n, 2) float64 array of (x, t) rows,
+16 bytes a mark, read as a sequence of Mark tuples.  The limit engines take
+that array as it is.
 
 There is no global generator; every consumer receives an RngStream.
 """
 
 import math
+import operator
+from collections.abc import Sequence
+from ctypes import byref, c_uint64
 from typing import List, NamedTuple
 
 import numpy as np
@@ -50,6 +58,11 @@ _SCALAR_BLOCK = 40
 # Strips wider than this are split before Knuth inversion so the uniform
 # product never underflows.
 _MAX_STRIP_AREA = 64.0
+
+# The compiled sampler's first buffer holds this many standard deviations
+# and rows past the mean count; a larger count is drawn again at its size.
+_SPARE_SIGMAS = 6.0
+_SPARE_ROWS = 16
 
 
 def philox4x64(c0: int, c1: int, c2: int, c3: int, k0: int, k1: int):
@@ -148,7 +161,66 @@ class Mark(NamedTuple):
     t: float
 
 
-MarkSet = List[Mark]
+class MarkSet(Sequence[Mark]):
+    """An immutable sequence of Marks held as one read-only, C-contiguous
+    (n, 2) float64 array of (x, t) rows, 16 bytes a mark.
+
+    Indexing and iteration give Marks of Python floats, a slice gives a
+    MarkSet, and a MarkSet equals a list of equal Marks from either side.
+    MarkSet(rows) copies any (n, 2) array or sequence of (x, t) pairs.
+    """
+
+    __slots__ = ("_array",)
+
+    def __init__(self, rows=()):
+        array = np.array(rows, dtype=np.float64, order="C")
+        if array.size == 0:
+            array = array.reshape(0, 2)
+        if array.ndim != 2 or array.shape[1] != 2:
+            raise ValueError(f"marks must be (x, t) rows, got shape {array.shape}")
+        array.flags.writeable = False
+        self._array = array
+
+    @classmethod
+    def _own(cls, array: np.ndarray) -> "MarkSet":
+        """A MarkSet on array, an (n, 2) C-contiguous float64 array that no
+        one else writes, without a copy."""
+        marks = cls.__new__(cls)
+        array.flags.writeable = False
+        marks._array = array
+        return marks
+
+    @property
+    def array(self) -> np.ndarray:
+        """The read-only (n, 2) array of (x, t) rows."""
+        return self._array
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return MarkSet._own(np.ascontiguousarray(self._array[i]))
+        x, t = self._array[operator.index(i)].tolist()
+        return Mark(x, t)
+
+    def __iter__(self):
+        return map(Mark._make, self._array.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, MarkSet):
+            return np.array_equal(self._array, other._array)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # equal to a list, so unhashable as a list is
+
+    def __reduce__(self):
+        return MarkSet, (self._array,)
+
+    def __repr__(self):
+        return f"MarkSet({list(self)!r})"
 
 
 class RngStream:
@@ -252,16 +324,61 @@ def _strip_marks(stream, x_lo, x_hi, lo, hi):
     return x_lo + (x_hi - x_lo) * frac[0::2], lo + (hi - lo) * frac[1::2]
 
 
+def _c_rectangle(stream, x_lo, x_hi, t_lo, t_hi, n_strips, area):
+    """The rows of poisson_rectangle from one fl_poisson_rectangle call, and
+    a second one with the exact size when the count outgrows the buffer
+    (the draws are counter-based, so it gives the same marks)."""
+    cap = int(area + _SPARE_SIGMAS * math.sqrt(area)) + _SPARE_ROWS
+    used = c_uint64()
+    while True:
+        rows = np.empty((cap, 2))
+        n = _lib.fl_poisson_rectangle(stream.master_seed, stream.stream_id, stream._index,
+                                      x_lo, x_hi, t_lo, t_hi, n_strips, cap,
+                                      rows.ctypes.data, byref(used))
+        if n < 0:
+            raise MemoryError("poisson_rectangle could not allocate its sort buffer")
+        if n <= cap:
+            break
+        cap = n
+    if stream._index + used.value > 2**64:
+        raise ValueError(f"block [{stream._index}, {stream._index + used.value}) leaves "
+                         "the 64-bit counter range")
+    stream._index += used.value
+    # shrink the buffer to its n rows (no view of it exists), so that the
+    # marks hold 16 bytes each without a second copy at their peak
+    rows.resize((n, 2), refcheck=False)
+    return rows
+
+
+def _numpy_rectangle(stream, x_lo, x_hi, t_lo, t_hi, n_strips):
+    """The rows of poisson_rectangle from block draws in numpy, strip by
+    strip, then a stable sort by t."""
+    dt = (t_hi - t_lo) / n_strips
+    xs, ts = [], []
+    for j in range(n_strips):
+        lo = t_lo + j * dt
+        hi = t_lo + (j + 1) * dt
+        x, t = _strip_marks(stream, x_lo, x_hi, lo, hi)
+        xs.append(x)
+        ts.append(t)
+    rows = np.column_stack((np.concatenate(xs), np.concatenate(ts)))
+    # stable, as the scalar path's list sort by t
+    return rows[np.argsort(rows[:, 1], kind="stable")]
+
+
 def poisson_rectangle(stream, x_lo: float, x_hi: float, t_lo: float, t_hi: float) -> MarkSet:
-    """Unit-intensity Poisson marks on [x_lo, x_hi] x [t_lo, t_hi], time-ordered.
+    """Unit-intensity Poisson marks on [x_lo, x_hi] x [t_lo, t_hi], as a
+    MarkSet sorted stably by time.
 
     The rectangle is cut into time strips of area <= 64 and each strip is
     filled independently (superposition keeps the law exact while the
-    count inversion stays in safe floating-point range).  The draws come in
-    blocks but equal, with the stream's final position, those of drawing
-    each uniform in turn.  Raises ValueError for a degenerate or non-finite
-    rectangle, and ResourceLimitError, before any draw, when the expected
-    mark count (the area) exceeds MEMORY_CAP_SITES.
+    count inversion stays in safe floating-point range).  The compiled
+    library draws every strip and sorts in one call; without it the strips
+    are drawn in numpy blocks.  Both give, with the stream's final
+    position, the marks of drawing each uniform in turn.  Raises ValueError
+    for a degenerate or non-finite rectangle, and ResourceLimitError, before
+    any draw, when the expected mark count (the area) exceeds
+    MEMORY_CAP_SITES.
     """
     if not all(map(math.isfinite, (x_lo, x_hi, t_lo, t_hi))):
         raise ValueError(f"non-finite rectangle [{x_lo}, {x_hi}] x [{t_lo}, {t_hi}]")
@@ -275,16 +392,6 @@ def poisson_rectangle(stream, x_lo: float, x_hi: float, t_lo: float, t_hi: float
             f"rectangle of area {area:g} expects more marks than the cap of {MEMORY_CAP_SITES}"
         )
     n_strips = max(1, math.ceil(area / _MAX_STRIP_AREA))
-    dt = (t_hi - t_lo) / n_strips
-    xs, ts = [], []
-    for j in range(n_strips):
-        lo = t_lo + j * dt
-        hi = t_lo + (j + 1) * dt
-        x, t = _strip_marks(stream, x_lo, x_hi, lo, hi)
-        xs.append(x)
-        ts.append(t)
-    x = np.concatenate(xs)
-    t = np.concatenate(ts)
-    # stable, as the scalar path's list sort by t
-    order = np.argsort(t, kind="stable")
-    return list(map(Mark, x[order].tolist(), t[order].tolist()))
+    if _lib is None:
+        return MarkSet._own(_numpy_rectangle(stream, x_lo, x_hi, t_lo, t_hi, n_strips))
+    return MarkSet._own(_c_rectangle(stream, x_lo, x_hi, t_lo, t_hi, n_strips, area))

@@ -3,10 +3,11 @@ with the compiler's 128-bit integers and without them (the portable
 mulhilo); a build at another optimisation level, with the portable mulhilo,
 or with the library's own flags for the build machine's instruction set
 (where a * b + c could become a fused multiply-add) gives the same draws,
-realizations and limit runs as the loaded library; and every function it
-exports is declared for ctypes."""
+Poisson marks, realizations and limit runs as the loaded library; and every
+function it exports is declared for ctypes."""
 
 import ctypes
+import hashlib
 import os
 import re
 import shlex
@@ -16,7 +17,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from fireline import engine, limits
+from fireline import engine, limits, rng
 from fireline._clib import _SOURCE, CFLAGS, _declare
 from fireline.rng import PURPOSE_PROPAGATE, PURPOSE_SEED, Mark, RngStream, poisson_rectangle
 
@@ -44,9 +45,24 @@ def test_ccore_builds_as_strict_c99(tmp_path, extra):
     _build(tmp_path / "core.so", [*_STRICT, *extra])
 
 
+def _rectangles(lib, monkeypatch):
+    """The sha256 of 200 drawn rectangles, one to three strips each: the
+    marks' bytes and each stream's final position, drawn through lib."""
+    digest = hashlib.sha256()
+    with monkeypatch.context() as m:
+        m.setattr(rng, "_lib", lib)
+        for k in range(200):
+            stream = RngStream(k, 2**63 + k)
+            t_hi = (3.0, 4.0, 9.5, 0.7)[k % 4]
+            marks = poisson_rectangle(stream, -6.0 - k % 3, 6.0 + k % 5, 0.5, t_hi + 0.5)
+            digest.update(marks.array.tobytes())
+            digest.update(stream._index.to_bytes(8, "little"))
+    return digest.hexdigest()
+
+
 def _realization(lib, monkeypatch):
     """Block words of two counters (one with wrapping seed, stream and
-    index); the states, seed_last, logs and counters of a fast front and of
+    index); the sha256 of 200 Poisson rectangles; the states, seed_last, logs and counters of a fast front and of
     slow extinguishes with re-ignitions; and the events, fronts, barriers,
     sweeps and counters of LFFP(0), LFFP(1) and LFFP(0.1) on Poisson marks
     (at p = 0.1 a fused multiply-add rounds some event times differently)
@@ -58,6 +74,7 @@ def _realization(lib, monkeypatch):
         out = np.empty(1000, dtype=np.uint64)
         lib.fl_draw_block(*args, len(out), out.ctypes.data)
         got.append(out.tobytes())
+    got.append(_rectangles(lib, monkeypatch))
     slow = [(25.0 * k + 0.1 * i, i) for k in range(1, 6) for i in range(0, 40, 3)]
     runs = (
         (dict(n_sites=301, pi=9.0, master_seed=123, stream_id=0, ignite_site=150), 15.0),

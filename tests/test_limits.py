@@ -22,7 +22,7 @@ from fireline.limits import (
     simulate_lffp_0,
     simulate_lffp_inf,
 )
-from fireline.rng import Mark, RngStream
+from fireline.rng import Mark, MarkSet, RngStream
 
 
 def kinds(state):
@@ -472,6 +472,36 @@ def test_mark_validation_keeps_float_marks_and_rebuilds_the_rest():
     assert out == [Mark(0.5, 1.0), Mark(-0.5, 1.5), Mark(1.0, 2.0), Mark(0.25, 2.5)]
     assert all(type(m) is Mark and type(m.x) is float and type(m.t) is float for m in out)
     assert len(given) == 4 and type(given[2].x) is int
+
+
+@pytest.mark.parametrize("rows", [
+    [(0.0, 1.0), (0.1, 0.5)],
+    [(0.0, 1.0), (2.5, 1.5)],
+    [(0.0, -0.5), (0.0, 1.0)],
+    [(0.0, 1.0), (0.0, 3.5)],
+    [(0.0, 2.0), (2.5, 1.0)],  # unsorted, and outside the box, at one mark
+    [(0.0, 1.0), (math.nan, 1.5)],
+    [(0.0, math.nan), (0.0, 1.0)],
+    [(0.0, 1.0), (0.0, math.nan), (0.0, 0.5)],
+    [(-math.inf, 1.0)],
+])
+def test_markset_validation_raises_the_list_path_error(rows):
+    marks = MarkSet(rows)
+    with pytest.raises(ValueError) as as_list:
+        _validate_marks([Mark(x, t) for x, t in rows], 2.0, 3.0)
+    with pytest.raises(ValueError) as as_set:
+        _validate_marks(marks, 2.0, 3.0)
+    assert str(as_set.value) == str(as_list.value)
+
+
+def test_markset_validation_returns_the_markset_itself():
+    marks = MarkSet([(-2.0, 0.0), (2.0, 0.0), (-0.0, 1.5), (0.5, 3.0)])
+    assert _validate_marks(marks, 2.0, 3.0) is marks
+    empty = MarkSet()
+    assert _validate_marks(empty, 2.0, 3.0) is empty
+    state = simulate_alffp_p(1.0, 2.0, 3.0, marks=marks)
+    assert state.marks is marks
+    assert state.events == simulate_alffp_p(1.0, 2.0, 3.0, marks=list(marks)).events
 
 
 def test_limit_event_fields_and_defaults():

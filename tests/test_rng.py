@@ -1,12 +1,15 @@
 """Tests for the counter-based RNG streams and mark sampling."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from fireline.limits import simulate_alffp_p
 from fireline.rng import (
     Mark,
+    MarkSet,
     RngStream,
     draw_u64,
     exp_sample,
@@ -138,3 +141,93 @@ def test_poisson_rectangle_disjoint_counts_uncorrelated():
         right[rep] = sum(1 for m in marks if m.x >= 0.0)
     corr = np.corrcoef(left, right)[0, 1]
     assert abs(corr) < 3.0 / math.sqrt(reps)
+
+
+# -- MarkSet ----------------------------------------------------------------------
+
+
+def test_markset_is_a_sequence_of_float_marks():
+    marks = poisson_rectangle(RngStream(5, 1), -2.0, 2.0, 0.0, 3.0)
+    assert isinstance(marks, MarkSet) and len(marks) > 3
+    listed = list(marks)
+    assert all(type(m) is Mark and type(m.x) is float and type(m.t) is float for m in listed)
+    assert [marks[k] for k in range(len(marks))] == listed
+    assert marks[-1] == listed[-1] and marks[-len(marks)] == listed[0]
+    assert marks[np.int64(1)] == listed[1]
+    with pytest.raises(IndexError):
+        marks[len(marks)]
+    part = marks[1:4]
+    assert type(part) is MarkSet and list(part) == listed[1:4]
+    stepped = marks[::-2]
+    assert type(stepped) is MarkSet and stepped == listed[::-2]
+    assert stepped.array.flags.c_contiguous and not stepped.array.flags.writeable
+    assert marks.index(listed[2]) == 2 and listed[3] in marks
+    assert list(reversed(marks)) == listed[::-1]
+
+
+def test_markset_equals_a_list_of_equal_marks_from_either_side():
+    marks = poisson_rectangle(RngStream(5, 2), -2.0, 2.0, 0.0, 3.0)
+    listed = list(marks)
+    assert marks == listed and listed == marks
+    assert not marks != listed and not listed != marks
+    assert marks == MarkSet(listed) and MarkSet(listed) == marks
+    other = listed[:-1] + [Mark(listed[-1].x, listed[-1].t + 1.0)]
+    assert marks != other and other != marks
+    assert marks != listed[:-1] and listed[:-1] != marks
+    assert marks != tuple(listed) and marks != "marks"
+    assert MarkSet() == [] and [] == MarkSet()
+    with pytest.raises(TypeError):
+        hash(marks)
+
+
+def test_markset_is_read_only():
+    marks = poisson_rectangle(RngStream(5, 3), -2.0, 2.0, 0.0, 3.0)
+    first = marks[0]
+    with pytest.raises(ValueError):
+        marks.array[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        marks.array = np.zeros((1, 2))
+    with pytest.raises(TypeError):
+        marks[0] = Mark(0.0, 0.0)
+    assert marks[0] == first
+    # the constructor copies: writing to its argument changes nothing
+    rows = np.array([[0.5, 1.0], [-0.5, 2.0]])
+    copied = MarkSet(rows)
+    rows[0, 0] = 9.0
+    assert copied == [Mark(0.5, 1.0), Mark(-0.5, 2.0)]
+    assert not copied.array.flags.writeable
+
+
+def test_markset_pickle_round_trip_stays_equal_and_read_only():
+    marks = poisson_rectangle(RngStream(5, 4), -6.0, 6.0, 0.0, 3.0)
+    back = pickle.loads(pickle.dumps(marks))
+    assert type(back) is MarkSet and back == marks and back.array.tobytes() == marks.array.tobytes()
+    assert not back.array.flags.writeable
+    with pytest.raises(ValueError):
+        back.array[0, 1] = 0.0
+
+
+def test_markset_refuses_rows_that_are_not_pairs():
+    assert MarkSet().array.shape == (0, 2)
+    assert MarkSet([Mark(1, 2)]).array.dtype == np.float64
+    for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]], np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="rows"):
+            MarkSet(bad)
+
+
+def test_drawn_marks_hold_sixteen_bytes_each():
+    for A, T in ((6.0, 3.0), (20.0, 4.0), (0.5, 0.5)):
+        marks = poisson_rectangle(RngStream(8, 1), -A, A, 0.0, T)
+        # the marks own one array of exactly their rows, no spare buffer
+        assert marks.array.base is None and marks.array.nbytes == 16 * len(marks)
+
+
+def test_markset_for_a_larger_box_is_refused_as_a_list_is():
+    marks = poisson_rectangle(RngStream(3, 0), -6.0, 6.0, 0.0, 4.0)
+    for A, T in ((2.0, 4.0), (6.0, 2.0)):
+        with pytest.raises(ValueError) as as_list:
+            simulate_alffp_p(1.0, A, T, marks=list(marks))
+        with pytest.raises(ValueError) as as_set:
+            simulate_alffp_p(1.0, A, T, marks=marks)
+        assert str(as_set.value) == str(as_list.value)
+        assert "outside the" in str(as_set.value)

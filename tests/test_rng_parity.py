@@ -1,11 +1,12 @@
 """Block draws equal scalar draws: the C block loop and the numpy rows of
-the no-compiler path against draw_u64, and the block samplers against
-their scalar oracles."""
+the no-compiler path against draw_u64, and the block samplers, the C
+Poisson sampler included, against their scalar oracles."""
 
 import os
 import random
 import shlex
 import shutil
+from ctypes import byref, c_uint64
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from fireline.rng import (
     draw_u64,
     exp_sample,
     exp_samples,
+    MarkSet,
     poisson_rectangle,
 )
 
@@ -182,3 +184,84 @@ def test_cluster_lengths_match_one_at_a_time():
     assert lengths == [exp_sample(b, 1.5) + exp_sample(b, 1.5) for _ in range(300)]
     assert a._index == b._index == 600
     assert sample_cluster_length_inf(0.5, 2.0, a) == exp_sample(b, 1.5) + exp_sample(b, 1.5)
+
+
+# (x_lo, x_hi, t_lo, t_hi, seeds): one strip; two and three strips of area
+# <= 64 (areas 160 and 64 + 1e-9); one strip of mean 64, where these seeds
+# have Knuth runs of 89 and 95 marks; and a thin box of mean 0.15
+RECTANGLES = [
+    (-6.0, 6.0, 0.0, 3.0, range(300)),
+    (-20.0, 20.0, 0.0, 4.0, range(60)),
+    (0.0, 8.0, 0.0, 8.0 + 1.25e-10, range(60)),
+    (0.0, 8.0, 0.0, 8.0, [90, 737]),
+    (-0.25, 0.25, 1.0, 1.3, range(100)),
+]
+
+
+def _draw(rectangle, seed, path, monkeypatch):
+    """The marks and final stream position of one rectangle on the C path,
+    the numpy path (no compiled library) or the scalar oracle."""
+    x_lo, x_hi, t_lo, t_hi = rectangle
+    stream = RngStream(seed, 7)
+    stream._index = 3 * seed  # a stream already drawn from
+    if path == "oracle":
+        return reference_poisson_rectangle(stream, x_lo, x_hi, t_lo, t_hi), stream._index
+    with monkeypatch.context() as m:
+        if path == "numpy":
+            m.setattr(rng, "_lib", None)
+        marks = poisson_rectangle(stream, x_lo, x_hi, t_lo, t_hi)
+    assert type(marks) is MarkSet
+    return marks, stream._index
+
+
+@needs_compiler
+@pytest.mark.parametrize("x_lo, x_hi, t_lo, t_hi, seeds", RECTANGLES)
+def test_c_sampler_equals_the_oracle_and_the_numpy_path(x_lo, x_hi, t_lo, t_hi, seeds,
+                                                        monkeypatch):
+    assert rng._lib is not None, FALLBACK_REASON
+    for seed in seeds:
+        c, c_index = _draw((x_lo, x_hi, t_lo, t_hi), seed, "c", monkeypatch)
+        oracle, oracle_index = _draw((x_lo, x_hi, t_lo, t_hi), seed, "oracle", monkeypatch)
+        numpy_marks, numpy_index = _draw((x_lo, x_hi, t_lo, t_hi), seed, "numpy", monkeypatch)
+        assert c == oracle and oracle == c, seed
+        assert c.array.tobytes() == numpy_marks.array.tobytes(), seed
+        assert c_index == oracle_index == numpy_index, seed
+
+
+@needs_compiler
+def test_c_sampler_never_writes_past_its_cap():
+    assert rng._lib is not None, FALLBACK_REASON
+    seed, stream_id, first = 19, 3, 5
+    used = c_uint64()
+    full = np.full((200, 2), -7.0)
+    n = rng._lib.fl_poisson_rectangle(seed, stream_id, first, -6.0, 6.0, 0.0, 3.0, 1, 200,
+                                      full.ctypes.data, byref(used))
+    assert 10 < n < 200 and used.value == 3 * n + 1
+    for cap in (0, 1, n // 2, n - 1):
+        out = np.full((cap + 4, 2), -7.0)  # four sentinel rows past the cap
+        short = c_uint64()
+        got = rng._lib.fl_poisson_rectangle(seed, stream_id, first, -6.0, 6.0, 0.0, 3.0, 1,
+                                            cap, out.ctypes.data, byref(short))
+        assert got == n and short.value == used.value, cap
+        assert (out[cap:] == -7.0).all(), cap
+    # the sampler's own retry draws the same marks again at the exact size
+    stream = RngStream(seed, stream_id)
+    stream._index = first
+    assert poisson_rectangle(stream, -6.0, 6.0, 0.0, 3.0).array.tobytes() == full[:n].tobytes()
+
+
+@needs_compiler
+def test_poisson_rectangle_retries_a_count_past_its_first_buffer(monkeypatch):
+    # no spare rows: about half the counts outgrow the first buffer
+    assert rng._lib is not None, FALLBACK_REASON
+    monkeypatch.setattr(rng, "_SPARE_SIGMAS", 0.0)
+    monkeypatch.setattr(rng, "_SPARE_ROWS", 0)
+    retried = 0
+    for seed in range(40):
+        block, scalar = RngStream(seed, 2), RngStream(seed, 2)
+        marks = poisson_rectangle(block, -6.0, 6.0, 0.0, 3.0)
+        retried += len(marks) > 36
+        assert marks == reference_poisson_rectangle(scalar, -6.0, 6.0, 0.0, 3.0), seed
+        assert block._index == scalar._index, seed
+        assert marks.array.nbytes == 16 * len(marks)
+    assert retried > 5

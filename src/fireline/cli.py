@@ -105,9 +105,11 @@ def _cmd_scales(args):
 
 
 def _cmd_simulate_discrete(args):
+    grid_n = args.grid
+    if grid_n < 0:
+        raise ValueError(f"--grid must be nonnegative, got {grid_n}")
     s = compute_scales(args.lam, args.pi)
     t_macro = args.T / s.a if args.raw_time else args.T
-    grid_n = args.grid
     if args.csv and grid_n == 0:
         grid_n = 64
     grid = uniform_grid(t_macro, grid_n) if grid_n > 0 else None

@@ -84,7 +84,7 @@ EVENT_FRONT_MEET = 1
 EVENT_FRONT_STOP = 2
 EVENT_MARK = 3
 
-# blocker x grid time cells per array pass of a limit state's trajectory
+# feature x grid time cells per array pass of the slow limit's trajectory
 _CLUSTER_CELLS = 1 << 17
 
 # a front stop's cause by its cause-rank, the last key before list order;
@@ -191,7 +191,8 @@ def _validate_marks(marks: Sequence[Mark], A: float, T: float) -> Sequence[Mark]
 def _between(x: float, blockers, lo: float, hi: float) -> Tuple[float, float]:
     """The interval between the nearest blockers around x, inside (lo, hi).
     On a tie the first nearest blocker in the given order is kept (it
-    decides the sign of a zero bound)."""
+    decides the sign of a zero bound).  LimitStateP._cluster applies the
+    same rule to a state's blockers without listing them."""
     for blo, bhi in blockers:
         if bhi <= x:
             if bhi > lo:
@@ -274,13 +275,6 @@ class LimitStateP:
 
     # -- geometry helpers ----------------------------------------------------
 
-    def _pos(self, f: _Front, t: float) -> float:
-        return f.x0 + f.direction * (t - f.t0) / self.p
-
-    def _cap(self, f: _Front, t: float) -> float:
-        """Farthest point f has reached by time t."""
-        return self._pos(f, min(t, f.t_end))
-
     def _crossing(self, f: _Front, x: float, t: float) -> Optional[float]:
         """When front f crossed x, if it did so by time t."""
         if f.direction > 0:
@@ -359,8 +353,56 @@ class LimitStateP:
         return self._cluster(x, t)
 
     def _cluster(self, x: float, t: float) -> Tuple[float, float]:
-        """The interval between the nearest blockers around x at time t."""
-        return _between(x, self._blockers(t), -self.A, self.A)
+        """The interval between the nearest blockers around x at time t, inside
+        the box: the active barrier points, then the fronts' unhealed wakes
+        (where Z_t < 1), then the sweeps of the last time unit.  A blocker
+        (lo, hi) bounds the interval from the left when hi <= x, else from
+        the right when lo >= x; on a tie the first nearest blocker in that
+        order is kept (it decides the sign of a zero bound)."""
+        p = self.p
+        unit_ago = t - 1.0
+        lo = -self.A
+        hi = self.A
+        for b in self.barriers:
+            if b.create <= t < b.expiry:
+                if b.x <= x:
+                    if b.x > lo:
+                        lo = b.x
+                elif b.x < hi:
+                    hi = b.x
+        for f in self.fronts:
+            t0 = f.t0
+            if t0 > t:
+                continue
+            x0 = f.x0
+            # the farthest point f has reached by t, and the travel budget
+            # whose crossings have healed; min and max written out, so that
+            # a tie keeps the same operand (and the sign of a zero)
+            cap = x0 + f.direction * ((f.t_end if f.t_end < t else t) - t0) / p
+            healed = unit_ago - t0
+            if f.direction > 0:
+                if healed >= p * (cap - x0):
+                    continue  # entire wake healed
+                wlo = x0 + (healed if healed > 0.0 else 0.0) / p
+                whi = cap
+            else:
+                if healed >= p * (x0 - cap):
+                    continue
+                wlo = cap
+                whi = x0 - (healed if healed > 0.0 else 0.0) / p
+            if whi <= x:
+                if whi > lo:
+                    lo = whi
+            elif wlo >= x and wlo < hi:
+                hi = wlo
+        for s in self.sweeps:
+            if unit_ago < s.t <= t:
+                if s.hi <= x:
+                    if s.hi > lo:
+                        lo = s.hi
+                elif s.lo >= x and s.lo < hi:
+                    hi = s.lo
+        return (lo, hi)
 
     def query(self, x: float, t: float) -> LimitObservables:
         return LimitObservables(Z=self.Z(x, t), H=self.H(x, t), D=self.D(x, t))
@@ -368,7 +410,8 @@ class LimitStateP:
     def trajectory(self, grid: Sequence[float]) -> Trajectory:
         """Z and D at the origin over a time grid: the values of Z(0, t) and
         D(0, t) at each grid time, from one sweep of the resets at 0 and
-        one array pass over the blockers."""
+        the barriers on it, then one _cluster scan at each grid time where
+        the cluster is macroscopic."""
         times = np.asarray(grid, dtype=float)
         if times.size:
             self._check_point(0.0, float(times.min()))
@@ -386,92 +429,11 @@ class LimitStateP:
         ).reshape(-1, 2)
         barred = ((at_zero[:, :1] <= times) & (times < at_zero[:, 1:])).any(axis=0)
         # D(0, t) is (0, 0) where Z < 1 or a barrier sits at 0, else the cluster
-        clustered = np.flatnonzero((ages >= 1.0) & ~barred)
         intervals = [(0.0, 0.0)] * len(times)
-        blockers = self._blocker_arrays()
-        step = max(1, _CLUSTER_CELLS // (1 + sum(group.shape[2] for group in blockers)))
-        for start in range(0, len(clustered), step):
-            cols = clustered[start:start + step]
-            for i, bounds in zip(cols.tolist(), self._clusters_at_zero(times[cols], blockers)):
-                intervals[i] = bounds
+        t = times.tolist()
+        for i in np.flatnonzero((ages >= 1.0) & ~barred).tolist():
+            intervals[i] = self._cluster(0.0, t[i])
         return Trajectory(times, np.minimum(ages, 1.0), intervals)
-
-    def _blocker_arrays(self):
-        """The barriers, fronts and sweeps that _blockers reads, each field
-        as one row of a (1, count) array."""
-        def fields(rows, width):
-            return np.array(rows, dtype=float).reshape(-1, width).T[:, None, :]
-
-        return (
-            fields([(b.x, b.create, b.expiry) for b in self.barriers], 3),
-            fields([(f.x0, f.t0, f.direction, f.t_end) for f in self.fronts], 4),
-            fields([(s.t, s.lo, s.hi) for s in self.sweeps], 3),
-        )
-
-    def _clusters_at_zero(self, t: np.ndarray, blockers) -> List[Tuple[float, float]]:
-        """_cluster(0.0, t) at each time of t, with _blockers(t) as arrays:
-        the same float expressions, and on a tie the first nearest blocker
-        in list order, the one _cluster's strict comparisons keep (it
-        decides the sign of a zero bound), with the box edge before all."""
-        (bx, bc, be), (x0, t0, direction, t_end), (st, slo, shi) = blockers
-        n = len(t)
-        t = t[:, None]  # a row per time, a column per blocker
-        p = self.p
-        cap = x0 + direction * (np.where(t_end < t, t_end, t) - t0) / p
-        healed = t - 1.0 - t0
-        rightward = direction > 0
-        reach = p * np.where(rightward, cap - x0, x0 - cap)
-        back = np.where(healed > 0.0, healed, 0.0) / p
-
-        def columns(*groups):
-            return np.concatenate([np.broadcast_to(g, (n, g.shape[1])) for g in groups], axis=1)
-
-        edge = np.zeros((n, 1))  # column 0 stands for the box edges
-        lo = columns(edge, bx, np.where(rightward, x0 + back, cap), slo)
-        hi = columns(edge, bx, np.where(rightward, cap, x0 - back), shi)
-        active = columns(edge > 0.0, (bc <= t) & (t < be), (t0 <= t) & ~(healed >= reach),
-                         (t - 1.0 < st) & (st <= t))
-        left = active & (hi <= 0.0)
-        below = np.where(left, hi, -np.inf)
-        below[:, 0] = -self.A
-        above = np.where(active & ~left & (lo >= 0.0), lo, np.inf)
-        above[:, 0] = self.A
-        # argmax and argmin return the first of equal extremes
-        rows = np.arange(n)
-        bounds = []
-        for side, j, edge_value in ((below, below.argmax(axis=1), -self.A),
-                                    (above, above.argmin(axis=1), self.A)):
-            values = side[rows, j].tolist()
-            for i in np.flatnonzero(j == 0).tolist():
-                values[i] = edge_value  # the box edge as _cluster returns it
-            bounds.append(values)
-        return list(zip(*bounds))
-
-    def _blockers(self, t: float) -> List[Tuple[float, float]]:
-        """Intervals where Z_t < 1 plus active barrier points."""
-        out: List[Tuple[float, float]] = []
-        for b in self.barriers:
-            if b.create <= t < b.expiry:
-                out.append((b.x, b.x))
-        for f in self.fronts:
-            if f.t0 > t:
-                continue
-            cap = self._cap(f, t)
-            healed = t - 1.0 - f.t0  # travel budget whose crossings have healed
-            if f.direction > 0:
-                if healed >= self.p * (cap - f.x0):
-                    continue  # entire wake healed
-                flo = f.x0 + max(0.0, healed) / self.p
-                out.append((flo, cap))
-            else:
-                if healed >= self.p * (f.x0 - cap):
-                    continue
-                fhi = f.x0 - max(0.0, healed) / self.p
-                out.append((cap, fhi))
-        for s in self.sweeps:
-            if t - 1.0 < s.t <= t:
-                out.append((s.lo, s.hi))
-        return out
 
 
 def simulate_alffp_p(

@@ -245,6 +245,16 @@ def test_simulate_discrete_artifacts(tmp_path, capsys):
     assert snap["seed"] == 3
 
 
+def test_simulate_discrete_refuses_a_negative_grid(tmp_path, capsys):
+    # a negative grid once wrote a CSV of its header only
+    path = tmp_path / "rows.csv"
+    argv = ["simulate-discrete", "--lambda", "0.01", "--pi", "50", "-A", "1", "-T", "1"]
+    assert main([*argv, "--grid", "-5", "--csv", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not path.exists()
+    assert err == "error: --grid must be nonnegative, got -5\n"
+
+
 def test_simulate_discrete_refuses_a_past_target_in_macroscopic_time(capsys):
     rc = main([*_DISCRETE, "-A", "1", "-T", "-1"])
     assert rc == 2
@@ -317,23 +327,28 @@ def test_simulate_limit_modes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-# sha256 of `fireline simulate-limit -A 6 -T 3 --seed 19` artifacts, as
-# written when the C twin rebuilt every list of the state in the run's call
+# sha256 of `fireline simulate-limit -A 6 -T 3 --seed 19` artifacts: the
+# JSON and the event log as written when the C twin rebuilt every list of
+# the state in the run's call, and the 512-point trajectory CSV as written
+# by the numpy array pass over the blockers
 _GOLDEN_SIMULATE_LIMIT = {
     "1": ("bfc5f9caa7eafa2b7329b6efa5b057aef74679e0eaacd78cbcea7cf6987461ef",
-          "957af79b303f5de54fc9913f47b1e38774db911a01c57a08dafc5f08e1079e6e"),
+          "957af79b303f5de54fc9913f47b1e38774db911a01c57a08dafc5f08e1079e6e",
+          "77969f608774929bd5f4a6a22c6af40b28b4017dcf93b3beb6425c6273ebac97"),
     "0": ("4e7ec7d45878b8d6f5655fef0486f742945dc1c423b3601a02b3afa9f2689bda",
-          "72475aca42d10a6886cc1a7376d9a583569a6ee1d85be4036f32232a9640338a"),
+          "72475aca42d10a6886cc1a7376d9a583569a6ee1d85be4036f32232a9640338a",
+          "975d25cb269ec770df257f814b8e7babad5e8f3979cc955f31c81de01baa8619"),
 }
 
 
 @pytest.mark.parametrize("p", sorted(_GOLDEN_SIMULATE_LIMIT))
 def test_simulate_limit_golden_artifacts(p, tmp_path, capsys):
-    doc, events = tmp_path / "run.json", tmp_path / "events.csv"
+    doc, events, rows = tmp_path / "run.json", tmp_path / "events.csv", tmp_path / "rows.csv"
     assert main(["simulate-limit", "--p", p, "-A", "6", "-T", "3", "--seed", "19",
-                 "--json", str(doc), "--events", str(events)]) == 0
+                 "--json", str(doc), "--events", str(events),
+                 "--csv", str(rows), "--grid", "512"]) == 0
     capsys.readouterr()
-    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (doc, events))
+    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (doc, events, rows))
     assert got == _GOLDEN_SIMULATE_LIMIT[p]
 
 

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+private function, class and method the package defines is used in it."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,44 @@ def test_guard_flags_an_unused_import():
     assert _unused_imports("import os\nfrom typing import List, Union\nx: List = []\n") == [
         "os", "Union",
     ]
+
+
+def _private_definitions(tree):
+    """The private (single-underscore) functions, classes and methods
+    defined anywhere in a module, in source order."""
+    return [
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    ]
+
+
+def _unreferenced_private(sources):
+    """The private definitions of the given sources that none of them
+    references by name or attribute: code no caller can reach."""
+    trees = [ast.parse(source) for source in sources]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [name for tree in trees for name in _private_definitions(tree) if name not in used]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = [path.read_text() for path in sorted(_PACKAGE.glob("*.py"))]
+    assert sum(len(_private_definitions(ast.parse(s))) for s in sources) > 50
+    assert _unreferenced_private(sources) == []
+
+
+def test_guard_flags_an_unreferenced_private_definition():
+    source = (
+        "class _State:\n"
+        "    def _pos(self, t):\n        return t\n"
+        "    def _cap(self, t):\n        return self._pos(t)\n"
+        "    def __init__(self):\n        pass\n"
+        "def _between():\n    return _State()\n"
+    )
+    assert _unreferenced_private([source]) == ["_between", "_cap"]

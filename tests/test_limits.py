@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _limits_reference import reference_alffp
+from _limits_reference import _D, reference_alffp
+from fireline.engine import COMPILED, FALLBACK_REASON
 from fireline.limits import (
     EVENT_BARRIER_EXPIRY,
     EVENT_FRONT_MEET,
@@ -16,13 +17,16 @@ from fireline.limits import (
     EVENT_MARK,
     LimitEvent,
     LimitObservables,
+    LimitStateP,
+    _run_alffp_c,
+    _run_alffp_py,
     _validate_marks,
     sample_cluster_length_inf,
     simulate_alffp_p,
     simulate_lffp_0,
     simulate_lffp_inf,
 )
-from fireline.rng import Mark, MarkSet, RngStream
+from fireline.rng import Mark, MarkSet, RngStream, poisson_rectangle
 
 
 def kinds(state):
@@ -401,18 +405,23 @@ def test_trajectory_equals_state_queries_on_lattice_ties(p):
         )
 
 
-@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0])
-def test_trajectory_keeps_the_sign_of_zero_bounds(p):
-    # lattice marks whose x = 0 is 0.0 or -0.0 at random: a wake edge or a
-    # sweep bound then sits at -0.0, and the reprs tell it from 0.0
+def _signed_zero_sets(p):
+    """40 lattice mark sets on [-2, 2] x [0, 4] whose x = 0 is 0.0 or -0.0
+    at random: a wake edge or a sweep bound then sits at -0.0, and the
+    reprs tell it from 0.0."""
     rng = random.Random(int(p * 4) + 11)
-    signed = 0
     for _ in range(40):
         cells = sorted(
             (0.25 * rng.randint(0, 16), 0.5 * rng.randint(-4, 4))
             for _ in range(rng.randint(1, 24))
         )
-        marks = [Mark(x or rng.choice((0.0, -0.0)), t) for t, x in cells]
+        yield [Mark(x or rng.choice((0.0, -0.0)), t) for t, x in cells]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0])
+def test_trajectory_keeps_the_sign_of_zero_bounds(p):
+    signed = 0
+    for marks in _signed_zero_sets(p):
         traj = assert_trajectory_equals_queries(simulate_alffp_p(p, 2.0, 4.0, marks=marks))
         signed += sum(
             math.copysign(1.0, bound) < 0.0
@@ -420,6 +429,37 @@ def test_trajectory_keeps_the_sign_of_zero_bounds(p):
             for bound in interval if bound == 0.0
         )
     assert signed > 0
+
+
+@pytest.mark.parametrize("loop", ["c", "python"])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0])
+def test_cluster_equals_the_frozen_scans(p, loop):
+    # D and trajectory read one cluster scan, so each is held to the frozen
+    # oracle's own scans: at random points, at every mark and along the
+    # edge grid at 0, on Poisson, lattice-tie and signed-zero runs
+    if loop == "c" and not COMPILED:
+        pytest.skip(f"C core unavailable: {FALLBACK_REASON}")
+    run = _run_alffp_c if loop == "c" else _run_alffp_py
+    rng = random.Random(int(p * 4) + 21)
+    runs = [(A, poisson_rectangle(RngStream(seed, int(A)), -A, A, 0.0, 4.0))
+            for A in (2.0, 6.0) for seed in range(4)]
+    # half of the lattice boxes have an int A, which D returns as its box edge
+    runs += [(A if k % 2 else int(A), marks)
+             for k, (A, marks) in enumerate(_lattice_sets(p, 40))]
+    runs += [(2.0, marks) for marks in _signed_zero_sets(p)]
+    points = signed = 0
+    for A, marks in runs:
+        state = LimitStateP(p, A, 4.0, _validate_marks(marks, A, 4.0))
+        run(state)
+        grid = _edge_grid(state)
+        queries = [(rng.uniform(-A, A), rng.uniform(0.0, 4.0)) for _ in range(40)]
+        queries += [(m.x, m.t) for m in state.marks] + [(0.0, t) for t in grid]
+        want = [_D(state, x, t) for x, t in queries]
+        assert [repr(state.D(x, t)) for x, t in queries] == [repr(d) for d in want]
+        assert repr(state.trajectory(grid).intervals) == repr(want[-len(grid):])
+        points += len(queries)
+        signed += sum(repr(bound) == "-0.0" for d in want for bound in d)
+    assert points > 5000 and signed > 0
 
 
 def test_inf_trajectory_has_intervals_and_nan_values():
@@ -600,18 +640,24 @@ def test_poisson_realizations_match_oracle(p, A):
         assert_matches_oracle(p, A, 4.0, seed=seed, stream_id=int(A))
 
 
-@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0])
-def test_lattice_ties_match_oracle(p):
-    # x on half-integers and t on quarter-integers make equal event keys
-    # common: fronts reach barriers, wakes and the edge at the same instants
+def _lattice_sets(p, count=100):
+    """(A, marks) on [-A, A] x [0, 4] with x on half-integers and t on
+    quarter-integers, which make equal event keys common: fronts reach
+    barriers, wakes and the edge at the same instants."""
     rng = random.Random(int(p * 4))
-    for _ in range(100):
+    for _ in range(count):
         A = float(rng.choice([1, 2, 3]))
         cells = sorted(
             (0.25 * rng.randint(0, 16), 0.5 * rng.randint(-2 * int(A), 2 * int(A)))
             for _ in range(rng.randint(1, 16 * int(A)))
         )
-        assert_matches_oracle(p, A, 4.0, marks=[Mark(x, t) for t, x in cells])
+        yield A, [Mark(x, t) for t, x in cells]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0])
+def test_lattice_ties_match_oracle(p):
+    for A, marks in _lattice_sets(p):
+        assert_matches_oracle(p, A, 4.0, marks=marks)
 
 
 def test_large_box_matches_oracle():

@@ -4,15 +4,13 @@ Python loop (limits._run_alffp_py), each run on a fresh state.  The oracle
 tests of test_limits.py run the loop that simulate_alffp_p picks, the C one
 whenever the library loads; this file holds the Python loop to it."""
 
-import random
-
 import pytest
 
 from fireline import limits
 from fireline.engine import COMPILED, FALLBACK_REASON
 from fireline.limits import LimitStateP, _run_alffp_c, _run_alffp_py, _validate_marks
 from fireline.rng import Mark, RngStream, poisson_rectangle
-from test_limits import GOLDEN_STATS, HAND_MADE, outcome
+from test_limits import GOLDEN_STATS, HAND_MADE, _lattice_sets, outcome
 
 pytestmark = pytest.mark.skipif(
     not COMPILED, reason=f"C core unavailable: {FALLBACK_REASON}"
@@ -64,14 +62,8 @@ def test_hand_made_sets(p, A, T, marks):
 def test_lattice_ties(p):
     # the mark sets of test_limits.test_lattice_ties_match_oracle: equal
     # event keys are common
-    rng = random.Random(int(p * 4))
-    for _ in range(100):
-        A = float(rng.choice([1, 2, 3]))
-        cells = sorted(
-            (0.25 * rng.randint(0, 16), 0.5 * rng.randint(-2 * int(A), 2 * int(A)))
-            for _ in range(rng.randint(1, 16 * int(A)))
-        )
-        assert_loops_agree(p, A, 4.0, [Mark(x, t) for t, x in cells])
+    for A, marks in _lattice_sets(p):
+        assert_loops_agree(p, A, 4.0, marks)
 
 
 @pytest.mark.parametrize("A, seed", [(40.0, 3), (48.0, 0), (48.0, 1), (48.0, 2)])

@@ -1,6 +1,6 @@
 /* Compiled event core, the C twin of fireline._engine_py.PyEngineCore; block
- * draws and the Poisson mark sampler for fireline.rng; and the C twin of the
- * LFFP(p) event loop of fireline.limits.
+ * draws and the Poisson mark sampler for fireline.rng; and the C twins of the
+ * LFFP(p) event loop of fireline.limits and of its state's queries.
  *
  * Plain C99 with no Python C-API; fireline._clib loads it with ctypes.
  * Every clock draw is the same counter-based Philox4x64-10 word as
@@ -72,6 +72,17 @@
  * and rekeyed, its peak size and the candidate tests.  Its scratch (the
  * queue, the ordered lookups) is allocated and freed inside the call.  It
  * returns 0, or -1 when an allocation fails.
+ *
+ * fl_limit_query(p, A, n, rows, counts, x, m, ts, out) answers the queries
+ * of fireline.limits.LimitStateP at the m points (x, ts[i]) from the rows
+ * and the four row counts of one fl_limit_run call on n marks: per point,
+ * five doubles, the last reset at x, H (the active barrier's height), a
+ * macroscopic flag (Z = 1 and no active barrier, 1.0 or 0.0) and the bounds
+ * of the cluster D (x and x when the flag is 0.0).  Each answer is a scan of
+ * the rows in the order and with the float expressions of the Python scan
+ * it mirrors (_last_reset, _active_barrier, _cluster), so both give the same
+ * bits, ties and signs of zero included.  It reads nothing else and
+ * allocates nothing.
  *
  * Sizes and indices are 64-bit throughout, and so are the per-site draw
  * counters (Python's are unbounded).  The heap and the logs grow on demand;
@@ -913,8 +924,10 @@ static int meet_time(const lim_run *r, const lim_front *f, const lim_front *g, d
     return 1;
 }
 
-/* When front f crossed x, if it did so by time t (LimitStateP._crossing). */
-static int crossing(const lim_run *r, const lim_front *f, double x, double t, double *ct)
+/* When front f crossed x, if it did so by time t (LimitStateP._crossing).
+ * inline: with a second caller (query_reset) the compiler would otherwise
+ * make it an out-of-line call in the loop's last_reset. */
+static inline int crossing(const lim_run *r, const lim_front *f, double x, double t, double *ct)
 {
     if (f->dir > 0) {
         if (x < f->x0)
@@ -1314,6 +1327,16 @@ static int lim_loop(lim_run *r)
     return 0;
 }
 
+/* The row blocks of a buffer of 39n doubles for n marks: 4n events, 2n
+ * fronts, n barriers and n sweeps. */
+static void lim_blocks(lim_run *r, double *rows, int64_t n)
+{
+    r->events = (lim_event *)rows;
+    r->fronts = (lim_front *)(rows + 20 * n);
+    r->barriers = (lim_barrier *)(rows + 32 * n);
+    r->sweeps = (lim_sweep *)(rows + 36 * n);
+}
+
 /* LFFP(p) on [-A, A] x [0, T] from n validated marks, sorted by time.  See
  * the header comment for the buffers and counts.  Returns 0, or -1 when an
  * allocation fails. */
@@ -1332,10 +1355,7 @@ FL_API int fl_limit_run(double p, double A, double T, int64_t n, const mark_row 
     }
     r.marks = marks;
     r.n_marks = n;
-    r.events = (lim_event *)rows;
-    r.fronts = (lim_front *)(rows + 20 * n);
-    r.barriers = (lim_barrier *)(rows + 32 * n);
-    r.sweeps = (lim_sweep *)(rows + 36 * n);
+    lim_blocks(&r, rows, n);
     /* each list holds at most n barriers or fronts of one direction */
     size_t cap = n > 0 ? (size_t)n : 1;
     r.open.keys = malloc(cap * sizeof(double));
@@ -1361,4 +1381,128 @@ FL_API int fl_limit_run(double p, double A, double T, int64_t n, const mark_row 
     }
     free(r.buried);
     return status;
+}
+
+/* -- LFFP(p) queries ------------------------------------------------------ */
+
+/* The scans of fireline.limits.LimitStateP over a run's rows: each walks its
+ * whole block in row order and makes the same tests, so that a tie keeps the
+ * same row (and the sign of a zero) as the Python scan. */
+
+/* LimitStateP._last_reset: the last crossing of x by t, then the sweeps. */
+static double query_reset(const lim_run *r, double x, double t)
+{
+    double out = 0.0, ct;
+    for (int64_t i = 0; i < r->n_fronts; i++)
+        if (crossing(r, &r->fronts[i], x, t, &ct) && ct > out)
+            out = ct;
+    for (int64_t i = 0; i < r->n_sweeps; i++) {
+        const lim_sweep *s = &r->sweeps[i];
+        if (s->lo < x && x < s->hi && out < s->t && s->t <= t)
+            out = s->t;
+    }
+    return out;
+}
+
+/* LimitStateP.H: what is left at t of the barrier active at x with the
+ * largest expiry (the first in row order on a tie), or 0.0. */
+static double query_height(const lim_run *r, double x, double t)
+{
+    const lim_barrier *out = NULL;
+    for (int64_t i = 0; i < r->n_barriers; i++) {
+        const lim_barrier *b = &r->barriers[i];
+        if (b->x == x && b->create <= t && t < b->expiry
+            && (out == NULL || b->expiry > out->expiry))
+            out = b;
+    }
+    return out == NULL ? 0.0 : out->expiry - t;
+}
+
+/* LimitStateP._cluster: the interval between the nearest blockers around x
+ * at t inside the box, from the active barriers, then the fronts' unhealed
+ * wakes, then the sweeps of the last time unit. */
+static void query_cluster(const lim_run *r, double x, double t, double *lo_out,
+                          double *hi_out)
+{
+    double p = r->p, unit_ago = t - 1.0, lo = -r->A, hi = r->A;
+    for (int64_t i = 0; i < r->n_barriers; i++) {
+        const lim_barrier *b = &r->barriers[i];
+        if (b->create <= t && t < b->expiry) {
+            if (b->x <= x) {
+                if (b->x > lo)
+                    lo = b->x;
+            } else if (b->x < hi) {
+                hi = b->x;
+            }
+        }
+    }
+    for (int64_t i = 0; i < r->n_fronts; i++) {
+        const lim_front *f = &r->fronts[i];
+        double t0 = f->t0, x0 = f->x0, wlo, whi;
+        if (t0 > t)
+            continue;
+        double cap = x0 + f->dir * ((f->t_end < t ? f->t_end : t) - t0) / p;
+        double healed = unit_ago - t0;
+        if (f->dir > 0) {
+            if (healed >= p * (cap - x0))
+                continue; /* the whole wake has healed */
+            wlo = x0 + (healed > 0.0 ? healed : 0.0) / p;
+            whi = cap;
+        } else {
+            if (healed >= p * (x0 - cap))
+                continue;
+            wlo = cap;
+            whi = x0 - (healed > 0.0 ? healed : 0.0) / p;
+        }
+        if (whi <= x) {
+            if (whi > lo)
+                lo = whi;
+        } else if (wlo >= x && wlo < hi) {
+            hi = wlo;
+        }
+    }
+    for (int64_t i = 0; i < r->n_sweeps; i++) {
+        const lim_sweep *s = &r->sweeps[i];
+        if (unit_ago < s->t && s->t <= t) {
+            if (s->hi <= x) {
+                if (s->hi > lo)
+                    lo = s->hi;
+            } else if (s->lo >= x && s->lo < hi) {
+                hi = s->lo;
+            }
+        }
+    }
+    *lo_out = lo;
+    *hi_out = hi;
+}
+
+/* LimitStateP's answers at the m points (x, ts[i]) of the run that
+ * fl_limit_run wrote into rows for n marks, whose first four counts are its
+ * row counts.  out[5i .. 5i + 4] gets the last reset, H, the macroscopic
+ * flag (1.0 when Z = 1 and no barrier stands at x, else 0.0) and the
+ * cluster bounds, (x, x) when the flag is 0.0. */
+FL_API void fl_limit_query(double p, double A, int64_t n, const double *rows,
+                           const int64_t *counts, double x, int64_t m, const double *ts,
+                           double *out)
+{
+    lim_run r;
+    memset(&r, 0, sizeof r);
+    r.p = p;
+    r.A = A;
+    lim_blocks(&r, (double *)rows, n); /* read only */
+    r.n_fronts = counts[1];
+    r.n_barriers = counts[2];
+    r.n_sweeps = counts[3];
+    for (int64_t i = 0; i < m; i++, out += 5) {
+        double t = ts[i];
+        out[0] = query_reset(&r, x, t);
+        out[1] = query_height(&r, x, t);
+        out[2] = !(t - out[0] < 1.0 || out[1] > 0.0);
+        if (out[2] != 0.0) {
+            query_cluster(&r, x, t, &out[3], &out[4]);
+        } else {
+            out[3] = x;
+            out[4] = x;
+        }
+    }
 }

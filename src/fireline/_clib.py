@@ -2,7 +2,7 @@
 
 The library is _ccore.c: the C event core that fireline.engine wraps, the
 block draws and the Poisson mark sampler of fireline.rng, and the LFFP(p)
-event loop of fireline.limits.
+event loop of fireline.limits and its queries.
 It uses no Python C-API and is loaded with ctypes.  setup.py compiles it
 next to this module.  In a source checkout without that build, the first
 import compiles the source with the system C compiler ($CC, default cc)
@@ -114,6 +114,11 @@ def _declare(lib):
         c_double, c_double, c_double, c_int64, c_void_p, c_void_p, POINTER(c_int64),
     ]
     lib.fl_limit_run.restype = c_int
+    lib.fl_limit_query.argtypes = [
+        c_double, c_double, c_int64, c_void_p, POINTER(c_int64), c_double, c_int64, c_void_p,
+        c_void_p,
+    ]
+    lib.fl_limit_query.restype = None
     return lib
 
 

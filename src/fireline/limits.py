@@ -42,7 +42,7 @@ The loop exists twice.  _run_alffp_c makes one call of its C twin,
 fl_limit_run in _ccore.c, which runs the same queue, lookups, tests and
 counters with Python's float semantics, and keeps the rows it writes: the
 state builds its events, fronts, barriers and sweeps from them on first
-read, so a run whose reader asks only for D never builds its event log.
+read, so a run whose reader only queries it builds none of them.
 _run_alffp_py is the Python loop, the fallback when the compiled library
 does not load, and fills the lists as it runs.  _run_alffp is chosen at
 import; the two give the same realization bit for bit.
@@ -62,12 +62,22 @@ margin for rounding), its active barrier by exact x, and at p = 0 D from
 the active barriers and the sweeps of the last time unit.  An event costs
 O(log Q) for the queue plus O(log n) and the entries within reach for
 each lookup, so a new front's tests stay flat as the box grows.
+
+Queries.  Z, H, D and reset_time at (x, t) read three scans of a state:
+_last_reset (the last front crossing or sweep over x), _active_barrier
+and, where the cluster is macroscopic, _cluster (the nearest blockers).
+A state that _run_alffp_c made keeps its whole row buffer, and answers
+each query, and a trajectory's whole grid, with one call of
+fl_limit_query, which makes the same scans over the rows in the same
+order and float expressions; it builds no list.  Any other state (the
+Python loop's, a hand-built one, the frozen oracle's) scans its lists in
+Python.  The two give the same answers bit for bit.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from ctypes import c_int64
+from ctypes import byref, c_double, c_int64
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from itertools import chain
@@ -241,7 +251,9 @@ class LimitStateP:
 
     After a C run each of the four lists is a block of fl_limit_run's rows
     until it is first read; that read builds the list (__getattr__) and
-    keeps it, so later reads return the same list object.
+    keeps it, so later reads return the same list object.  A C state
+    answers its queries and stats() from the rows, never from the lists:
+    they are for inspection, and editing them does not change its answers.
     """
 
     def __init__(self, p: float, A: float, T: float, marks: Sequence[Mark]):
@@ -253,25 +265,56 @@ class LimitStateP:
         self.barriers: List[_Barrier] = []
         self.sweeps: List[_Sweep] = []
         self.events: List[LimitEvent] = []
-        self._rows: dict = {}  # set by _run_alffp_c: the row blocks not read yet
-        self._queue_counts: dict = {}  # set by the LFFP(p) engine
+        # set by _run_alffp_c: (row buffer, its data pointer, its counts)
+        self._buffer: Optional[tuple] = None
+        self._queue_counts: dict = {}  # set by the Python loop
 
     def __getattr__(self, name: str):
-        # called only for a name the instance lacks: a row block's first read
-        rows = vars(self).get("_rows", {}).pop(name, None)
-        if rows is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        built = vars(self)[name] = _built(name, rows.tolist())
-        return built
+        # called only for a name the instance lacks: on a C state, the first
+        # read of a list, built from its block of the row buffer
+        buffer = vars(self).get("_buffer")
+        if buffer is not None:
+            rows, _, counts = buffer
+            n = len(rows) // _ROW_WIDTH
+            start = 0
+            for (block, per_mark, width), size in zip(_ROW_BLOCKS, counts):
+                if block == name:
+                    rows = rows[start:start + size * width].reshape(size, width)
+                    built = vars(self)[name] = _built(name, rows.tolist())
+                    return built
+                start += per_mark * n * width
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self) -> dict:
+        # a data pointer is only good in this process, for this buffer: a
+        # pickle or copy keeps the rows and counts and takes its own on load
+        state = dict(vars(self))
+        if self._buffer is not None:
+            rows, _, counts = self._buffer
+            state["_buffer"] = (rows, list(counts))
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        if self._buffer is not None:
+            rows, counts = self._buffer
+            self._buffer = (rows, rows.ctypes.data, (c_int64 * len(counts))(*counts))
 
     def stats(self) -> dict:
         """Deterministic counters of the run: events by cause; the event
         queue's candidates queued, dropped as stale, re-keyed, and its
         high-water mark; and candidate_tests, the stop and meet tests made to
         derive candidates for new fronts, barriers and deaths (the entries
-        their lookups find within reach)."""
-        causes = Counter(e.cause for e in self.events)
-        return {"events_by_cause": dict(sorted(causes.items())), **self._queue_counts}
+        their lookups find within reach).  A C state counts its events by
+        the cause codes of its event rows, without building the log."""
+        if self._buffer is None:
+            causes = Counter(e.cause for e in self.events)
+            queue_counts = self._queue_counts
+        else:
+            rows, _, counts = self._buffer
+            causes = Counter(_EVENT_CODES[code][1] for code in rows[1:5 * counts[0]:5].tolist())
+            queue_counts = dict(zip(_QUEUE_COUNTERS, counts[4:]))
+        return {"events_by_cause": dict(sorted(causes.items())), **queue_counts}
 
     # -- geometry helpers ----------------------------------------------------
 
@@ -327,6 +370,27 @@ class LimitStateP:
         if not 0.0 <= t <= self.T:
             raise ValueError(f"t={t} outside the simulated window [0, {self.T}]")
 
+    def _ask(self, x: float, m: int, times, out) -> None:
+        """One fl_limit_query call on a C state: the answers at (x, t) for
+        the m times at the pointer times, written to out as rows of five
+        doubles (the last reset, H, the macroscopic flag and the cluster
+        bounds)."""
+        rows, data, counts = self._buffer
+        _lib.fl_limit_query(self.p, self.A, len(rows) // _ROW_WIDTH, data, counts, x, m, times,
+                            out)
+
+    def _ask_one(self, x: float, t: float):
+        out = (c_double * 5)()
+        self._ask(x, 1, byref(c_double(t)), out)
+        return out
+
+    def _edges(self, lo: float, hi: float) -> Tuple[float, float]:
+        """C cluster bounds as _cluster returns them: a bound at the box edge
+        is the state's own -A or A (an int A stays an int).  No blocker
+        replaces the edge at equality, so a bound equal to it is the edge."""
+        A = self.A
+        return (-A if lo == -A else lo, A if hi == A else hi)
+
     # -- public queries --------------------------------------------------------
 
     def reset_time(self, x: float, t: Optional[float] = None) -> float:
@@ -334,20 +398,29 @@ class LimitStateP:
         if t is None:
             t = self.T
         self._check_point(x, t)
+        if self._buffer is not None:
+            return self._ask_one(x, t)[0]
         return self._last_reset(x, t)
 
     def Z(self, x: float, t: float) -> float:
         self._check_point(x, t)
+        if self._buffer is not None:
+            return min(t - self._ask_one(x, t)[0], 1.0)
         return min(t - self._last_reset(x, t), 1.0)
 
     def H(self, x: float, t: float) -> float:
         self._check_point(x, t)
+        if self._buffer is not None:
+            return self._ask_one(x, t)[1]
         b = self._active_barrier(x, t)
         return 0.0 if b is None else b.expiry - t
 
     def D(self, x: float, t: float) -> Tuple[float, float]:
         """The macroscopic cluster interval through x at time t."""
         self._check_point(x, t)
+        if self._buffer is not None:
+            out = self._ask_one(x, t)
+            return self._edges(out[3], out[4]) if out[2] else (x, x)
         if t - self._last_reset(x, t) < 1.0 or self.H(x, t) > 0.0:
             return (x, x)
         return self._cluster(x, t)
@@ -409,13 +482,21 @@ class LimitStateP:
 
     def trajectory(self, grid: Sequence[float]) -> Trajectory:
         """Z and D at the origin over a time grid: the values of Z(0, t) and
-        D(0, t) at each grid time, from one sweep of the resets at 0 and
-        the barriers on it, then one _cluster scan at each grid time where
-        the cluster is macroscopic."""
+        D(0, t) at each grid time.  A C state answers the whole grid in one
+        fl_limit_query call; otherwise one sweep of the resets at 0 and the
+        barriers on it, then one _cluster scan at each grid time where the
+        cluster is macroscopic."""
         times = np.asarray(grid, dtype=float)
         if times.size:
             self._check_point(0.0, float(times.min()))
             self._check_point(0.0, float(times.max()))
+        if self._buffer is not None:
+            ts = np.ascontiguousarray(times)
+            out = np.empty((len(ts), 5))
+            self._ask(0.0, len(ts), ts.ctypes.data, out.ctypes.data)
+            edges = self._edges
+            return Trajectory(times, np.minimum(times - out[:, 0], 1.0),
+                              [edges(lo, hi) for lo, hi in out[:, 3:].tolist()])
         # every reset at 0 in time order, after the 0.0 that _last_reset
         # starts from: the last one by t is _last_reset(0, t)
         crossings = [self._crossing(f, 0.0, math.inf) for f in self.fronts]
@@ -822,8 +903,10 @@ _FRONT_CODES = {
 _QUEUE_COUNTERS = ("candidates_queued", "candidates_stale", "candidates_rekeyed",
                    "queue_peak", "candidate_tests")
 # fl_limit_run's row buffer: blocks of 4n events, 2n fronts, n barriers and
-# n sweeps for n marks, as (state list, rows per mark, row width)
+# n sweeps for n marks, as (state list, rows per mark, row width), so 39n
+# doubles in all
 _ROW_BLOCKS = (("events", 4, 5), ("fronts", 2, 6), ("barriers", 1, 4), ("sweeps", 1, 3))
+_ROW_WIDTH = sum(per_mark * width for _, per_mark, width in _ROW_BLOCKS)
 
 
 def _built(name: str, rows: list) -> list:
@@ -847,32 +930,28 @@ def _built(name: str, rows: list) -> list:
 
 def _run_alffp_c(state: LimitStateP) -> None:
     """_run_alffp_py as one call of its C twin, fl_limit_run: the marks go in
-    as (x, t) rows, a MarkSet's own array.  The state's queue counters are
-    read from it at once; its events, fronts, barriers and sweeps stay views
-    of the rows it writes, each built on its first read
+    as (x, t) rows, a MarkSet's own array.  The state keeps the row buffer,
+    its data pointer (a .ctypes.data read costs 1-2 us) and the counts: its
+    queries and stats read them, and each of its events, fronts, barriers
+    and sweeps is built from its block on its first read
     (LimitStateP.__getattr__)."""
     n = len(state.marks)
     if type(state.marks) is MarkSet:
         marks = state.marks.array
     else:
         marks = np.fromiter(chain.from_iterable(state.marks), float, 2 * n)
-    rows = np.empty(39 * n)
+    rows = np.empty(_ROW_WIDTH * n)
+    data = rows.ctypes.data
     counts = (c_int64 * 9)()
-    status = _lib.fl_limit_run(state.p, state.A, state.T, n, marks.ctypes.data,
-                               rows.ctypes.data, counts)
+    status = _lib.fl_limit_run(state.p, state.A, state.T, n, marks.ctypes.data, data, counts)
     if status != 0:  # -1, the one failure
         raise MemoryError("the limit engine could not allocate its event queue")
-    blocks = {}
-    start = 0
-    for (name, per_mark, width), size in zip(_ROW_BLOCKS, counts):
+    for (name, per_mark, _), size in zip(_ROW_BLOCKS, counts):
         if not 0 <= size <= per_mark * n:
             raise RuntimeError(f"fl_limit_run returned {size} rows for a buffer of {per_mark * n}")
-        blocks[name] = rows[start:start + size * width].reshape(size, width)
-        start += per_mark * n * width
-    for name in blocks:
-        delattr(state, name)  # the next read finds the block in _rows
-    state._rows = blocks
-    state._queue_counts = dict(zip(_QUEUE_COUNTERS, counts[4:]))
+    for name, _, _ in _ROW_BLOCKS:
+        delattr(state, name)  # the next read builds it from the buffer
+    state._buffer = (rows, data, counts)
 
 
 # the C twin when the compiled library loads, else the Python loop

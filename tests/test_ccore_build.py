@@ -3,8 +3,8 @@ with the compiler's 128-bit integers and without them (the portable
 mulhilo); a build at another optimisation level, with the portable mulhilo,
 or with the library's own flags for the build machine's instruction set
 (where a * b + c could become a fused multiply-add) gives the same draws,
-Poisson marks, realizations and limit runs as the loaded library; and every
-function it exports is declared for ctypes."""
+Poisson marks, realizations, limit runs and limit queries as the loaded
+library; and every function it exports is declared for ctypes."""
 
 import ctypes
 import hashlib
@@ -20,6 +20,7 @@ import pytest
 from fireline import engine, limits, rng
 from fireline._clib import _SOURCE, CFLAGS, _declare
 from fireline.rng import PURPOSE_PROPAGATE, PURPOSE_SEED, Mark, RngStream, poisson_rectangle
+from fireline.scales import uniform_grid
 
 _CC = os.environ.get("CC", "cc")
 _STRICT = ["-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-shared", "-fPIC"]
@@ -63,11 +64,12 @@ def _rectangles(lib, monkeypatch):
 def _realization(lib, monkeypatch):
     """Block words of two counters (one with wrapping seed, stream and
     index); the sha256 of 200 Poisson rectangles; the states, seed_last, logs and counters of a fast front and of
-    slow extinguishes with re-ignitions; and the events, fronts, barriers,
-    sweeps and counters of LFFP(0), LFFP(1) and LFFP(0.1) on Poisson marks
-    (at p = 0.1 a fused multiply-add rounds some event times differently)
-    and of LFFP(0.5) on lattice marks, whose event keys often tie; run on
-    lib."""
+    slow extinguishes with re-ignitions; and the query answers (D, Z and H
+    at fixed points and at some marks, and a 64-point trajectory), events,
+    fronts, barriers, sweeps and counters of LFFP(0), LFFP(1) and LFFP(0.1)
+    on Poisson marks (at p = 0.1 a fused multiply-add rounds some event
+    times differently) and of LFFP(0.5) on lattice marks, whose event keys
+    often tie; run on lib."""
     got = []
     for args in ((7, 0, PURPOSE_SEED, 5, 0),
                  (2**64 - 1, 2**63 + 5, PURPOSE_PROPAGATE, 10**12, 2**64 - 500)):
@@ -100,6 +102,11 @@ def _realization(lib, monkeypatch):
                             (0.5, 2.0, lattice)):
             state = limits.LimitStateP(p, A, 4.0, limits._validate_marks(marks, A, 4.0))
             limits._run_alffp_c(state)
+            points = [(0.0, 4.0), (1.25, 3.5), (-2.0, 1.75)]
+            points += [(m.x, m.t) for m in list(state.marks)[::5]]
+            traj = state.trajectory(uniform_grid(4.0, 64))
+            got += [repr([(state.D(x, t), state.Z(x, t), state.H(x, t)) for x, t in points]),
+                    traj.values.tobytes(), repr(traj.intervals)]
             got += [repr(state.events), repr(state.fronts), repr(state.barriers),
                     repr(state.sweeps), state.stats()]
     return got

@@ -2,7 +2,12 @@
 the C twin (fl_limit_run in _ccore.c, called by limits._run_alffp_c) and the
 Python loop (limits._run_alffp_py), each run on a fresh state.  The oracle
 tests of test_limits.py run the loop that simulate_alffp_p picks, the C one
-whenever the library loads; this file holds the Python loop to it."""
+whenever the library loads; this file holds the Python loop to it, and a C
+state's queries (fl_limit_query over its rows) to the Python scans."""
+
+import copy
+import pickle
+import random
 
 import pytest
 
@@ -10,7 +15,14 @@ from fireline import limits
 from fireline.engine import COMPILED, FALLBACK_REASON
 from fireline.limits import LimitStateP, _run_alffp_c, _run_alffp_py, _validate_marks
 from fireline.rng import Mark, RngStream, poisson_rectangle
-from test_limits import GOLDEN_STATS, HAND_MADE, _lattice_sets, outcome
+from test_limits import (
+    GOLDEN_STATS,
+    HAND_MADE,
+    _edge_grid,
+    _lattice_sets,
+    _signed_zero_sets,
+    outcome,
+)
 
 pytestmark = pytest.mark.skipif(
     not COMPILED, reason=f"C core unavailable: {FALLBACK_REASON}"
@@ -161,8 +173,8 @@ def test_simulate_uses_the_c_loop():
 
 # -- lists built on first read -------------------------------------------------------
 
-# a first read that builds one list, or none of them (D reads the fronts,
-# barriers and sweeps); _everything then reads the rest in its own order
+# a first read that builds one list, or none of them (D answers from the
+# rows); _everything then reads the rest in its own order
 _FIRST_READS = {
     "events": lambda state: state.events,
     "D(0, T)": lambda state: state.D(0.0, state.T),
@@ -203,3 +215,107 @@ def test_a_tail_query_builds_no_event(monkeypatch):
     state.D(0.0, 3.0)
     with pytest.raises(AssertionError, match="built a LimitEvent"):
         state.events
+
+
+def test_stats_build_no_event(monkeypatch):
+    expected = limits.simulate_alffp_p(1.0, 6.0, 3.0, seed=19).stats()
+
+    def refuse(*args):
+        raise AssertionError("built a LimitEvent")
+
+    monkeypatch.setattr(limits, "LimitEvent", refuse)
+    state = limits.simulate_alffp_p(1.0, 6.0, 3.0, seed=19)
+    stats = state.stats()
+    assert repr(stats) == repr(expected)
+    assert all(type(v) is int for v in stats["events_by_cause"].values())
+    with pytest.raises(AssertionError, match="built a LimitEvent"):
+        state.events
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_queries_build_no_list(monkeypatch, p):
+    def refuse(name, rows):
+        raise AssertionError(f"built {name}")
+
+    monkeypatch.setattr(limits, "_built", refuse)
+    state = limits.simulate_alffp_p(p, 6.0, 3.0, seed=19)
+    for x, t in [(0.0, 3.0), (1.5, 2.0), (-6.0, 0.5)]:
+        state.Z(x, t), state.H(x, t), state.D(x, t), state.reset_time(x, t), state.query(x, t)
+    state.reset_time(0.0)
+    state.trajectory([0.5 * k for k in range(7)])
+    state.stats()
+    with pytest.raises(AssertionError, match="built fronts"):
+        state.fronts
+
+
+def test_edited_lists_do_not_change_the_answers():
+    state = limits.simulate_alffp_p(1.0, 6.0, 3.0, seed=19)
+    grid = [0.25 * k for k in range(13)]
+    before = (repr(state.query(0.0, 3.0)), repr(state.trajectory(grid)), state.stats())
+    for name in ("events", "fronts", "barriers", "sweeps"):
+        getattr(state, name).clear()
+    assert (repr(state.query(0.0, 3.0)), repr(state.trajectory(grid)), state.stats()) == before
+
+
+@pytest.mark.parametrize("copy_state", [
+    lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy,
+], ids=["pickle", "deepcopy", "copy"])
+def test_a_copied_c_state_answers_from_its_own_buffer(copy_state):
+    state = limits.simulate_alffp_p(1.0, 6.0, 3.0, seed=19)
+    state.fronts  # one list built before the copy, three not
+    copied = copy_state(state)
+    rows, data, counts = copied._buffer
+    assert data == rows.ctypes.data and list(counts) == list(state._buffer[2])
+    grid = [0.25 * k for k in range(13)]
+    assert repr(copied.trajectory(grid)) == repr(state.trajectory(grid))
+    assert repr(copied.query(1.5, 2.0)) == repr(state.query(1.5, 2.0))
+    assert _everything(copied) == _everything(state)
+
+
+# -- the C queries against the Python scans -----------------------------------------
+
+
+def _query_runs(p):
+    """(A, T, marks) of the oracle sweeps, the hand-made sets, the lattice
+    ties (half of them with an int A, which D returns as its box edge) and
+    the signed zeros, at slope p."""
+    runs = [(A, 4.0, _poisson(A, 4.0, seed, int(A))) for A in (2.0, 6.0, 10.0, 20.0)
+            for seed in range(2)]
+    runs += [(A, T, [Mark(x, t) for x, t in marks]) for q, A, T, marks in HAND_MADE if q == p]
+    runs += [(A if k % 2 else int(A), 4.0, marks)
+             for k, (A, marks) in enumerate(_lattice_sets(p, 40))]
+    runs += [(2.0, 4.0, marks) for marks in _signed_zero_sets(p)]
+    return runs
+
+
+def _scanned_twin(state):
+    """A state holding the C state's realization as lists, and no buffer: it
+    answers with the Python scans."""
+    twin = LimitStateP(state.p, state.A, state.T, state.marks)
+    twin.fronts, twin.barriers, twin.sweeps = state.fronts, state.barriers, state.sweeps
+    return twin
+
+
+def _answers(state, queries):
+    return [repr((state.Z(x, t), state.H(x, t), state.reset_time(x, t), state.query(x, t)))
+            for x, t in queries]
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0])
+def test_c_queries_equal_the_python_scans(p):
+    # a C state's Z, H, reset_time and query against the Python scans of the
+    # same realization: the Python loop's state, or with an int A (which the
+    # Python loop keeps as an int where a sweep or front ends at the box
+    # edge, and the C rows as a float) the C state's own lists
+    rng = random.Random(int(p * 1000) + 31)
+    points = 0
+    for A, T, marks in _query_runs(p):
+        c = _run(_run_alffp_c, p, A, T, marks)
+        py = _run(_run_alffp_py, p, A, T, marks) if type(A) is float else _scanned_twin(c)
+        assert c._buffer is not None and py._buffer is None
+        queries = [(rng.uniform(-A, A), rng.uniform(0.0, T)) for _ in range(20)]
+        queries += [(m.x, m.t) for m in py.marks] + [(0.0, t) for t in _edge_grid(py)]
+        assert _answers(c, queries) == _answers(py, queries)
+        assert repr(c.reset_time(0.0)) == repr(py.reset_time(0.0))
+        points += len(queries)
+    assert points > 1000

@@ -63,15 +63,19 @@ the active barriers and the sweeps of the last time unit.  An event costs
 O(log Q) for the queue plus O(log n) and the entries within reach for
 each lookup, so a new front's tests stay flat as the box grows.
 
-Queries.  Z, H, D and reset_time at (x, t) read three scans of a state:
+Queries.  Z, H, D and reset_time at (x, t) each read one answer: the last
+reset at x, H, a macroscopic flag (Z = 1 and no active barrier) and the
+cluster bounds.  A state that _run_alffp_c made keeps its whole row
+buffer and gets the answer from one call of fl_limit_query; any other
+state (the Python loop's, a hand-built one, the frozen oracle's) from
+_query, its Python twin, which reads three scans of the lists:
 _last_reset (the last front crossing or sweep over x), _active_barrier
 and, where the cluster is macroscopic, _cluster (the nearest blockers).
-A state that _run_alffp_c made keeps its whole row buffer, and answers
-each query, and a trajectory's whole grid, with one call of
-fl_limit_query, which makes the same scans over the rows in the same
-order and float expressions; it builds no list.  Any other state (the
-Python loop's, a hand-built one, the frozen oracle's) scans its lists in
-Python.  The two give the same answers bit for bit.
+fl_limit_query makes the same scans over the rows in the same order and
+float expressions, and builds no list; the two give the same answers bit
+for bit.  A trajectory reads the answer at each grid time, a C state's
+whole grid in one fl_limit_query call.  A state holds A and T as floats,
+so a bound at the box edge is the float -A or A either way.
 """
 
 import math
@@ -93,9 +97,6 @@ EVENT_BARRIER_EXPIRY = 0
 EVENT_FRONT_MEET = 1
 EVENT_FRONT_STOP = 2
 EVENT_MARK = 3
-
-# feature x grid time cells per array pass of the slow limit's trajectory
-_CLUSTER_CELLS = 1 << 17
 
 # a front stop's cause by its cause-rank, the last key before list order;
 # marks, expiries and meets rank 0
@@ -258,8 +259,8 @@ class LimitStateP:
 
     def __init__(self, p: float, A: float, T: float, marks: Sequence[Mark]):
         self.p = p
-        self.A = A
-        self.T = T
+        self.A = float(A)
+        self.T = float(T)
         self.marks = marks
         self.fronts: List[_Front] = []
         self.barriers: List[_Barrier] = []
@@ -379,51 +380,43 @@ class LimitStateP:
         _lib.fl_limit_query(self.p, self.A, len(rows) // _ROW_WIDTH, data, counts, x, m, times,
                             out)
 
-    def _ask_one(self, x: float, t: float):
+    def _query(self, x: float, t: float):
+        """fl_limit_query's answer at (x, t) from the Python scans: the last
+        reset, H, the macroscopic flag (Z = 1 and no active barrier) and the
+        cluster bounds, (x, x) when the flag is off."""
+        r = self._last_reset(x, t)
+        b = self._active_barrier(x, t)
+        h = 0.0 if b is None else b.expiry - t
+        if t - r < 1.0 or h > 0.0:
+            return (r, h, False, x, x)
+        return (r, h, True) + self._cluster(x, t)
+
+    def _answer(self, x: float, t: float):
+        """The answer at a checked (x, t): one fl_limit_query call on a C
+        state, else _query."""
+        self._check_point(x, t)
+        if self._buffer is None:
+            return self._query(x, t)
         out = (c_double * 5)()
         self._ask(x, 1, byref(c_double(t)), out)
         return out
-
-    def _edges(self, lo: float, hi: float) -> Tuple[float, float]:
-        """C cluster bounds as _cluster returns them: a bound at the box edge
-        is the state's own -A or A (an int A stays an int).  No blocker
-        replaces the edge at equality, so a bound equal to it is the edge."""
-        A = self.A
-        return (-A if lo == -A else lo, A if hi == A else hi)
 
     # -- public queries --------------------------------------------------------
 
     def reset_time(self, x: float, t: Optional[float] = None) -> float:
         """Time of the last reset at x by time t (default: the horizon)."""
-        if t is None:
-            t = self.T
-        self._check_point(x, t)
-        if self._buffer is not None:
-            return self._ask_one(x, t)[0]
-        return self._last_reset(x, t)
+        return self._answer(x, self.T if t is None else t)[0]
 
     def Z(self, x: float, t: float) -> float:
-        self._check_point(x, t)
-        if self._buffer is not None:
-            return min(t - self._ask_one(x, t)[0], 1.0)
-        return min(t - self._last_reset(x, t), 1.0)
+        return min(t - self._answer(x, t)[0], 1.0)
 
     def H(self, x: float, t: float) -> float:
-        self._check_point(x, t)
-        if self._buffer is not None:
-            return self._ask_one(x, t)[1]
-        b = self._active_barrier(x, t)
-        return 0.0 if b is None else b.expiry - t
+        return self._answer(x, t)[1]
 
     def D(self, x: float, t: float) -> Tuple[float, float]:
         """The macroscopic cluster interval through x at time t."""
-        self._check_point(x, t)
-        if self._buffer is not None:
-            out = self._ask_one(x, t)
-            return self._edges(out[3], out[4]) if out[2] else (x, x)
-        if t - self._last_reset(x, t) < 1.0 or self.H(x, t) > 0.0:
-            return (x, x)
-        return self._cluster(x, t)
+        out = self._answer(x, t)  # indexed: unpacking a ctypes array is slow
+        return (out[3], out[4]) if out[2] else (x, x)
 
     def _cluster(self, x: float, t: float) -> Tuple[float, float]:
         """The interval between the nearest blockers around x at time t, inside
@@ -482,39 +475,20 @@ class LimitStateP:
 
     def trajectory(self, grid: Sequence[float]) -> Trajectory:
         """Z and D at the origin over a time grid: the values of Z(0, t) and
-        D(0, t) at each grid time.  A C state answers the whole grid in one
-        fl_limit_query call; otherwise one sweep of the resets at 0 and the
-        barriers on it, then one _cluster scan at each grid time where the
-        cluster is macroscopic."""
-        times = np.asarray(grid, dtype=float)
+        D(0, t) at each grid time, from one fl_limit_query call for the
+        whole grid on a C state, else from _query at each grid time."""
+        times = np.ascontiguousarray(grid, dtype=float)
         if times.size:
             self._check_point(0.0, float(times.min()))
             self._check_point(0.0, float(times.max()))
-        if self._buffer is not None:
-            ts = np.ascontiguousarray(times)
-            out = np.empty((len(ts), 5))
-            self._ask(0.0, len(ts), ts.ctypes.data, out.ctypes.data)
-            edges = self._edges
-            return Trajectory(times, np.minimum(times - out[:, 0], 1.0),
-                              [edges(lo, hi) for lo, hi in out[:, 3:].tolist()])
-        # every reset at 0 in time order, after the 0.0 that _last_reset
-        # starts from: the last one by t is _last_reset(0, t)
-        crossings = [self._crossing(f, 0.0, math.inf) for f in self.fronts]
-        resets = np.array([0.0] + sorted(
-            [r for r in crossings if r is not None and r > 0.0]
-            + [s.t for s in self.sweeps if s.lo < 0.0 < s.hi and s.t > 0.0]
-        ))
-        ages = times - resets[np.searchsorted(resets, times, side="right") - 1]
-        at_zero = np.array(
-            [(b.create, b.expiry) for b in self.barriers if b.x == 0.0], dtype=float
-        ).reshape(-1, 2)
-        barred = ((at_zero[:, :1] <= times) & (times < at_zero[:, 1:])).any(axis=0)
-        # D(0, t) is (0, 0) where Z < 1 or a barrier sits at 0, else the cluster
-        intervals = [(0.0, 0.0)] * len(times)
-        t = times.tolist()
-        for i in np.flatnonzero((ages >= 1.0) & ~barred).tolist():
-            intervals[i] = self._cluster(0.0, t[i])
-        return Trajectory(times, np.minimum(ages, 1.0), intervals)
+        out = np.empty((len(times), 5))
+        if self._buffer is None:
+            for i, t in enumerate(times.tolist()):
+                out[i] = self._query(0.0, t)
+        else:
+            self._ask(0.0, len(times), times.ctypes.data, out.ctypes.data)
+        return Trajectory(times, np.minimum(times - out[:, 0], 1.0),
+                          list(map(tuple, out[:, 3:].tolist())))
 
 
 def simulate_alffp_p(
@@ -984,8 +958,8 @@ class LimitStateInf:
 
     def __init__(self, z0: float, A: float, T: float, marks: Sequence[Mark]):
         self.z0 = z0
-        self.A = A
-        self.T = T
+        self.A = float(A)
+        self.T = float(T)
         self.marks = marks
         self.features = [_Feature(m.x, m.t, m.t >= z0) for m in marks]
         events = []
@@ -1030,42 +1004,11 @@ class LimitStateInf:
         return (lo, hi)
 
     def trajectory(self, grid: Sequence[float]) -> Trajectory:
-        """D at the origin over a time grid, from array passes over the
-        features' activity windows; the values are NaN, since the slow
-        limit has no regrowth observable."""
+        """D at the origin over a time grid, D(0, t) at each grid time; the
+        values are NaN, since the slow limit has no regrowth observable."""
         times = np.asarray(grid, dtype=float)
-        if times.size:
-            self._check_point(0.0, float(times.min()))
-            self._check_point(0.0, float(times.max()))
-        x = np.array([f.x for f in self.features], dtype=float)
-        start = np.array([f.tau for f in self.features], dtype=float)
-        stop = np.array([math.inf if f.permanent else 2.0 * f.tau for f in self.features])
-        # D keeps on each side the nearest active feature strictly inside the
-        # box, the first in list order among equals (it decides the sign of
-        # a zero bound), else the box edge: order each side's features so,
-        # append the edge as an always active column, take the first active
-        sides = []
-        for inside, nearness, edge in (
-            ((x <= 0.0) & (x > -self.A), -x, -self.A),
-            ((x >= 0.0) & (x < self.A), x, self.A),
-        ):
-            idx = np.flatnonzero(inside)
-            idx = idx[np.argsort(nearness[idx], kind="stable")]
-            sides.append((np.append(start[idx], -math.inf), np.append(stop[idx], math.inf),
-                          x[idx].tolist() + [edge]))
-        intervals = [(0.0, 0.0)] * len(times)  # D(0, t) for t < 1
-        late = np.flatnonzero(times >= 1.0)
-        step = max(1, _CLUSTER_CELLS // (2 + len(x)))
-        for first in range(0, len(late), step):
-            rows = late[first:first + step]
-            t = times[rows, None]
-            lo, hi = (
-                [bounds[j] for j in ((on <= t) & (t < off)).argmax(axis=1).tolist()]
-                for on, off, bounds in sides
-            )
-            for i, bound in zip(rows.tolist(), zip(lo, hi)):
-                intervals[i] = bound
-        return Trajectory(times, np.full(len(times), math.nan), intervals)
+        return Trajectory(times, np.full(len(times), math.nan),
+                          [self.D(0.0, t) for t in times.tolist()])
 
 
 def simulate_lffp_inf(

@@ -328,28 +328,29 @@ def test_simulate_limit_modes(tmp_path, capsys):
 
 
 # sha256 of `fireline simulate-limit -A 6 -T 3 --seed 19` artifacts: the
-# JSON and the event log as written when the C twin rebuilt every list of
-# the state in the run's call, and the 512-point trajectory CSV as written
-# by the numpy array pass over the blockers
+# JSON, the event log and the 512-point trajectory CSV of each limit
 _GOLDEN_SIMULATE_LIMIT = {
-    "1": ("bfc5f9caa7eafa2b7329b6efa5b057aef74679e0eaacd78cbcea7cf6987461ef",
-          "957af79b303f5de54fc9913f47b1e38774db911a01c57a08dafc5f08e1079e6e",
-          "77969f608774929bd5f4a6a22c6af40b28b4017dcf93b3beb6425c6273ebac97"),
-    "0": ("4e7ec7d45878b8d6f5655fef0486f742945dc1c423b3601a02b3afa9f2689bda",
-          "72475aca42d10a6886cc1a7376d9a583569a6ee1d85be4036f32232a9640338a",
-          "975d25cb269ec770df257f814b8e7babad5e8f3979cc955f31c81de01baa8619"),
+    "--p 1": ("bfc5f9caa7eafa2b7329b6efa5b057aef74679e0eaacd78cbcea7cf6987461ef",
+              "957af79b303f5de54fc9913f47b1e38774db911a01c57a08dafc5f08e1079e6e",
+              "77969f608774929bd5f4a6a22c6af40b28b4017dcf93b3beb6425c6273ebac97"),
+    "--p 0": ("4e7ec7d45878b8d6f5655fef0486f742945dc1c423b3601a02b3afa9f2689bda",
+              "72475aca42d10a6886cc1a7376d9a583569a6ee1d85be4036f32232a9640338a",
+              "975d25cb269ec770df257f814b8e7babad5e8f3979cc955f31c81de01baa8619"),
+    "--z0 0.5": ("6266a5353340c900caaf6280c1469fe9aa697df0dbdcfa86aca71095aa08c14e",
+                 "2c1705bef0d1162dffa6351d46a19f95d35d6388c159c09a853d9852ce3eadb5",
+                 "d4e394baca7c73ece095285951f8a1f45bc5933a8b0b330f5897e771a6645071"),
 }
 
 
-@pytest.mark.parametrize("p", sorted(_GOLDEN_SIMULATE_LIMIT))
-def test_simulate_limit_golden_artifacts(p, tmp_path, capsys):
+@pytest.mark.parametrize("limit", sorted(_GOLDEN_SIMULATE_LIMIT), ids=["0", "1", "z0=0.5"])
+def test_simulate_limit_golden_artifacts(limit, tmp_path, capsys):
     doc, events, rows = tmp_path / "run.json", tmp_path / "events.csv", tmp_path / "rows.csv"
-    assert main(["simulate-limit", "--p", p, "-A", "6", "-T", "3", "--seed", "19",
+    assert main(["simulate-limit", *limit.split(), "-A", "6", "-T", "3", "--seed", "19",
                  "--json", str(doc), "--events", str(events),
                  "--csv", str(rows), "--grid", "512"]) == 0
     capsys.readouterr()
     got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (doc, events, rows))
-    assert got == _GOLDEN_SIMULATE_LIMIT[p]
+    assert got == _GOLDEN_SIMULATE_LIMIT[limit]
 
 
 def test_output_dir_env(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, and every
-private function, class and method the package defines is used in it."""
+private function, class, method and module-level name the package defines
+is used in it."""
 
 import ast
 from pathlib import Path
@@ -47,26 +48,38 @@ def test_guard_flags_an_unused_import():
     ]
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
 def _private_definitions(tree):
     """The private (single-underscore) functions, classes and methods
-    defined anywhere in a module, in source order."""
-    return [
+    defined anywhere in a module, then the private names its top level
+    assigns."""
+    defined = [
         node.name for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.endswith("__")
+        and _is_private(node.name)
     ]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name) and _is_private(name.id)]
+    return defined
 
 
 def _unreferenced_private(sources):
-    """The private definitions of the given sources that none of them
-    references by name or attribute: code no caller can reach."""
+    """The private definitions of the given sources that none of them loads
+    by name or attribute: code no caller can reach.  An assignment is a
+    store, so it does not count as a use of the name it binds."""
     trees = [ast.parse(source) for source in sources]
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
     return [name for tree in trees for name in _private_definitions(tree) if name not in used]
 
@@ -86,3 +99,13 @@ def test_guard_flags_an_unreferenced_private_definition():
         "def _between():\n    return _State()\n"
     )
     assert _unreferenced_private([source]) == ["_between", "_cap"]
+
+
+def test_guard_flags_an_unreferenced_private_constant():
+    source = (
+        "_CLUSTER_CELLS = 1 << 17\n"
+        "_ROW_WIDTH: int = 39\n"
+        "_SHIFT, _MASK = 32, 0xFFFFFFFF\n"
+        "def width():\n    return _ROW_WIDTH >> _SHIFT\n"
+    )
+    assert _unreferenced_private([source]) == ["_CLUSTER_CELLS", "_MASK"]

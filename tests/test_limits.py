@@ -393,7 +393,7 @@ def test_trajectory_equals_state_queries(p):
 def test_trajectory_equals_state_queries_on_lattice_ties(p):
     # marks on half-integers, 0 included, at quarter-integer times: fronts
     # reach 0, barriers sit on it and resets heal exactly at grid points
-    # (half of the boxes have an int A, which D returns as its box edge)
+    # (half of the boxes have an int A, which a state holds as a float)
     rng = random.Random(int(p * 4) + 1)
     for k in range(40):
         cells = sorted(
@@ -443,7 +443,7 @@ def test_cluster_equals_the_frozen_scans(p, loop):
     rng = random.Random(int(p * 4) + 21)
     runs = [(A, poisson_rectangle(RngStream(seed, int(A)), -A, A, 0.0, 4.0))
             for A in (2.0, 6.0) for seed in range(4)]
-    # half of the lattice boxes have an int A, which D returns as its box edge
+    # half of the lattice boxes have an int A, which a state holds as a float
     runs += [(A if k % 2 else int(A), marks)
              for k, (A, marks) in enumerate(_lattice_sets(p, 40))]
     runs += [(2.0, marks) for marks in _signed_zero_sets(p)]
@@ -475,7 +475,7 @@ def test_inf_trajectory_has_intervals_and_nan_values():
 def test_inf_trajectory_equals_state_queries():
     # lattice features, x = 0 as 0.0 or -0.0 at random and some on the box
     # edges, queried at every tau and 2 tau and between them; half of the
-    # boxes have an int A, which D returns as its box edge
+    # boxes have an int A, which a state holds as a float
     rng = random.Random(23)
     signed = 0
     for k in range(60):

@@ -59,7 +59,11 @@
  * loop of fireline.limits._run_alffp_py: the same lazy queue, the same
  * lookup windows bisected as bisect does, the same candidate tests and
  * counters, and Python's float semantics (max and min as explicit
- * comparisons, the same operand order, no FMA contraction).  It writes
+ * comparisons, the same operand order, no FMA contraction).  A mark reads
+ * its last reset, its active barrier and at p = 0 its cluster with the
+ * helpers that fl_limit_query scans with (sweep_reset, pick_barrier,
+ * sweep_bounds and between_step), given the blocker rows within reach of
+ * it rather than every row.  It writes
  * rows of doubles into the caller's buffer of 39n doubles, in four blocks
  * with room for 4n events, 2n fronts, n barriers and n sweeps (a mark makes
  * at most one barrier, one sweep or two fronts; a barrier expires once and
@@ -79,10 +83,10 @@
  * five doubles, the last reset at x, H (the active barrier's height), a
  * macroscopic flag (Z = 1 and no active barrier, 1.0 or 0.0) and the bounds
  * of the cluster D (x and x when the flag is 0.0).  Each answer is a scan of
- * the rows in the order and with the float expressions of the Python scan
- * it mirrors (_last_reset, _active_barrier, _cluster), so both give the same
- * bits, ties and signs of zero included.  It reads nothing else and
- * allocates nothing.
+ * every row in row order, with the helpers the loop reads and the tests and
+ * float expressions of the Python scan it mirrors (_last_reset,
+ * _active_barrier, _cluster), so both give the same bits, ties and signs of
+ * zero included.  It reads nothing else and allocates nothing.
  *
  * Sizes and indices are 64-bit throughout, and so are the per-site draw
  * counters (Python's are unbounded).  The heap and the logs grow on demand;
@@ -1087,6 +1091,57 @@ static int add_barrier(lim_run *r, int64_t bi)
     return 0;
 }
 
+/* The scans of LimitStateP, in parts over given rows: the loop gives the
+ * rows within reach of a mark, the queries every row. */
+
+/* The last reset at x by t, given the last front crossing out, after the
+ * sweeps from index from on. */
+static double sweep_reset(const lim_run *r, double x, double t, int64_t from, double out)
+{
+    for (int64_t q = from; q < r->n_sweeps; q++) {
+        const lim_sweep *s = &r->sweeps[q];
+        if (s->lo < x && x < s->hi && out < s->t && s->t <= t)
+            out = s->t;
+    }
+    return out;
+}
+
+/* best (NULL before the first), or b when b is at x, active at t and
+ * expires strictly later, so a tie keeps the first in order. */
+static lim_barrier *pick_barrier(lim_barrier *best, lim_barrier *b, double x, double t)
+{
+    if (b->x == x && b->create <= t && t < b->expiry
+        && (best == NULL || b->expiry > best->expiry))
+        return b;
+    return best;
+}
+
+/* One blocker (blo, bhi) of the cluster around x: it bounds the interval
+ * from the left when bhi <= x, else from the right when blo >= x. */
+static void between_step(double x, double blo, double bhi, double *lo, double *hi)
+{
+    if (bhi <= x) {
+        if (bhi > *lo)
+            *lo = bhi;
+    } else if (blo >= x) {
+        if (blo < *hi)
+            *hi = blo;
+    }
+}
+
+/* The sweeps of the last time unit by t, from index from on, as blockers
+ * of the cluster around x. */
+static void sweep_bounds(const lim_run *r, double x, double t, int64_t from, double *lo,
+                         double *hi)
+{
+    double unit_ago = t - 1.0;
+    for (int64_t q = from; q < r->n_sweeps; q++) {
+        const lim_sweep *s = &r->sweeps[q];
+        if (unit_ago < s->t && s->t <= t)
+            between_step(x, s->lo, s->hi, lo, hi);
+    }
+}
+
 /* The last reset at x by now, over the fronts and sweeps that can have
  * reset x in the last two time units. */
 static double last_reset(lim_run *r, double x)
@@ -1102,42 +1157,19 @@ static double last_reset(lim_run *r, double x)
                 if (crossing(r, &r->fronts[o->idx[q]], x, now, &ct) && ct > out)
                     out = ct;
         }
-    } else {
-        for (int64_t q = r->first_sweep; q < r->n_sweeps; q++) {
-            const lim_sweep *s = &r->sweeps[q];
-            if (s->lo < x && x < s->hi && out < s->t && s->t <= now)
-                out = s->t;
-        }
     }
-    return out;
+    return sweep_reset(r, x, now, r->first_sweep, out);
 }
 
-/* The active barrier at x with the largest expiry, the first in list order
- * on a tie, or -1. */
-static int64_t active_barrier(const lim_run *r, double x)
+/* The active barrier among the open barriers at x, or NULL. */
+static lim_barrier *active_barrier(const lim_run *r, double x)
 {
-    int64_t out = -1, lo, hi;
+    lim_barrier *out = NULL;
+    int64_t lo, hi;
     ord_within(&r->open, x, x, &lo, &hi);
-    for (int64_t q = lo; q < hi; q++) {
-        const lim_barrier *b = &r->barriers[r->open.idx[q]];
-        if (b->create <= r->now && r->now < b->expiry
-            && (out < 0 || b->expiry > r->barriers[out].expiry))
-            out = r->open.idx[q];
-    }
+    for (int64_t q = lo; q < hi; q++)
+        out = pick_barrier(out, &r->barriers[r->open.idx[q]], x, r->now);
     return out;
-}
-
-/* One blocker (blo, bhi) of limits._between: it bounds the interval around
- * x on its side. */
-static void between_step(double x, double blo, double bhi, double *lo, double *hi)
-{
-    if (bhi <= x) {
-        if (bhi > *lo)
-            *lo = bhi;
-    } else if (blo >= x) {
-        if (blo < *hi)
-            *hi = blo;
-    }
 }
 
 static void log_event(lim_run *r, double t, int cause, double x, double a, double b)
@@ -1196,33 +1228,31 @@ static int mark_event(lim_run *r, int64_t i)
     while (r->first_sweep < r->n_sweeps && r->sweeps[r->first_sweep].t <= now - 2.0)
         r->first_sweep++;
     double z = py_min(t - last_reset(r, x), 1.0);
-    int64_t active = active_barrier(r, x);
-    if (z >= 1.0 && active < 0) {
+    lim_barrier *active = active_barrier(r, x);
+    if (z >= 1.0 && active == NULL) {
         if (r->p > 0.0) {
             log_event(r, t, LC_MACRO, x, 0.0, 0.0);
             return add_front_pair(r, x, t);
         }
-        /* D(x, t): the active barriers in x order, then the sweeps of the
-         * last time unit */
+        /* D(x, t): the open barriers in x order (row order among equal x),
+         * then the recent sweeps */
         double lo = -r->A, hi = r->A;
         for (int64_t q = 0; q < r->open.n; q++) {
             const lim_barrier *b = &r->barriers[r->open.idx[q]];
             if (b->create <= now && now < b->expiry)
                 between_step(x, b->x, b->x, &lo, &hi);
         }
-        for (int64_t q = r->first_sweep; q < r->n_sweeps; q++)
-            if (now - 1.0 < r->sweeps[q].t)
-                between_step(x, r->sweeps[q].lo, r->sweeps[q].hi, &lo, &hi);
+        sweep_bounds(r, x, now, r->first_sweep, &lo, &hi);
         lim_sweep s = {t, lo, hi};
         r->sweeps[r->n_sweeps++] = s;
         log_event(r, t, LC_SWEEP, x, lo, hi);
     } else if (z < 1.0) {
-        if (active >= 0) {
+        if (active != NULL) {
             /* stack on the active barrier: the new segment carries the
              * combined height, the old one loses its own expiry event */
-            r->barriers[active].logged = 1.0;
+            active->logged = 1.0;
             log_event(r, t, LC_EXTENDED, x, z, 0.0);
-            return add_mark_barrier(r, x, t, r->barriers[active].expiry + z);
+            return add_mark_barrier(r, x, t, active->expiry + z);
         }
         log_event(r, t, LC_MICRO, x, z, 0.0);
         return add_mark_barrier(r, x, t, t + z);
@@ -1385,93 +1415,54 @@ FL_API int fl_limit_run(double p, double A, double T, int64_t n, const mark_row 
 
 /* -- LFFP(p) queries ------------------------------------------------------ */
 
-/* The scans of fireline.limits.LimitStateP over a run's rows: each walks its
- * whole block in row order and makes the same tests, so that a tie keeps the
- * same row (and the sign of a zero) as the Python scan. */
+/* The scans of LimitStateP over every row of a run, in row order. */
 
-/* LimitStateP._last_reset: the last crossing of x by t, then the sweeps. */
 static double query_reset(const lim_run *r, double x, double t)
 {
     double out = 0.0, ct;
     for (int64_t i = 0; i < r->n_fronts; i++)
         if (crossing(r, &r->fronts[i], x, t, &ct) && ct > out)
             out = ct;
-    for (int64_t i = 0; i < r->n_sweeps; i++) {
-        const lim_sweep *s = &r->sweeps[i];
-        if (s->lo < x && x < s->hi && out < s->t && s->t <= t)
-            out = s->t;
-    }
-    return out;
+    return sweep_reset(r, x, t, 0, out);
 }
 
-/* LimitStateP.H: what is left at t of the barrier active at x with the
- * largest expiry (the first in row order on a tie), or 0.0. */
+/* What is left at t of the active barrier at x, or 0.0. */
 static double query_height(const lim_run *r, double x, double t)
 {
-    const lim_barrier *out = NULL;
-    for (int64_t i = 0; i < r->n_barriers; i++) {
-        const lim_barrier *b = &r->barriers[i];
-        if (b->x == x && b->create <= t && t < b->expiry
-            && (out == NULL || b->expiry > out->expiry))
-            out = b;
-    }
+    lim_barrier *out = NULL;
+    for (int64_t i = 0; i < r->n_barriers; i++)
+        out = pick_barrier(out, &r->barriers[i], x, t);
     return out == NULL ? 0.0 : out->expiry - t;
 }
 
-/* LimitStateP._cluster: the interval between the nearest blockers around x
- * at t inside the box, from the active barriers, then the fronts' unhealed
- * wakes, then the sweeps of the last time unit. */
+/* The cluster around x at t from the active barriers, then the fronts'
+ * unhealed wakes, then the sweeps of the last time unit. */
 static void query_cluster(const lim_run *r, double x, double t, double *lo_out,
                           double *hi_out)
 {
     double p = r->p, unit_ago = t - 1.0, lo = -r->A, hi = r->A;
     for (int64_t i = 0; i < r->n_barriers; i++) {
         const lim_barrier *b = &r->barriers[i];
-        if (b->create <= t && t < b->expiry) {
-            if (b->x <= x) {
-                if (b->x > lo)
-                    lo = b->x;
-            } else if (b->x < hi) {
-                hi = b->x;
-            }
-        }
+        if (b->create <= t && t < b->expiry)
+            between_step(x, b->x, b->x, &lo, &hi);
     }
     for (int64_t i = 0; i < r->n_fronts; i++) {
         const lim_front *f = &r->fronts[i];
-        double t0 = f->t0, x0 = f->x0, wlo, whi;
+        double t0 = f->t0, x0 = f->x0;
         if (t0 > t)
             continue;
+        /* the farthest point f has reached by t, and the travel budget whose
+         * crossings have healed; a wake is a blocker until it all heals */
         double cap = x0 + f->dir * ((f->t_end < t ? f->t_end : t) - t0) / p;
-        double healed = unit_ago - t0;
+        double healed = unit_ago - t0, spent = healed > 0.0 ? healed : 0.0;
         if (f->dir > 0) {
-            if (healed >= p * (cap - x0))
-                continue; /* the whole wake has healed */
-            wlo = x0 + (healed > 0.0 ? healed : 0.0) / p;
-            whi = cap;
-        } else {
-            if (healed >= p * (x0 - cap))
-                continue;
-            wlo = cap;
-            whi = x0 - (healed > 0.0 ? healed : 0.0) / p;
-        }
-        if (whi <= x) {
-            if (whi > lo)
-                lo = whi;
-        } else if (wlo >= x && wlo < hi) {
-            hi = wlo;
+            if (!(healed >= p * (cap - x0)))
+                between_step(x, x0 + spent / p, cap, &lo, &hi);
+        } else if (!(healed >= p * (x0 - cap))) {
+            between_step(x, cap, x0 - spent / p, &lo, &hi);
         }
     }
-    for (int64_t i = 0; i < r->n_sweeps; i++) {
-        const lim_sweep *s = &r->sweeps[i];
-        if (unit_ago < s->t && s->t <= t) {
-            if (s->hi <= x) {
-                if (s->hi > lo)
-                    lo = s->hi;
-            } else if (s->lo >= x && s->lo < hi) {
-                hi = s->lo;
-            }
-        }
-    }
+    sweep_bounds(r, x, t, 0, &lo, &hi);
     *lo_out = lo;
     *hi_out = hi;
 }

@@ -475,6 +475,10 @@ def main(argv=None):
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # a failed allocation (numpy's, the engines'); a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     return 0
 
 

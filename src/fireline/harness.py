@@ -604,6 +604,12 @@ def _barrier_single(
     if eng.burning_count != 0:
         raise RuntimeError("cascade still burning at the safety cap")
     lo, hi = eng.burn_lo, eng.burn_hi
+    if lo == 0 or hi == n_sites - 1:
+        # the box edge cut the cluster off, so its regrowth time would be wrong
+        raise RuntimeError(
+            f"run {stream_id} burned sites [{lo}, {hi}], reaching the edge of the "
+            f"{n_sites}-site box (radius {radius}); use a larger --radius"
+        )
     if eng.state_view().count(STATE_OCCUPIED, lo, hi + 1) != hi - lo + 1:
         raise RuntimeError("burned interval not regrown by the safety cap")
     # Every match has struck by t1 and no clocked match follows, so once the
@@ -636,6 +642,9 @@ def barrier_height_experiment(
     t0 > 1), a single match hits the origin at t1, and Theta is the first
     time past t1 at which every site the cascade burned is simultaneously
     occupied again.  A match on a vacant origin contributes Theta = 0.
+    A run whose burned cluster reaches the edge of its box (2 * radius + 1
+    sites) raises RuntimeError: the edge cut the cluster off, so its Theta
+    would be wrong; a larger radius may help.
     """
     if not (t0 == 0.0 or t0 > 1.0):
         raise ValueError(f"t0 must be 0 or greater than 1, got {t0}")

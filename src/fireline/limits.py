@@ -56,26 +56,29 @@ for a new front, the barriers it reaches before they expire, the wakes
 within 1/p (ahead, begun or ended under a time unit ago, or of the live
 fronts within 1/p behind it) and the opposing fronts it reaches by the
 horizon; for a new barrier or a death, the live fronts within reach of it.
-A mark reads Z from the fronts that can have crossed its point in the
-last two time units (an older reset leaves Z = 1; the second unit is a
-margin for rounding), its active barrier by exact x, and at p = 0 D from
-the active barriers and the sweeps of the last time unit.  An event costs
-O(log Q) for the queue plus O(log n) and the entries within reach for
-each lookup, so a new front's tests stay flat as the box grows.
+A mark reads Z, H and at p = 0 D through the state's own scans (below),
+given only the blockers that can act there: the fronts that can have
+crossed its point in the last two time units (an older reset leaves Z = 1;
+the second unit is a margin for rounding), the sweeps of the last two, the
+open barriers at its exact x, and for D all open barriers in x order.  An
+event costs O(log Q) for the queue plus O(log n) and the entries within
+reach for each lookup, so a new front's tests stay flat as the box grows.
 
 Queries.  Z, H, D and reset_time at (x, t) each read one answer: the last
 reset at x, H, a macroscopic flag (Z = 1 and no active barrier) and the
 cluster bounds.  A state that _run_alffp_c made keeps its whole row
 buffer and gets the answer from one call of fl_limit_query; any other
 state (the Python loop's, a hand-built one, the frozen oracle's) from
-_query, its Python twin, which reads three scans of the lists:
+_query, its Python twin, which gives the state's lists to three scans:
 _last_reset (the last front crossing or sweep over x), _active_barrier
 and, where the cluster is macroscopic, _cluster (the nearest blockers).
-fl_limit_query makes the same scans over the rows in the same order and
-float expressions, and builds no list; the two give the same answers bit
-for bit.  A trajectory reads the answer at each grid time, a C state's
-whole grid in one fl_limit_query call.  A state holds A and T as floats,
-so a bound at the box edge is the float -A or A either way.
+So each rule is written once per core, and the loop and the queries read
+the same scan.  fl_limit_query makes the same scans over the rows in the
+same order and float expressions, and builds no list; the two give the
+same answers bit for bit.  A trajectory reads the answer at each grid
+time, a C state's whole grid in one fl_limit_query call.  A state holds
+A and T as floats, so a bound at the box edge is the float -A or A
+either way.
 """
 
 import math
@@ -197,21 +200,6 @@ def _validate_marks(marks: Sequence[Mark], A: float, T: float) -> Sequence[Mark]
         if type(m) is not Mark or type(x) is not float or type(t) is not float:
             out[k] = Mark(float(x), float(t))
     return out
-
-
-def _between(x: float, blockers, lo: float, hi: float) -> Tuple[float, float]:
-    """The interval between the nearest blockers around x, inside (lo, hi).
-    On a tie the first nearest blocker in the given order is kept (it
-    decides the sign of a zero bound).  LimitStateP._cluster applies the
-    same rule to a state's blockers without listing them."""
-    for blo, bhi in blockers:
-        if bhi <= x:
-            if bhi > lo:
-                lo = bhi
-        elif blo >= x:
-            if blo < hi:
-                hi = blo
-    return (lo, hi)
 
 
 class _Ordered:
@@ -344,22 +332,26 @@ class LimitStateP:
                 return None
         return ct
 
-    def _last_reset(self, x: float, t: float) -> float:
+    def _last_reset(self, x: float, t: float, fronts, sweeps) -> float:
+        """The last reset at x by time t among the given fronts and sweeps:
+        the latest crossing of x, then the latest sweep over x, or 0.0."""
+        crossing = self._crossing
         r = 0.0
-        for f in self.fronts:
-            ct = self._crossing(f, x, t)
+        for f in fronts:
+            ct = crossing(f, x, t)
             if ct is not None and ct > r:
                 r = ct
-        for s in self.sweeps:
+        for s in sweeps:
             if s.lo < x < s.hi and r < s.t <= t:
                 r = s.t
         return r
 
-    def _active_barrier(self, x: float, t: float) -> Optional[_Barrier]:
-        """The barrier active at x at time t with the largest expiry (the
-        first in list order on a tie), or None."""
+    @staticmethod
+    def _active_barrier(x: float, t: float, barriers) -> Optional[_Barrier]:
+        """The barrier among the given ones active at x at time t with the
+        largest expiry (the first in their order on a tie), or None."""
         out = None
-        for b in self.barriers:
+        for b in barriers:
             if b.x == x and b.create <= t < b.expiry:
                 if out is None or b.expiry > out.expiry:
                     out = b
@@ -384,12 +376,12 @@ class LimitStateP:
         """fl_limit_query's answer at (x, t) from the Python scans: the last
         reset, H, the macroscopic flag (Z = 1 and no active barrier) and the
         cluster bounds, (x, x) when the flag is off."""
-        r = self._last_reset(x, t)
-        b = self._active_barrier(x, t)
+        r = self._last_reset(x, t, self.fronts, self.sweeps)
+        b = self._active_barrier(x, t, self.barriers)
         h = 0.0 if b is None else b.expiry - t
         if t - r < 1.0 or h > 0.0:
             return (r, h, False, x, x)
-        return (r, h, True) + self._cluster(x, t)
+        return (r, h, True) + self._cluster(x, t, self.barriers, self.fronts, self.sweeps)
 
     def _answer(self, x: float, t: float):
         """The answer at a checked (x, t): one fl_limit_query call on a C
@@ -418,25 +410,25 @@ class LimitStateP:
         out = self._answer(x, t)  # indexed: unpacking a ctypes array is slow
         return (out[3], out[4]) if out[2] else (x, x)
 
-    def _cluster(self, x: float, t: float) -> Tuple[float, float]:
+    def _cluster(self, x: float, t: float, barriers, fronts, sweeps) -> Tuple[float, float]:
         """The interval between the nearest blockers around x at time t, inside
-        the box: the active barrier points, then the fronts' unhealed wakes
-        (where Z_t < 1), then the sweeps of the last time unit.  A blocker
-        (lo, hi) bounds the interval from the left when hi <= x, else from
-        the right when lo >= x; on a tie the first nearest blocker in that
-        order is kept (it decides the sign of a zero bound)."""
+        the box, among the given ones: the active barrier points, then the
+        fronts' unhealed wakes (where Z_t < 1), then the sweeps of the last
+        time unit.  A blocker (lo, hi) bounds the interval from the left when
+        hi <= x, else from the right when lo >= x; on a tie the first nearest
+        blocker in that order is kept (it decides the sign of a zero bound)."""
         p = self.p
         unit_ago = t - 1.0
         lo = -self.A
         hi = self.A
-        for b in self.barriers:
+        for b in barriers:
             if b.create <= t < b.expiry:
                 if b.x <= x:
                     if b.x > lo:
                         lo = b.x
                 elif b.x < hi:
                     hi = b.x
-        for f in self.fronts:
+        for f in fronts:
             t0 = f.t0
             if t0 > t:
                 continue
@@ -461,7 +453,7 @@ class LimitStateP:
                     lo = whi
             elif wlo >= x and wlo < hi:
                 hi = wlo
-        for s in self.sweeps:
+        for s in sweeps:
             if unit_ago < s.t <= t:
                 if s.hi <= x:
                     if s.hi > lo:
@@ -531,7 +523,6 @@ def _run_alffp_py(state: LimitStateP) -> None:
     barriers = state.barriers
     sweeps = state.sweeps
     events = state.events
-    crossing = state._crossing
     heap: list = []
     queued = stale = rekeyed = peak = tests = 0
     now = 0.0
@@ -709,33 +700,6 @@ def _run_alffp_py(state: LimitStateP) -> None:
                         tests += 1
                         add_barrier_stop(i, f, bi, b)
 
-    def last_reset(x):
-        # _last_reset(x, now) over the fronts and sweeps that can have reset
-        # x in the last two time units: the others leave Z = 1 either way
-        r = 0.0
-        if p > 0.0:
-            for d in (+1, -1):
-                # a front that crossed x within two time units is now (or
-                # would be, had it lived) under 2/p past x
-                key = d * x - now / p
-                for _, g in recent[d].within(key - slack, key + 2.0 * reach + slack):
-                    ct = crossing(g, x, now)
-                    if ct is not None and ct > r:
-                        r = ct
-        else:
-            for s in sweeps[first_sweep:]:
-                if s.lo < x < s.hi and r < s.t <= now:
-                    r = s.t
-        return r
-
-    def active_barrier(x):
-        # _active_barrier(x, now): equal keys keep the barriers' list order
-        out = None
-        for _, b in open_barriers.within(x, x):
-            if b.create <= now < b.expiry and (out is None or b.expiry > out.expiry):
-                out = b
-        return out
-
     if marks:
         push((marks[0].t, EVENT_MARK, marks[0].x, 0, 0, 0, 0, None, None))
     peak = len(heap)
@@ -780,8 +744,19 @@ def _run_alffp_py(state: LimitStateP) -> None:
                 recent[g.direction].remove(g.direction * g.x0 - g.t0 / p, g)
             while first_sweep < len(sweeps) and sweeps[first_sweep].t <= now - 2.0:
                 first_sweep += 1
-            z = min(m.t - last_reset(m.x), 1.0)
-            b_active = active_barrier(m.x)
+            # Z and H from the state's scans, given the blockers that can act
+            # at m.x (Lookups, in the module docstring)
+            near = []
+            if p > 0.0:
+                for d in (+1, -1):
+                    # a front that crossed m.x within two time units is now
+                    # (or would be, had it lived) under 2/p past it
+                    key = d * m.x - now / p
+                    near += [g for _, g in recent[d].within(key - slack, key + 2.0 * reach + slack)]
+            recent_sweeps = sweeps[first_sweep:]
+            z = min(m.t - state._last_reset(m.x, now, near, recent_sweeps), 1.0)
+            b_active = state._active_barrier(
+                m.x, now, [bb for _, bb in open_barriers.within(m.x, m.x)])
             if z >= 1.0 and b_active is None:
                 if p > 0.0:
                     fronts.append(_Front(m.x, m.t, +1))
@@ -789,17 +764,11 @@ def _run_alffp_py(state: LimitStateP) -> None:
                     events.append(LimitEvent(m.t, EVENT_MARK, m.x, "macro"))
                     add_pair()
                 else:
-                    # D(m.x, m.t): the active barriers in x order, then the
-                    # sweeps of the last time unit, in _cluster's list order
-                    # on ties
-                    lo, hi = _between(
-                        m.x,
-                        [(bb.x, bb.x) for _, bb in open_barriers.items
-                         if bb.create <= now < bb.expiry]
-                        + [(s.lo, s.hi) for s in sweeps[first_sweep:] if now - 1.0 < s.t],
-                        -A,
-                        A,
-                    )
+                    # D(m.x, m.t) from the open barriers in x order (list
+                    # order among equal x, so a tie keeps the same one) and
+                    # the recent sweeps
+                    lo, hi = state._cluster(
+                        m.x, now, [bb for _, bb in open_barriers.items], (), recent_sweeps)
                     sweeps.append(_Sweep(m.t, lo, hi))
                     events.append(LimitEvent(m.t, EVENT_MARK, m.x, "macro", (lo, hi)))
             elif z < 1.0:

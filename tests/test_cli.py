@@ -80,6 +80,22 @@ def test_barrier_safety_cap_exits_1(capsys):
     assert capsys.readouterr().err == "error: cascade still burning at the safety cap\n"
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("the limit engine could not allocate its event queue"),
+     "the limit engine could not allocate its event queue"),
+    (MemoryError(), "out of memory"),
+], ids=["engine", "bare"])
+def test_failed_allocation_exits_1(exc, message, monkeypatch, capsys):
+    # no allocation is attempted: the simulator raises as a failed one would
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("fireline.cli.simulate_alffp_p", fail)
+    assert main(["simulate-limit", "--p", "1", "-A", "2", "-T", "1", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("mode", [["--p", "1"], ["--z0", "0.5"]])
 def test_simulate_limit_non_finite_box_exits_2(mode, capsys):
     rc = main(["simulate-limit", *mode, "-A", "inf", "-T", "1", "--seed", "1"])

@@ -380,15 +380,25 @@ def test_the_pool_has_no_more_workers_than_runs(monkeypatch, runs, jobs, workers
 
 
 def test_barrier_t0_zero_runs_and_determinism():
-    lam = math.exp(-6.0)
-    res = barrier_height_experiment(lam, 25.0, 0.0, 0.5, 6, seed=11)
+    lam = math.exp(-8.0)
+    pi = pi_for_regime(lam, Regime.fast())
+    res = barrier_height_experiment(lam, pi, 0.0, 0.5, 6, seed=11)
     assert res.thetas.shape == (6,)
     assert np.all(res.thetas >= 0.0)
     # a match on a vacant origin gives the empty cluster and zero delay
     assert np.array_equal(res.thetas == 0.0, res.cluster_sizes == 0)
-    rerun = barrier_height_experiment(lam, 25.0, 0.0, 0.5, 6, seed=11, jobs=2)
+    rerun = barrier_height_experiment(lam, pi, 0.0, 0.5, 6, seed=11, jobs=2)
     assert np.array_equal(res.thetas, rerun.thetas)
     assert np.array_equal(res.cluster_sizes, rerun.cluster_sizes)
+
+
+def test_barrier_refuses_a_cluster_cut_off_by_the_box_edge():
+    # at e^-6 and pi = 25, run 5 burns sites [0, 263] of the default 527-site
+    # box: the edge cuts its cluster off, so its regrowth time would be wrong
+    with pytest.raises(RuntimeError) as exc:
+        barrier_height_experiment(math.exp(-6.0), 25.0, 0.0, 0.5, 6, seed=11)
+    assert str(exc.value) == ("run 5 burned sites [0, 263], reaching the edge of the 527-site "
+                              "box (radius 263); use a larger --radius")
 
 
 def test_barrier_staged_start_after_one():

@@ -61,10 +61,9 @@
  * counters, and Python's float semantics (max and min as explicit
  * comparisons, the same operand order, no FMA contraction).  A mark reads
  * its last reset, its active barrier and at p = 0 its cluster with the
- * helpers that fl_limit_query scans with (sweep_reset, pick_barrier,
- * sweep_bounds and between_step), given the blocker rows within reach of
- * it rather than every row.  It writes
- * rows of doubles into the caller's buffer of 39n doubles, in four blocks
+ * scans that fl_limit_query makes (query_reset, query_barrier and
+ * query_cluster), over every row written so far.  It writes rows of
+ * doubles into the caller's buffer of 39n doubles, in four blocks
  * with room for 4n events, 2n fronts, n barriers and n sweeps (a mark makes
  * at most one barrier, one sweep or two fronts; a barrier expires once and
  * a front dies once):
@@ -83,7 +82,7 @@
  * five doubles, the last reset at x, H (the active barrier's height), a
  * macroscopic flag (Z = 1 and no active barrier, 1.0 or 0.0) and the bounds
  * of the cluster D (x and x when the flag is 0.0).  Each answer is a scan of
- * every row in row order, with the helpers the loop reads and the tests and
+ * every row in row order, the one the loop's marks read, with the tests and
  * float expressions of the Python scan it mirrors (_last_reset,
  * _active_barrier, _cluster), so both give the same bits, ties and signs of
  * zero included.  It reads nothing else and allocates nothing.
@@ -716,7 +715,7 @@ typedef struct {
     lim_ordered open;      /* barriers by x; an expired segment of a stack lingers */
     lim_ordered recent[2]; /* rightward, leftward fronts alive or dead under two units */
     int64_t *buried;       /* dead fronts in death order */
-    int64_t buried_head, buried_tail, first_sweep;
+    int64_t buried_head, buried_tail;
     int64_t queued, stale, rekeyed, peak, tests;
 } lim_run;
 
@@ -928,10 +927,8 @@ static int meet_time(const lim_run *r, const lim_front *f, const lim_front *g, d
     return 1;
 }
 
-/* When front f crossed x, if it did so by time t (LimitStateP._crossing).
- * inline: with a second caller (query_reset) the compiler would otherwise
- * make it an out-of-line call in the loop's last_reset. */
-static inline int crossing(const lim_run *r, const lim_front *f, double x, double t, double *ct)
+/* When front f crossed x, if it did so by time t (LimitStateP._crossing). */
+static int crossing(const lim_run *r, const lim_front *f, double x, double t, double *ct)
 {
     if (f->dir > 0) {
         if (x < f->x0)
@@ -1091,29 +1088,37 @@ static int add_barrier(lim_run *r, int64_t bi)
     return 0;
 }
 
-/* The scans of LimitStateP, in parts over given rows: the loop gives the
- * rows within reach of a mark, the queries every row. */
+/* The scans of LimitStateP over every row so far, in row order: the mark
+ * handler reads them at (x, now), fl_limit_query at its points. */
 
-/* The last reset at x by t, given the last front crossing out, after the
- * sweeps from index from on. */
-static double sweep_reset(const lim_run *r, double x, double t, int64_t from, double out)
+/* The last reset at x by t: the latest front crossing, then the latest
+ * sweep over x, or 0.0. */
+static double query_reset(const lim_run *r, double x, double t)
 {
-    for (int64_t q = from; q < r->n_sweeps; q++) {
-        const lim_sweep *s = &r->sweeps[q];
+    double out = 0.0, ct;
+    for (int64_t i = 0; i < r->n_fronts; i++)
+        if (crossing(r, &r->fronts[i], x, t, &ct) && ct > out)
+            out = ct;
+    for (int64_t i = 0; i < r->n_sweeps; i++) {
+        const lim_sweep *s = &r->sweeps[i];
         if (s->lo < x && x < s->hi && out < s->t && s->t <= t)
             out = s->t;
     }
     return out;
 }
 
-/* best (NULL before the first), or b when b is at x, active at t and
- * expires strictly later, so a tie keeps the first in order. */
-static lim_barrier *pick_barrier(lim_barrier *best, lim_barrier *b, double x, double t)
+/* The barrier active at x at t with the largest expiry (the first in row
+ * order on a tie), or NULL. */
+static lim_barrier *query_barrier(const lim_run *r, double x, double t)
 {
-    if (b->x == x && b->create <= t && t < b->expiry
-        && (best == NULL || b->expiry > best->expiry))
-        return b;
-    return best;
+    lim_barrier *out = NULL;
+    for (int64_t i = 0; i < r->n_barriers; i++) {
+        lim_barrier *b = &r->barriers[i];
+        if (b->x == x && b->create <= t && t < b->expiry
+            && (out == NULL || b->expiry > out->expiry))
+            out = b;
+    }
+    return out;
 }
 
 /* One blocker (blo, bhi) of the cluster around x: it bounds the interval
@@ -1129,47 +1134,40 @@ static void between_step(double x, double blo, double bhi, double *lo, double *h
     }
 }
 
-/* The sweeps of the last time unit by t, from index from on, as blockers
- * of the cluster around x. */
-static void sweep_bounds(const lim_run *r, double x, double t, int64_t from, double *lo,
-                         double *hi)
+/* The cluster around x at t from the active barriers, then the fronts'
+ * unhealed wakes, then the sweeps of the last time unit. */
+static void query_cluster(const lim_run *r, double x, double t, double *lo_out,
+                          double *hi_out)
 {
-    double unit_ago = t - 1.0;
-    for (int64_t q = from; q < r->n_sweeps; q++) {
-        const lim_sweep *s = &r->sweeps[q];
-        if (unit_ago < s->t && s->t <= t)
-            between_step(x, s->lo, s->hi, lo, hi);
+    double p = r->p, unit_ago = t - 1.0, lo = -r->A, hi = r->A;
+    for (int64_t i = 0; i < r->n_barriers; i++) {
+        const lim_barrier *b = &r->barriers[i];
+        if (b->create <= t && t < b->expiry)
+            between_step(x, b->x, b->x, &lo, &hi);
     }
-}
-
-/* The last reset at x by now, over the fronts and sweeps that can have
- * reset x in the last two time units. */
-static double last_reset(lim_run *r, double x)
-{
-    double out = 0.0, now = r->now;
-    if (r->p > 0.0) {
-        for (int s = 0; s < 2; s++) {
-            double d = s == 0 ? 1.0 : -1.0, key = d * x - now / r->p, ct;
-            const lim_ordered *o = recent(r, d);
-            int64_t lo, hi;
-            ord_within(o, key - r->slack, key + 2.0 * r->reach + r->slack, &lo, &hi);
-            for (int64_t q = lo; q < hi; q++)
-                if (crossing(r, &r->fronts[o->idx[q]], x, now, &ct) && ct > out)
-                    out = ct;
+    for (int64_t i = 0; i < r->n_fronts; i++) {
+        const lim_front *f = &r->fronts[i];
+        double t0 = f->t0, x0 = f->x0;
+        if (t0 > t)
+            continue;
+        /* the farthest point f has reached by t, and the travel budget whose
+         * crossings have healed; a wake is a blocker until it all heals */
+        double cap = x0 + f->dir * ((f->t_end < t ? f->t_end : t) - t0) / p;
+        double healed = unit_ago - t0, spent = healed > 0.0 ? healed : 0.0;
+        if (f->dir > 0) {
+            if (!(healed >= p * (cap - x0)))
+                between_step(x, x0 + spent / p, cap, &lo, &hi);
+        } else if (!(healed >= p * (x0 - cap))) {
+            between_step(x, cap, x0 - spent / p, &lo, &hi);
         }
     }
-    return sweep_reset(r, x, now, r->first_sweep, out);
-}
-
-/* The active barrier among the open barriers at x, or NULL. */
-static lim_barrier *active_barrier(const lim_run *r, double x)
-{
-    lim_barrier *out = NULL;
-    int64_t lo, hi;
-    ord_within(&r->open, x, x, &lo, &hi);
-    for (int64_t q = lo; q < hi; q++)
-        out = pick_barrier(out, &r->barriers[r->open.idx[q]], x, r->now);
-    return out;
+    for (int64_t i = 0; i < r->n_sweeps; i++) {
+        const lim_sweep *s = &r->sweeps[i];
+        if (unit_ago < s->t && s->t <= t)
+            between_step(x, s->lo, s->hi, &lo, &hi);
+    }
+    *lo_out = lo;
+    *hi_out = hi;
 }
 
 static void log_event(lim_run *r, double t, int cause, double x, double a, double b)
@@ -1217,32 +1215,23 @@ static int mark_event(lim_run *r, int64_t i)
     if (i + 1 < r->n_marks
         && lim_push(r, r->marks[i + 1].t, LK_MARK, r->marks[i + 1].x, 0, i + 1, 0, 0))
         return -1;
-    /* forget what can no longer stop a front launched now or reset x
-     * within two time units */
+    /* forget the fronts dead two time units, which no front launched now
+     * can stop at */
     while (r->buried_head < r->buried_tail
            && r->fronts[r->buried[r->buried_head]].t_end <= now - 2.0) {
         int64_t gi = r->buried[r->buried_head++];
         const lim_front *g = &r->fronts[gi];
         ord_remove(recent(r, g->dir), g->dir * g->x0 - g->t0 / r->p, gi);
     }
-    while (r->first_sweep < r->n_sweeps && r->sweeps[r->first_sweep].t <= now - 2.0)
-        r->first_sweep++;
-    double z = py_min(t - last_reset(r, x), 1.0);
-    lim_barrier *active = active_barrier(r, x);
+    double z = py_min(t - query_reset(r, x, now), 1.0);
+    lim_barrier *active = query_barrier(r, x, now);
     if (z >= 1.0 && active == NULL) {
         if (r->p > 0.0) {
             log_event(r, t, LC_MACRO, x, 0.0, 0.0);
             return add_front_pair(r, x, t);
         }
-        /* D(x, t): the open barriers in x order (row order among equal x),
-         * then the recent sweeps */
-        double lo = -r->A, hi = r->A;
-        for (int64_t q = 0; q < r->open.n; q++) {
-            const lim_barrier *b = &r->barriers[r->open.idx[q]];
-            if (b->create <= now && now < b->expiry)
-                between_step(x, b->x, b->x, &lo, &hi);
-        }
-        sweep_bounds(r, x, now, r->first_sweep, &lo, &hi);
+        double lo, hi;
+        query_cluster(r, x, now, &lo, &hi);
         lim_sweep s = {t, lo, hi};
         r->sweeps[r->n_sweeps++] = s;
         log_event(r, t, LC_SWEEP, x, lo, hi);
@@ -1415,58 +1404,6 @@ FL_API int fl_limit_run(double p, double A, double T, int64_t n, const mark_row 
 
 /* -- LFFP(p) queries ------------------------------------------------------ */
 
-/* The scans of LimitStateP over every row of a run, in row order. */
-
-static double query_reset(const lim_run *r, double x, double t)
-{
-    double out = 0.0, ct;
-    for (int64_t i = 0; i < r->n_fronts; i++)
-        if (crossing(r, &r->fronts[i], x, t, &ct) && ct > out)
-            out = ct;
-    return sweep_reset(r, x, t, 0, out);
-}
-
-/* What is left at t of the active barrier at x, or 0.0. */
-static double query_height(const lim_run *r, double x, double t)
-{
-    lim_barrier *out = NULL;
-    for (int64_t i = 0; i < r->n_barriers; i++)
-        out = pick_barrier(out, &r->barriers[i], x, t);
-    return out == NULL ? 0.0 : out->expiry - t;
-}
-
-/* The cluster around x at t from the active barriers, then the fronts'
- * unhealed wakes, then the sweeps of the last time unit. */
-static void query_cluster(const lim_run *r, double x, double t, double *lo_out,
-                          double *hi_out)
-{
-    double p = r->p, unit_ago = t - 1.0, lo = -r->A, hi = r->A;
-    for (int64_t i = 0; i < r->n_barriers; i++) {
-        const lim_barrier *b = &r->barriers[i];
-        if (b->create <= t && t < b->expiry)
-            between_step(x, b->x, b->x, &lo, &hi);
-    }
-    for (int64_t i = 0; i < r->n_fronts; i++) {
-        const lim_front *f = &r->fronts[i];
-        double t0 = f->t0, x0 = f->x0;
-        if (t0 > t)
-            continue;
-        /* the farthest point f has reached by t, and the travel budget whose
-         * crossings have healed; a wake is a blocker until it all heals */
-        double cap = x0 + f->dir * ((f->t_end < t ? f->t_end : t) - t0) / p;
-        double healed = unit_ago - t0, spent = healed > 0.0 ? healed : 0.0;
-        if (f->dir > 0) {
-            if (!(healed >= p * (cap - x0)))
-                between_step(x, x0 + spent / p, cap, &lo, &hi);
-        } else if (!(healed >= p * (x0 - cap))) {
-            between_step(x, cap, x0 - spent / p, &lo, &hi);
-        }
-    }
-    sweep_bounds(r, x, t, 0, &lo, &hi);
-    *lo_out = lo;
-    *hi_out = hi;
-}
-
 /* LimitStateP's answers at the m points (x, ts[i]) of the run that
  * fl_limit_run wrote into rows for n marks, whose first four counts are its
  * row counts.  out[5i .. 5i + 4] gets the last reset, H, the macroscopic
@@ -1487,7 +1424,8 @@ FL_API void fl_limit_query(double p, double A, int64_t n, const double *rows,
     for (int64_t i = 0; i < m; i++, out += 5) {
         double t = ts[i];
         out[0] = query_reset(&r, x, t);
-        out[1] = query_height(&r, x, t);
+        const lim_barrier *b = query_barrier(&r, x, t);
+        out[1] = b == NULL ? 0.0 : b->expiry - t; /* H, what is left of it */
         out[2] = !(t - out[0] < 1.0 || out[1] > 0.0);
         if (out[2] != 0.0) {
             query_cluster(&r, x, t, &out[3], &out[4]);

@@ -153,6 +153,8 @@ def _cmd_simulate_discrete(args):
 
 
 def _cmd_simulate_limit(args):
+    if args.grid < 2:  # checked with or without --csv
+        raise ValueError(f"--grid must be at least 2, got {args.grid}")
     grid = uniform_grid(args.T, args.grid) if args.csv else None
     if args.p is not None:
         state = simulate_alffp_p(

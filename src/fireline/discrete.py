@@ -20,7 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# make_engine enforces the box cap; its names are re-exported from here
+# the box cap: checked here where flooring a box size could overflow, and
+# by make_engine
 from .engine import MEMORY_CAP_SITES, ResourceLimitError, make_engine
 from .rng import Mark
 from .scales import Scales, compute_scales
@@ -106,7 +107,12 @@ class DiscreteFFP:
         self.A = A
         self.seed = seed
         self.stream_id = stream_id
-        self.a_sites = math.floor(A * self.scales.n)
+        span = A * self.scales.n  # the half-width in sites, before flooring
+        if span > MEMORY_CAP_SITES:  # an infinite one would not floor
+            raise ResourceLimitError(
+                f"box of half-width {span:g} sites exceeds the cap of {MEMORY_CAP_SITES}"
+            )
+        self.a_sites = math.floor(span)
         self.n_sites = 2 * self.a_sites + 1
 
         a = self.scales.a
@@ -264,8 +270,15 @@ def suggested_radius(pi: float, horizon: float) -> int:
 
     Each front advances like a Poisson process of rate pi, so pi*horizon
     plus ten standard deviations is comfortably past any realistic run.
+    Raises ResourceLimitError when that box exceeds MEMORY_CAP_SITES, before
+    an infinite mean reaches math.ceil.
     """
     mean = pi * horizon
+    if not mean <= MEMORY_CAP_SITES:
+        raise ResourceLimitError(
+            f"a front travels about pi * horizon = {mean:g} sites, past the box cap of "
+            f"{MEMORY_CAP_SITES}"
+        )
     return math.ceil(mean + 10.0 * math.sqrt(mean)) + 10
 
 

@@ -48,34 +48,33 @@ does not load, and fills the lists as it runs.  _run_alffp is chosen at
 import; the two give the same realization bit for bit.
 
 Lookups.  The open barriers are kept in x order and the fronts alive or
-dead for under two time units in position order, one list per direction
-(the fronts of a direction all move at speed 1/p, so their order never
-changes).  A derivation bisects these lists and tests only the entries
-within reach, in a window widened past the float rounding of its bounds:
-for a new front, the barriers it reaches before they expire, the wakes
-within 1/p (ahead, begun or ended under a time unit ago, or of the live
-fronts within 1/p behind it) and the opposing fronts it reaches by the
-horizon; for a new barrier or a death, the live fronts within reach of it.
-A mark reads Z, H and at p = 0 D through the state's own scans (below),
-given only the blockers that can act there: the fronts that can have
-crossed its point in the last two time units (an older reset leaves Z = 1;
-the second unit is a margin for rounding), the sweeps of the last two, the
-open barriers at its exact x, and for D all open barriers in x order.  An
-event costs O(log Q) for the queue plus O(log n) and the entries within
-reach for each lookup, so a new front's tests stay flat as the box grows.
+dead for under two time units (one unit, and a margin) in position order,
+one list per direction (the fronts of a direction all move at speed 1/p,
+so their order never changes).  A derivation bisects these lists and tests
+only the entries within reach, in a window widened past the float
+rounding of its bounds: for a new front, the barriers it reaches before
+they expire, the wakes within 1/p (ahead, begun or ended under a time unit
+ago, or of the live fronts within 1/p behind it) and the opposing fronts
+it reaches by the horizon; for a new barrier or a death, the live fronts
+within reach of it.  A derivation costs O(log n) and the entries within
+reach, so a new front's tests stay flat as the box grows.  A mark reads Z,
+H and at p = 0 D with the state's own scans (below) over every blocker so
+far, as the frozen oracle's rescan does: O(n) a mark, for one copy of
+each rule.
 
 Queries.  Z, H, D and reset_time at (x, t) each read one answer: the last
 reset at x, H, a macroscopic flag (Z = 1 and no active barrier) and the
 cluster bounds.  A state that _run_alffp_c made keeps its whole row
 buffer and gets the answer from one call of fl_limit_query; any other
 state (the Python loop's, a hand-built one, the frozen oracle's) from
-_query, its Python twin, which gives the state's lists to three scans:
+_query, its Python twin, which reads three scans of the state's lists:
 _last_reset (the last front crossing or sweep over x), _active_barrier
 and, where the cluster is macroscopic, _cluster (the nearest blockers).
-So each rule is written once per core, and the loop and the queries read
-the same scan.  fl_limit_query makes the same scans over the rows in the
-same order and float expressions, and builds no list; the two give the
-same answers bit for bit.  A trajectory reads the answer at each grid
+The Python loop's marks call the same three scans at (x, now), and
+fl_limit_run's marks the C scans of fl_limit_query, so each rule is
+written once per core.  fl_limit_query makes the same scans over the rows
+in the same order and float expressions, and builds no list; the two give
+the same answers bit for bit.  A trajectory reads the answer at each grid
 time, a C state's whole grid in one fl_limit_query call.  A state holds
 A and T as floats, so a bound at the box edge is the float -A or A
 either way.
@@ -332,26 +331,25 @@ class LimitStateP:
                 return None
         return ct
 
-    def _last_reset(self, x: float, t: float, fronts, sweeps) -> float:
-        """The last reset at x by time t among the given fronts and sweeps:
-        the latest crossing of x, then the latest sweep over x, or 0.0."""
+    def _last_reset(self, x: float, t: float) -> float:
+        """The last reset at x by time t: the latest front crossing of x,
+        then the latest sweep over x, or 0.0."""
         crossing = self._crossing
         r = 0.0
-        for f in fronts:
+        for f in self.fronts:
             ct = crossing(f, x, t)
             if ct is not None and ct > r:
                 r = ct
-        for s in sweeps:
+        for s in self.sweeps:
             if s.lo < x < s.hi and r < s.t <= t:
                 r = s.t
         return r
 
-    @staticmethod
-    def _active_barrier(x: float, t: float, barriers) -> Optional[_Barrier]:
-        """The barrier among the given ones active at x at time t with the
-        largest expiry (the first in their order on a tie), or None."""
+    def _active_barrier(self, x: float, t: float) -> Optional[_Barrier]:
+        """The barrier active at x at time t with the largest expiry (the
+        first in list order on a tie), or None."""
         out = None
-        for b in barriers:
+        for b in self.barriers:
             if b.x == x and b.create <= t < b.expiry:
                 if out is None or b.expiry > out.expiry:
                     out = b
@@ -376,12 +374,12 @@ class LimitStateP:
         """fl_limit_query's answer at (x, t) from the Python scans: the last
         reset, H, the macroscopic flag (Z = 1 and no active barrier) and the
         cluster bounds, (x, x) when the flag is off."""
-        r = self._last_reset(x, t, self.fronts, self.sweeps)
-        b = self._active_barrier(x, t, self.barriers)
+        r = self._last_reset(x, t)
+        b = self._active_barrier(x, t)
         h = 0.0 if b is None else b.expiry - t
         if t - r < 1.0 or h > 0.0:
             return (r, h, False, x, x)
-        return (r, h, True) + self._cluster(x, t, self.barriers, self.fronts, self.sweeps)
+        return (r, h, True) + self._cluster(x, t)
 
     def _answer(self, x: float, t: float):
         """The answer at a checked (x, t): one fl_limit_query call on a C
@@ -410,25 +408,25 @@ class LimitStateP:
         out = self._answer(x, t)  # indexed: unpacking a ctypes array is slow
         return (out[3], out[4]) if out[2] else (x, x)
 
-    def _cluster(self, x: float, t: float, barriers, fronts, sweeps) -> Tuple[float, float]:
+    def _cluster(self, x: float, t: float) -> Tuple[float, float]:
         """The interval between the nearest blockers around x at time t, inside
-        the box, among the given ones: the active barrier points, then the
-        fronts' unhealed wakes (where Z_t < 1), then the sweeps of the last
-        time unit.  A blocker (lo, hi) bounds the interval from the left when
+        the box: the active barrier points, then the fronts' unhealed wakes
+        (where Z_t < 1), then the sweeps of the last time unit, each in list
+        order.  A blocker (lo, hi) bounds the interval from the left when
         hi <= x, else from the right when lo >= x; on a tie the first nearest
         blocker in that order is kept (it decides the sign of a zero bound)."""
         p = self.p
         unit_ago = t - 1.0
         lo = -self.A
         hi = self.A
-        for b in barriers:
+        for b in self.barriers:
             if b.create <= t < b.expiry:
                 if b.x <= x:
                     if b.x > lo:
                         lo = b.x
                 elif b.x < hi:
                     hi = b.x
-        for f in fronts:
+        for f in self.fronts:
             t0 = f.t0
             if t0 > t:
                 continue
@@ -453,7 +451,7 @@ class LimitStateP:
                     lo = whi
             elif wlo >= x and wlo < hi:
                 hi = wlo
-        for s in sweeps:
+        for s in self.sweeps:
             if unit_ago < s.t <= t:
                 if s.hi <= x:
                     if s.hi > lo:
@@ -527,16 +525,16 @@ def _run_alffp_py(state: LimitStateP) -> None:
     queued = stale = rekeyed = peak = tests = 0
     now = 0.0
 
-    # Ordered lookups of (index, object) items.  The fronts of one direction
-    # all move at speed 1/p, so their order by position never changes: a
-    # front of direction d is keyed d * x0 - t0 / p, its way along d as of
-    # time 0, and a front of direction d at x now would have the key
-    # d * x - now / p, so a stretch of positions is a stretch of keys.  A
-    # dead front keeps its key for two time units.
+    # Ordered lookups of (index, object) items for the derivations.  The
+    # fronts of one direction all move at speed 1/p, so their order by
+    # position never changes: a front of direction d is keyed
+    # d * x0 - t0 / p, its way along d as of time 0, and a front of
+    # direction d at x now would have the key d * x - now / p, so a stretch
+    # of positions is a stretch of keys.  A dead front keeps its key for two
+    # time units: a derivation reads the wakes dead under one.
     open_barriers = _Ordered()  # by x; an expired segment of a stack lingers
     recent = {+1: _Ordered(), -1: _Ordered()}  # fronts alive or dead under two time units
     buried: deque = deque()  # dead fronts in death order
-    first_sweep = 0  # the sweeps before it are two time units old
     max_expiry = -math.inf  # of every barrier so far
     if p > 0.0:
         reach = 1.0 / p  # the way a front travels in a time unit
@@ -737,26 +735,14 @@ def _run_alffp_py(state: LimitStateP) -> None:
             if i + 1 < len(marks):
                 nxt = marks[i + 1]
                 push((nxt.t, EVENT_MARK, nxt.x, 0, i + 1, 0, 0, None, None))
-            # forget what can no longer stop a front launched now or reset
-            # x within two time units
+            # forget the fronts dead two time units, which no front
+            # launched now can stop at
             while buried and buried[0].t_end <= now - 2.0:
                 g = buried.popleft()
                 recent[g.direction].remove(g.direction * g.x0 - g.t0 / p, g)
-            while first_sweep < len(sweeps) and sweeps[first_sweep].t <= now - 2.0:
-                first_sweep += 1
-            # Z and H from the state's scans, given the blockers that can act
-            # at m.x (Lookups, in the module docstring)
-            near = []
-            if p > 0.0:
-                for d in (+1, -1):
-                    # a front that crossed m.x within two time units is now
-                    # (or would be, had it lived) under 2/p past it
-                    key = d * m.x - now / p
-                    near += [g for _, g in recent[d].within(key - slack, key + 2.0 * reach + slack)]
-            recent_sweeps = sweeps[first_sweep:]
-            z = min(m.t - state._last_reset(m.x, now, near, recent_sweeps), 1.0)
-            b_active = state._active_barrier(
-                m.x, now, [bb for _, bb in open_barriers.within(m.x, m.x)])
+            # Z, H and at p = 0 D from the state's own scans
+            z = min(m.t - state._last_reset(m.x, now), 1.0)
+            b_active = state._active_barrier(m.x, now)
             if z >= 1.0 and b_active is None:
                 if p > 0.0:
                     fronts.append(_Front(m.x, m.t, +1))
@@ -764,11 +750,7 @@ def _run_alffp_py(state: LimitStateP) -> None:
                     events.append(LimitEvent(m.t, EVENT_MARK, m.x, "macro"))
                     add_pair()
                 else:
-                    # D(m.x, m.t) from the open barriers in x order (list
-                    # order among equal x, so a tie keeps the same one) and
-                    # the recent sweeps
-                    lo, hi = state._cluster(
-                        m.x, now, [bb for _, bb in open_barriers.items], (), recent_sweeps)
+                    lo, hi = state._cluster(m.x, now)
                     sweeps.append(_Sweep(m.t, lo, hi))
                     events.append(LimitEvent(m.t, EVENT_MARK, m.x, "macro", (lo, hi)))
             elif z < 1.0:

@@ -271,6 +271,40 @@ def test_simulate_discrete_refuses_a_negative_grid(tmp_path, capsys):
     assert err == "error: --grid must be nonnegative, got -5\n"
 
 
+@pytest.mark.parametrize("grid", ["-5", "0", "1"])
+@pytest.mark.parametrize("with_csv", [False, True], ids=["stdout", "csv"])
+def test_simulate_limit_refuses_a_grid_below_2(grid, with_csv, tmp_path, monkeypatch, capsys):
+    # without --csv the grid is never sampled, but it is refused all the same
+    monkeypatch.setattr("fireline.cli.simulate_alffp_p", _never_called)
+    path = tmp_path / "rows.csv"
+    argv = ["simulate-limit", "--p", "1", "-A", "2", "-T", "2", "--grid", grid]
+    assert main(argv + (["--csv", str(path)] if with_csv else [])) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not path.exists()
+    assert err == f"error: --grid must be at least 2, got {grid}\n"
+
+
+_HUGE_DISCRETE = ["--lambda", "1e-300", "--pi", "5", "-A", "1e12", "-T", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["propagation", "--pi", "1e308", "-T", "10"],
+     "a front travels about pi * horizon = inf sites, past the box cap of 1073741824"),
+    (["fronts", "--pi", "1e308", "-T", "10", "--runs", "1"],
+     "a front travels about pi * horizon = inf sites, past the box cap of 1073741824"),
+    (["simulate-discrete", *_HUGE_DISCRETE],
+     "box of half-width inf sites exceeds the cap of 1073741824"),
+    (["cluster-dist", *_HUGE_DISCRETE, "--runs", "1"],
+     "box of half-width inf sites exceeds the cap of 1073741824"),
+], ids=["propagation", "fronts", "simulate-discrete", "cluster-dist"])
+def test_box_size_overflowing_a_float_exits_1(argv, message, capsys):
+    # pi * T and A * n are infinite: refused before math.ceil or math.floor
+    # would raise OverflowError
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_simulate_discrete_refuses_a_past_target_in_macroscopic_time(capsys):
     rc = main([*_DISCRETE, "-A", "1", "-T", "-1"])
     assert rc == 2

@@ -14,7 +14,6 @@ _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fireline"
 # and cli.spark_fraction_experiment), as each module documents
 _RE_EXPORTS = {
     "cli.py": {"front_speed_experiment", "spark_fraction_experiment"},
-    "discrete.py": {"MEMORY_CAP_SITES", "ResourceLimitError"},
     "harness.py": {"delta_interval"},
 }
 

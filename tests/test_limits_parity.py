@@ -15,6 +15,7 @@ from fireline import limits
 from fireline.engine import COMPILED, FALLBACK_REASON
 from fireline.limits import LimitStateP, _run_alffp_c, _run_alffp_py, _validate_marks
 from fireline.rng import Mark, RngStream, poisson_rectangle
+from fireline.scales import uniform_grid
 from test_limits import (
     GOLDEN_STATS,
     HAND_MADE,
@@ -82,6 +83,20 @@ def test_lattice_ties(p):
 @pytest.mark.parametrize("A, seed", [(40.0, 3), (48.0, 0), (48.0, 1), (48.0, 2)])
 def test_large_boxes(A, seed):
     assert_loops_agree(1.0, A, 4.0, _poisson(A, 4.0, seed))
+
+
+@pytest.mark.parametrize("p, seed", [(0.0, 3), (1.0, 0)])
+def test_a_large_box_read_by_full_scans(p, seed):
+    # about 580 marks on [-96, 96] x [0, 3], where each mark's Z, H and D
+    # scan every blocker so far and most of them lie far from its point;
+    # D(0, T) is macroscopic at these seeds
+    marks = _poisson(96.0, 3.0, seed)
+    c = _run(_run_alffp_c, p, 96.0, 3.0, marks)
+    py = _run(_run_alffp_py, p, 96.0, 3.0, marks)
+    assert _everything(c) == _everything(py)
+    assert repr(c.D(0.0, 3.0)) == repr(py.D(0.0, 3.0)) and c.D(0.0, 3.0)[0] < 0.0
+    grid = uniform_grid(3.0, 512)
+    assert _trajectory_repr(c.trajectory(grid)) == _trajectory_repr(py.trajectory(grid))
 
 
 @pytest.mark.parametrize("case", GOLDEN_STATS, ids=lambda c: f"p{c['p']}-A{c['A']}-s{c['seed']}")

@@ -57,7 +57,8 @@
  * fl_limit_run(p, A, T, n, marks, rows, counts) runs LFFP(p) on [-A, A] x
  * [0, T] from n validated marks, (x, t) pairs sorted by time.  It is the
  * loop of fireline.limits._run_alffp_py: the same lazy queue, the same
- * lookup windows bisected as bisect does, the same candidate tests and
+ * lookup lists (every barrier created active, every front; nothing leaves
+ * them) and windows bisected as bisect does, the same candidate tests and
  * counters, and Python's float semantics (max and min as explicit
  * comparisons, the same operand order, no FMA contraction).  A mark reads
  * its last reset, its active barrier and at p = 0 its cluster with the
@@ -712,10 +713,10 @@ typedef struct {
     int64_t n_events, n_fronts, n_barriers, n_sweeps;
     lim_entry *heap;
     int64_t hsize, hcap;
-    lim_ordered open;      /* barriers by x; an expired segment of a stack lingers */
-    lim_ordered recent[2]; /* rightward, leftward fronts alive or dead under two units */
-    int64_t *buried;       /* dead fronts in death order */
-    int64_t buried_head, buried_tail;
+    /* the lookups only grow: every derivation skips an expired barrier and
+     * a front dead over a time unit before it tests */
+    lim_ordered open;      /* every barrier created active, by x */
+    lim_ordered recent[2]; /* every rightward, leftward front, by position */
     int64_t queued, stale, rekeyed, peak, tests;
 } lim_run;
 
@@ -836,16 +837,6 @@ static void ord_add(lim_ordered *o, double key, int64_t item)
     o->keys[j] = key;
     o->idx[j] = item;
     o->n++;
-}
-
-static void ord_remove(lim_ordered *o, double key, int64_t item)
-{
-    int64_t j = bisect_left(o->keys, o->n, key);
-    while (o->idx[j] != item)
-        j++;
-    o->n--;
-    memmove(o->keys + j, o->keys + j + 1, (size_t)(o->n - j) * sizeof(double));
-    memmove(o->idx + j, o->idx + j + 1, (size_t)(o->n - j) * sizeof(int64_t));
 }
 
 /* The positions [*lo, *hi) of the items keyed in [klo, khi]; a NaN bound
@@ -1043,7 +1034,6 @@ static int add_front(lim_run *r, int64_t i)
 static int add_death(lim_run *r, int64_t gi)
 {
     const lim_front *g = &r->fronts[gi];
-    r->buried[r->buried_tail++] = gi;
     double d = -g->dir, key = d * g->x_end - r->now / r->p;
     const lim_ordered *o = recent(r, d);
     int64_t lo, hi;
@@ -1215,14 +1205,6 @@ static int mark_event(lim_run *r, int64_t i)
     if (i + 1 < r->n_marks
         && lim_push(r, r->marks[i + 1].t, LK_MARK, r->marks[i + 1].x, 0, i + 1, 0, 0))
         return -1;
-    /* forget the fronts dead two time units, which no front launched now
-     * can stop at */
-    while (r->buried_head < r->buried_tail
-           && r->fronts[r->buried[r->buried_head]].t_end <= now - 2.0) {
-        int64_t gi = r->buried[r->buried_head++];
-        const lim_front *g = &r->fronts[gi];
-        ord_remove(recent(r, g->dir), g->dir * g->x0 - g->t0 / r->p, gi);
-    }
     double z = py_min(t - query_reset(r, x, now), 1.0);
     lim_barrier *active = query_barrier(r, x, now);
     if (z >= 1.0 && active == NULL) {
@@ -1249,26 +1231,6 @@ static int mark_event(lim_run *r, int64_t i)
         log_event(r, t, LC_ABSORBED, x, 0.0, 0.0);
     }
     return 0;
-}
-
-/* At a barrier's expiry: it and the older segments of its stack at x stop
- * nothing more, so they leave the open barriers, the others keeping their
- * order. */
-static void close_barriers(lim_run *r, double x)
-{
-    lim_ordered *o = &r->open;
-    int64_t lo, hi;
-    ord_within(o, x, x, &lo, &hi);
-    int64_t kept = lo;
-    for (int64_t q = lo; q < hi; q++) {
-        if (!(r->barriers[o->idx[q]].expiry <= r->now)) {
-            o->keys[kept] = o->keys[q];
-            o->idx[kept++] = o->idx[q];
-        }
-    }
-    memmove(o->keys + kept, o->keys + hi, (size_t)(o->n - hi) * sizeof(double));
-    memmove(o->idx + kept, o->idx + hi, (size_t)(o->n - hi) * sizeof(int64_t));
-    o->n -= hi - kept;
 }
 
 /* Re-derive the queue head at the current time: 1 with its time in *t, or 0
@@ -1327,7 +1289,6 @@ static int lim_loop(lim_run *r)
         } else if (e.kind == LK_EXPIRY) {
             r->barriers[e.i].logged = 1.0;
             log_event(r, t, LC_EXPIRY, e.x, 0.0, 0.0);
-            close_barriers(r, e.x);
         } else if (e.kind == LK_MEET) {
             kill_front(&r->fronts[e.i], t, e.x, LC_MEET);
             kill_front(&r->fronts[e.j], t, e.x, LC_MEET);
@@ -1383,10 +1344,9 @@ FL_API int fl_limit_run(double p, double A, double T, int64_t n, const mark_row 
         r.recent[s].keys = malloc(cap * sizeof(double));
         r.recent[s].idx = malloc(cap * sizeof(int64_t));
     }
-    r.buried = malloc(2 * cap * sizeof(int64_t));
     int status = -1;
     if (r.open.keys && r.open.idx && r.recent[0].keys && r.recent[0].idx && r.recent[1].keys
-        && r.recent[1].idx && r.buried)
+        && r.recent[1].idx)
         status = lim_loop(&r);
     int64_t out[9] = {r.n_events, r.n_fronts, r.n_barriers, r.n_sweeps,
                       r.queued, r.stale, r.rekeyed, r.peak, r.tests};
@@ -1398,7 +1358,6 @@ FL_API int fl_limit_run(double p, double A, double T, int64_t n, const mark_row 
         free(r.recent[s].keys);
         free(r.recent[s].idx);
     }
-    free(r.buried);
     return status;
 }
 

@@ -6,6 +6,7 @@ rerun with the same seed reproduces every run bit for bit regardless of
 """
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -19,7 +20,7 @@ from .discrete import (
     match_schedule_from_marks,
     run_propagation,
 )
-from .engine import make_engine
+from .engine import MEMORY_CAP_SITES, ResourceLimitError, make_engine
 from .limits import (
     sample_cluster_lengths_inf,
     simulate_alffp_p,
@@ -538,9 +539,19 @@ class BarrierResult:
 
 
 def _barrier_radius(lam: float, pi: float, t0: float, t1: float) -> int:
+    """The default box half-width of a barrier run.  Raises
+    ResourceLimitError when it exceeds MEMORY_CAP_SITES, sized before
+    lam ** -age is taken: at a tiny lam that power overflows a float."""
     s = compute_scales(lam, pi)
     age = t1 if t0 == 0.0 else (t1 - t0) + 2.0 * kappa0(lam, pi)
     pad = 0 if t0 == 0.0 else math.ceil(s.a * pi * s.eps)
+    exponent = age * s.a  # lam ** -age is e ** exponent
+    reach = 12.0 * math.exp(exponent) if exponent < math.log(sys.float_info.max) else math.inf
+    size = reach + s.m + pad + 10
+    if not size <= MEMORY_CAP_SITES:
+        raise ResourceLimitError(
+            f"box of half-width {size:g} sites exceeds the cap of {MEMORY_CAP_SITES}"
+        )
     return math.ceil(12.0 * lam ** (-age)) + s.m + pad + 10
 
 

@@ -47,20 +47,22 @@ _run_alffp_py is the Python loop, the fallback when the compiled library
 does not load, and fills the lists as it runs.  _run_alffp is chosen at
 import; the two give the same realization bit for bit.
 
-Lookups.  The open barriers are kept in x order and the fronts alive or
-dead for under two time units (one unit, and a margin) in position order,
-one list per direction (the fronts of a direction all move at speed 1/p,
-so their order never changes).  A derivation bisects these lists and tests
-only the entries within reach, in a window widened past the float
-rounding of its bounds: for a new front, the barriers it reaches before
-they expire, the wakes within 1/p (ahead, begun or ended under a time unit
-ago, or of the live fronts within 1/p behind it) and the opposing fronts
-it reaches by the horizon; for a new barrier or a death, the live fronts
-within reach of it.  A derivation costs O(log n) and the entries within
-reach, so a new front's tests stay flat as the box grows.  A mark reads Z,
-H and at p = 0 D with the state's own scans (below) over every blocker so
-far, as the frozen oracle's rescan does: O(n) a mark, for one copy of
-each rule.
+Lookups.  Every barrier created active is kept in x order and every front
+in position order, one list per direction (the fronts of a direction all
+move at speed 1/p, so their order never changes).  Nothing leaves these
+lists: a derivation skips an expired barrier, and a front dead for over a
+time unit, before any test, so such an entry costs a step of the walk and
+changes no candidate.  A derivation bisects these lists and tests only the
+entries within reach, in a window widened past the float rounding of its
+bounds: for a new front, the barriers it reaches before they expire, the
+wakes within 1/p (ahead, begun or ended under a time unit ago, or of the
+live fronts within 1/p behind it) and the opposing fronts it reaches by
+the horizon; for a new barrier or a death, the live fronts within reach of
+it.  A derivation costs O(log n) and the entries in its window, the
+expired and long-dead ones there included, so a new front's tests stay
+flat as the box grows.  A mark reads Z, H and at p = 0 D with the state's
+own scans (below) over every blocker so far, as the frozen oracle's
+rescan does: O(n) a mark, for one copy of each rule.
 
 Queries.  Z, H, D and reset_time at (x, t) each read one answer: the last
 reset at x, H, a macroscopic flag (Z = 1 and no active barrier) and the
@@ -82,7 +84,7 @@ either way.
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
+from collections import Counter
 from ctypes import byref, c_double, c_int64
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
@@ -215,12 +217,6 @@ class _Ordered:
         j = bisect_right(self.keys, key)
         self.keys.insert(j, key)
         self.items.insert(j, item)
-
-    def remove(self, key: float, obj) -> None:
-        j = bisect_left(self.keys, key)
-        while self.items[j][1] is not obj:
-            j += 1
-        del self.keys[j], self.items[j]
 
     def within(self, lo: float, hi: float) -> list:
         """The items keyed in [lo, hi], in key order.  A NaN bound (an
@@ -525,16 +521,16 @@ def _run_alffp_py(state: LimitStateP) -> None:
     queued = stale = rekeyed = peak = tests = 0
     now = 0.0
 
-    # Ordered lookups of (index, object) items for the derivations.  The
-    # fronts of one direction all move at speed 1/p, so their order by
+    # Ordered lookups of (index, object) items for the derivations.  They
+    # only grow: every derivation skips an expired barrier and a front dead
+    # over a time unit before it tests, so such an entry need never leave.
+    # The fronts of one direction all move at speed 1/p, so their order by
     # position never changes: a front of direction d is keyed
     # d * x0 - t0 / p, its way along d as of time 0, and a front of
     # direction d at x now would have the key d * x - now / p, so a stretch
-    # of positions is a stretch of keys.  A dead front keeps its key for two
-    # time units: a derivation reads the wakes dead under one.
-    open_barriers = _Ordered()  # by x; an expired segment of a stack lingers
-    recent = {+1: _Ordered(), -1: _Ordered()}  # fronts alive or dead under two time units
-    buried: deque = deque()  # dead fronts in death order
+    # of positions is a stretch of keys.
+    open_barriers = _Ordered()  # every barrier created active, by x
+    recent = {+1: _Ordered(), -1: _Ordered()}  # every front, by position
     max_expiry = -math.inf  # of every barrier so far
     if p > 0.0:
         reach = 1.0 / p  # the way a front travels in a time unit
@@ -628,7 +624,7 @@ def _run_alffp_py(state: LimitStateP) -> None:
         ahead = (max_expiry - now) / p
         lo, hi = (x0, x0 + ahead) if d > 0 else (x0 - ahead, x0)
         for bi, b in open_barriers.within(lo - slack, hi + slack):
-            if b.expiry > now:  # an expired segment of a stack stops nothing
+            if b.expiry > now:  # an expired barrier stops nothing
                 tests += 1
                 add_barrier_stop(i, f, bi, b)
         # fronts of f's direction: one launched under a time unit ago with
@@ -673,7 +669,6 @@ def _run_alffp_py(state: LimitStateP) -> None:
         # 1/p of its death point
         nonlocal tests
         for gi, g in dead:
-            buried.append(g)
             d = -g.direction
             key = d * g.x_end - now / p
             for i, f in recent[d].within(key - reach - slack, key + slack):
@@ -735,11 +730,6 @@ def _run_alffp_py(state: LimitStateP) -> None:
             if i + 1 < len(marks):
                 nxt = marks[i + 1]
                 push((nxt.t, EVENT_MARK, nxt.x, 0, i + 1, 0, 0, None, None))
-            # forget the fronts dead two time units, which no front
-            # launched now can stop at
-            while buried and buried[0].t_end <= now - 2.0:
-                g = buried.popleft()
-                recent[g.direction].remove(g.direction * g.x0 - g.t0 / p, g)
             # Z, H and at p = 0 D from the state's own scans
             z = min(m.t - state._last_reset(m.x, now), 1.0)
             b_active = state._active_barrier(m.x, now)
@@ -770,10 +760,6 @@ def _run_alffp_py(state: LimitStateP) -> None:
         elif kind == EVENT_BARRIER_EXPIRY:
             a.logged = True
             events.append(LimitEvent(t, kind, x, "expiry"))
-            # this segment and the older ones of its stack stop nothing more
-            for _, bb in open_barriers.within(x, x):
-                if bb.expiry <= now:
-                    open_barriers.remove(x, bb)
         elif kind == EVENT_FRONT_MEET:
             for h in (a, b):
                 h.alive = False

@@ -83,6 +83,8 @@ class Regime:
 def _check_lambda(lam: float) -> None:
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must lie in (0, 1), got {lam}")
+    if 1.0 / lam == math.inf:  # a = log(1/lam) would scale every time to inf
+        raise ValueError(f"lam={lam} is too small: 1/lam overflows a float")
 
 
 def compute_scales(lam: float, pi: float) -> Scales:

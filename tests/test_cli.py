@@ -4,16 +4,29 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fireline
 from fireline.cli import build_parser, main
 from fireline.discrete import DiscreteFFP
 from fireline.limits import simulate_alffp_p, simulate_lffp_inf
 from fireline.scales import uniform_grid
+
+# a child `python -m fireline` imports the package these tests import: the
+# pythonpath of pyproject.toml reaches only the pytest process
+_CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(fireline.__file__).resolve().parents[1]),
+                      os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def test_scales_line(capsys):
@@ -68,6 +81,31 @@ def test_barrier_box_over_cap_exits_1(capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "error: box of 4000000001 sites exceeds the cap of 1073741824\n"
+
+
+@pytest.mark.parametrize("lam, t0, t1, size", [
+    ("1e-300", "2", "2.5", "inf"), ("1e-200", "0", "0.5", "4.71529e+194"),
+])
+def test_barrier_default_box_over_cap_exits_1(lam, t0, t1, size, capsys):
+    # refused before lam ** -age, which overflows a float at lam = 1e-300
+    rc = main(["barrier", "--lambda", lam, "--pi", "5", "--t0", t0, "--t1", t1, "--runs", "1"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: box of half-width {size} sites exceeds the cap of 1073741824\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scales", "--lambda", "1e-310", "--pi", "2"],
+    ["couple", "--lambda", "1e-310", "--pi", "5", "-A", "1", "-T", "1", "--runs", "1"],
+    ["simulate-discrete", "--lambda", "1e-310", "--pi", "5", "-A", "1", "-T", "1"],
+], ids=lambda argv: argv[0])
+def test_a_lambda_whose_inverse_overflows_exits_2(argv, capsys):
+    # a = log(1/lam) would be inf
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: lam=1e-310 is too small: 1/lam overflows a float\n"
 
 
 def test_barrier_safety_cap_exits_1(capsys):
@@ -144,7 +182,7 @@ def test_non_finite_parameter_exits_2(argv, in_child, capsys):
     if in_child:
         proc = subprocess.run(
             [sys.executable, "-m", "fireline", *argv],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=_CHILD_ENV,
         )
         rc, err = proc.returncode, proc.stderr
     else:
@@ -450,7 +488,7 @@ def test_version_flag(capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fireline", "scales", "--lambda", "0.01"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "a=4.605170 n=21 m=4 eps=0.010239"

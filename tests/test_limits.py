@@ -664,9 +664,15 @@ def test_large_box_matches_oracle():
     assert_matches_oracle(1.0, 40.0, 4.0, seed=3)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_larger_box_matches_oracle(seed):
-    assert_matches_oracle(1.0, 48.0, 4.0, seed=seed)
+@pytest.mark.parametrize("p, A, T, seed", [
+    *(pytest.param(1.0, 48.0, 4.0, seed, id=str(seed)) for seed in (0, 1, 2)),
+    # long runs, whose lookup windows hold many expired barriers and fronts
+    # dead for over a time unit
+    (0.5, 6.0, 12.0, 19),
+    (1.0, 6.0, 12.0, 19),
+])
+def test_larger_box_matches_oracle(p, A, T, seed):
+    assert_matches_oracle(p, A, T, seed=seed)
 
 
 GOLDEN_STATS = json.loads((Path(__file__).parent / "limit_stats_golden.json").read_text())

@@ -80,9 +80,16 @@ def test_lattice_ties(p):
         assert_loops_agree(p, A if k % 2 else int(A), 4.0, marks)
 
 
-@pytest.mark.parametrize("A, seed", [(40.0, 3), (48.0, 0), (48.0, 1), (48.0, 2)])
-def test_large_boxes(A, seed):
-    assert_loops_agree(1.0, A, 4.0, _poisson(A, 4.0, seed))
+@pytest.mark.parametrize("p, A, T, seed", [
+    *(pytest.param(1.0, A, 4.0, seed, id=f"{A}-{seed}")
+      for A, seed in [(40.0, 3), (48.0, 0), (48.0, 1), (48.0, 2)]),
+    # long runs, whose lookup windows hold many expired barriers and fronts
+    # dead for over a time unit
+    *((p, 6.0, 12.0, seed) for p in (0.0, 0.5, 1.0) for seed in (0, 1)),
+    (1.0, 48.0, 12.0, 5),
+])
+def test_large_boxes(p, A, T, seed):
+    assert_loops_agree(p, A, T, _poisson(A, T, seed))
 
 
 @pytest.mark.parametrize("p, seed", [(0.0, 3), (1.0, 0)])

@@ -63,6 +63,24 @@ def test_scales_rejects_bad_lambda():
         compute_scales(0.5, 0.0)
 
 
+@pytest.mark.parametrize("lam", [5e-324, 1e-310, 5.5e-309])
+def test_a_lambda_whose_inverse_overflows_is_refused(lam):
+    # a = log(1/lam) would be inf, and so would every raw time a * t
+    for call in (
+        lambda: compute_scales(lam, 2.0),
+        lambda: pi_for_regime(lam, Regime.intermediate(1.0)),
+        lambda: m_gamma(lam, 0.5, 0.5),
+    ):
+        with pytest.raises(ValueError, match=rf"lam={lam!r} is too small"):
+            call()
+
+
+def test_the_smallest_lambdas_keep_their_scale():
+    # subnormal, but 1/lam is finite: a keeps the expression's bits
+    for lam in (6e-309, 1e-308):
+        assert compute_scales(lam, 2.0).a == math.log(1.0 / lam) < math.inf
+
+
 def test_scales_near_one_flagged():
     s = compute_scales(0.999, 10.0)
     assert not s.in_asymptotic_range

@@ -1,6 +1,7 @@
-/* Compiled event core, the C twin of fireline._engine_py.PyEngineCore; block
- * draws and the Poisson mark sampler for fireline.rng; and the C twins of the
- * LFFP(p) event loop of fireline.limits and of its state's queries.
+/* Compiled event core, the C twin of fireline._engine_py.PyEngineCore; the
+ * Poisson mark sampler of fireline.rng; and the C twins of the LFFP(p) event
+ * loop of fireline.limits and of its state's queries.  Other block draws of
+ * fireline.rng are numpy passes on either core and never call this library.
  *
  * Plain C99 with no Python C-API; fireline._clib loads it with ctypes.
  * Every clock draw is the same counter-based Philox4x64-10 word as
@@ -11,8 +12,8 @@
  * bug; the parity tests compare them.
  *
  * The ten Philox round keys of (master_seed, stream_id) are computed once,
- * into the engine (or once per fl_draw_block call), and the rounds are
- * written out; the last round computes only the half that word 0 needs.
+ * into the engine (or once per fl_poisson_rectangle call), and the rounds
+ * are written out; the last round computes only the half that word 0 needs.
  *
  * Seed clocks are lazy, as in the twin: only vacant sites keep one in the
  * heap.  The ring that occupies a site stores its time in seed_last and
@@ -42,10 +43,6 @@
  * is not occupied, and out[2] the occupied count of the window
  * [idx - m, idx + m] clipped to the box.  It scans eight sites a word, and
  * refuses (status -2, out untouched) a site outside the box or m < 0.
- *
- * fl_draw_block(seed, stream, purpose, site, first, n, out) serves the block
- * draws of fireline.rng: out[i] is draw_u64(seed, stream, purpose, site,
- * first + i), so a block equals the scalar draws word for word.
  *
  * fl_poisson_rectangle(seed, stream, first, x_lo, x_hi, t_lo, t_hi, strips,
  * cap, out, used) draws the marks of fireline.rng.poisson_rectangle from
@@ -558,16 +555,6 @@ FL_API const double *fl_log(const engine *e, int which, int64_t *rows)
 {
     *rows = e->logs[which].rows;
     return e->logs[which].v;
-}
-
-/* n consecutive words of one (purpose, site) counter, starting at index
- * first. */
-FL_API void fl_draw_block(uint64_t master_seed, uint64_t stream_id, uint64_t purpose,
-                          uint64_t site, uint64_t first, int64_t n, uint64_t *out)
-{
-    philox_key key = philox_schedule(master_seed, stream_id);
-    for (int64_t i = 0; i < n; i++)
-        out[i] = philox_word0(&key, purpose, site, first + (uint64_t)i, 0);
 }
 
 /* -- Poisson marks -------------------------------------------------------- */

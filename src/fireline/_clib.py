@@ -1,8 +1,9 @@
 """The compiled C library and the memory cap, below both engine and rng.
 
 The library is _ccore.c: the C event core that fireline.engine wraps, the
-block draws and the Poisson mark sampler of fireline.rng, and the LFFP(p)
-event loop of fireline.limits and its queries.
+Poisson mark sampler of fireline.rng (its other block draws are numpy
+passes on either core), and the LFFP(p) event loop of fireline.limits and
+its queries.
 It uses no Python C-API and is loaded with ctypes.  setup.py compiles it
 next to this module.  In a source checkout without that build, the first
 import compiles the source with the system C compiler ($CC, default cc)
@@ -101,10 +102,6 @@ def _declare(lib):
     lib.fl_seed_last.restype = c_void_p
     lib.fl_log.argtypes = [c_void_p, c_int, POINTER(c_int64)]
     lib.fl_log.restype = POINTER(c_double)
-    lib.fl_draw_block.argtypes = [
-        c_uint64, c_uint64, c_uint64, c_uint64, c_uint64, c_int64, c_void_p,
-    ]
-    lib.fl_draw_block.restype = None
     lib.fl_poisson_rectangle.argtypes = [
         c_uint64, c_uint64, c_uint64, c_double, c_double, c_double, c_double, c_int64,
         c_int64, c_void_p, POINTER(c_uint64),

@@ -69,11 +69,20 @@ def _write_json(path, command, params, results):
         fh.write("\n")
 
 
+def _scale_label(v):
+    """An int in full and a float to six decimals, unless v is at least 1e7
+    or, not 0, below 0.01: then six decimals in exponent form, so that the
+    text stays short and within 1e-6 of v (relative)."""
+    if v == 0 or 1e-2 <= abs(v) < 1e7:
+        return f"{v:.6f}" if isinstance(v, float) else str(v)
+    return f"{v:.6e}"
+
+
 def _regime_label(regime):
     if regime.kind == "intermediate":
-        return f"intermediate(p={regime.p:.6f})"
+        return f"intermediate(p={_scale_label(regime.p)})"
     if regime.kind == "slow":
-        return f"slow(z0={regime.z0:.6f})"
+        return f"slow(z0={_scale_label(regime.z0)})"
     return "fast"
 
 
@@ -88,12 +97,14 @@ def _interval_label(iv):
 
 def _cmd_scales(args):
     s = compute_scales(args.lam, args.pi if args.pi is not None else 1.0)
-    print(f"a={s.a:.6f} n={s.n} m={s.m} eps={s.eps:.6f}")
+    print(f"a={_scale_label(s.a)} n={_scale_label(s.n)} m={_scale_label(s.m)} "
+          f"eps={_scale_label(s.eps)}")
     params = {"lambda": args.lam}
     results = {"a": s.a, "n": s.n, "m": s.m, "eps": s.eps}
     if args.pi is not None:
         regime, ratio, zeta = classify_regime(args.lam, args.pi)
-        print(f"ratio={ratio:.6f} zeta={zeta:.6f} regime={_regime_label(regime)}")
+        print(f"ratio={_scale_label(ratio)} zeta={_scale_label(zeta)} "
+              f"regime={_regime_label(regime)}")
         print(f"in_asymptotic_range={'true' if s.in_asymptotic_range else 'false'}")
         params["pi"] = args.pi
         results.update(

@@ -562,12 +562,10 @@ def _barrier_single(
     t1: float,
     seed: int,
     stream_id: int,
-    radius: Optional[int],
+    radius: int,
 ) -> Tuple[float, int]:
     s = compute_scales(lam, pi)
     a = s.a
-    if radius is None:
-        radius = _barrier_radius(lam, pi, t0, t1)
     center = radius
     n_sites = 2 * radius + 1
     t1_raw = a * t1
@@ -665,6 +663,9 @@ def barrier_height_experiment(
         raise ValueError(f"t0 must be 0 or greater than 1, got {t0}")
     if not t0 < t1 < t0 + 1.0:
         raise ValueError(f"need t0 < t1 < t0 + 1, got t0={t0}, t1={t1}")
+    if radius is None:
+        # sized here, once: an over-cap box is refused before any worker starts
+        radius = _barrier_radius(lam, pi, t0, t1)
     argses = [(lam, pi, t0, t1, seed, i, radius) for i in range(runs)]
     rows = _map_runs(_barrier_worker, argses, jobs)
     thetas = np.array([r[0] for r in rows])

@@ -7,15 +7,14 @@ engines derive per-site clock draws from (purpose, site, index) counters,
 experiments derive per-run streams from (seed, run_index), and replaying
 any component in any order reproduces identical numbers.
 
-Draws may be taken in blocks.  draw_block gives the words of consecutive
-counter indices in one call, through the compiled library's loop when it
-loads, and otherwise through draw_rows, or draw_u64 for a small block; a
-block equals the scalar draws word for word.  draw_rows gives many such
-blocks, for different sites and first indices, in one numpy pass that
-never calls the compiled library; the Python engine core's seed walks
-read their words from it.  The samplers that draw in blocks
-(poisson_rectangle, exp_samples) return the values, and leave the stream
-at the position, that drawing one word at a time would.
+Draws may be taken in blocks.  draw_rows gives the words of consecutive
+counter indices, a row for each of many sites and first indices, in one
+numpy pass that never calls the compiled library; a row equals the scalar
+draws word for word.  It is the one block source on either core: the
+Python engine core's seed walks read their words from it, and
+RngStream.words takes a block of a stream as one row.  The samplers that
+draw in blocks (poisson_rectangle, exp_samples) return the values, and
+leave the stream at the position, that drawing one word at a time would.
 
 poisson_rectangle draws a whole rectangle in one call of the compiled
 library (fl_poisson_rectangle), or in numpy blocks without it, and returns
@@ -50,11 +49,6 @@ PURPOSE_SEED = 1
 PURPOSE_MATCH = 2
 PURPOSE_PROPAGATE = 3
 
-# Without the compiled library, a block of at most this many words is drawn
-# word by word: a scalar draw_u64 takes about 9 us and a draw_rows pass
-# about 0.4 ms at any width up to some hundreds of words.
-_SCALAR_BLOCK = 40
-
 # Strips wider than this are split before Knuth inversion so the uniform
 # product never underflows.
 _MAX_STRIP_AREA = 64.0
@@ -85,21 +79,6 @@ def draw_u64(master_seed: int, stream_id: int, purpose: int, site: int, index: i
     return philox4x64(purpose, site, index, 0, master_seed, stream_id)[0]
 
 
-def draw_block(master_seed: int, stream_id: int, purpose: int, site: int, first: int,
-               count: int) -> np.ndarray:
-    """The uint64 words draw_u64 gives at indices first, ..., first + count - 1."""
-    if not 0 <= first <= first + count <= 2**64:
-        raise ValueError(f"block [{first}, {first + count}) leaves the 64-bit counter range")
-    if _lib is None:
-        if count <= _SCALAR_BLOCK:
-            return np.array([draw_u64(master_seed, stream_id, purpose, site, first + i)
-                             for i in range(count)], dtype=np.uint64)
-        return draw_rows(master_seed, stream_id, purpose, [site], [first], count)[0]
-    out = np.empty(count, dtype=np.uint64)
-    _lib.fl_draw_block(master_seed, stream_id, purpose, site, first, count, out.ctypes.data)
-    return out
-
-
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
@@ -120,9 +99,9 @@ def draw_rows(master_seed: int, stream_id: int, purpose: int, sites, firsts,
               count: int) -> np.ndarray:
     """The words draw_u64 gives at (site, first + j) for j < count, a row
     per pair of the int sequences sites and firsts: philox4x64 on numpy
-    arrays, all rows in one pass.  A pass costs about the same whatever its
-    width up to some thousands of words, so it pays only when it draws many
-    rows at once."""
+    arrays, all rows in one pass.  It never calls the compiled library, so
+    both cores draw their blocks from it.  A pass costs about the same
+    whatever its width up to some thousands of words."""
     if len(firsts) and not 0 <= min(firsts) <= max(firsts) <= 2**64 - count:
         raise ValueError(f"rows of {count} words from {min(firsts)} to {max(firsts)} "
                          "leave the 64-bit counter range")
@@ -263,8 +242,8 @@ class RngStream:
     def words(self, count: int, offset: int = 0) -> np.ndarray:
         """The count words from offset past the current position, without
         advancing the stream."""
-        return draw_block(self.master_seed, self.stream_id, PURPOSE_STREAM, 0,
-                          self._index + offset, count)
+        return draw_rows(self.master_seed, self.stream_id, PURPOSE_STREAM, [0],
+                         [self._index + offset], count)[0]
 
     def next_units(self, count: int) -> np.ndarray:
         """The next count uniforms on (0, 1], as count next_unit calls give them."""
@@ -304,7 +283,7 @@ def _strip_marks(stream, x_lo, x_hi, lo, hi):
     mean = (x_hi - x_lo) * (hi - lo)
     threshold = math.exp(-mean)
     # about two standard deviations past the mean count: one block is
-    # usually enough, and few drawn words go unused on the scalar fallback
+    # usually enough
     size = int(mean + 2.0 * math.sqrt(mean)) + 8
     while True:
         words = stream.words(size)

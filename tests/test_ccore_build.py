@@ -2,9 +2,9 @@
 with the compiler's 128-bit integers and without them (the portable
 mulhilo); a build at another optimisation level, with the portable mulhilo,
 or with the library's own flags for the build machine's instruction set
-(where a * b + c could become a fused multiply-add) gives the same draws,
+(where a * b + c could become a fused multiply-add) gives the same
 Poisson marks, realizations, limit runs and limit queries as the loaded
-library; and every function it exports is declared for ctypes."""
+library; and it exports the listed functions, each declared for ctypes."""
 
 import ctypes
 import hashlib
@@ -14,12 +14,11 @@ import shlex
 import shutil
 import subprocess
 
-import numpy as np
 import pytest
 
 from fireline import engine, limits, rng
 from fireline._clib import _SOURCE, CFLAGS, _declare
-from fireline.rng import PURPOSE_PROPAGATE, PURPOSE_SEED, Mark, RngStream, poisson_rectangle
+from fireline.rng import Mark, RngStream, poisson_rectangle
 from fireline.scales import uniform_grid
 
 _CC = os.environ.get("CC", "cc")
@@ -62,21 +61,23 @@ def _rectangles(lib, monkeypatch):
 
 
 def _realization(lib, monkeypatch):
-    """Block words of two counters (one with wrapping seed, stream and
-    index); the sha256 of 200 Poisson rectangles; the states, seed_last, logs and counters of a fast front and of
-    slow extinguishes with re-ignitions; and the query answers (D, Z and H
-    at fixed points and at some marks, and a 64-point trajectory), events,
+    """The sha256 of 200 Poisson rectangles, and one more rectangle drawn
+    with round keys that wrap, at a stream index near the top of the
+    counter range; the states, seed_last, logs and counters of a fast front
+    and of slow extinguishes with re-ignitions; and the query answers (D, Z
+    and H at fixed points and at some marks, and a 64-point trajectory), events,
     fronts, barriers, sweeps and counters of LFFP(0), LFFP(1) and LFFP(0.1)
     on Poisson marks (at p = 0.1 a fused multiply-add rounds some event
     times differently) and of LFFP(0.5) on lattice marks, whose event keys
     often tie; run on lib."""
-    got = []
-    for args in ((7, 0, PURPOSE_SEED, 5, 0),
-                 (2**64 - 1, 2**63 + 5, PURPOSE_PROPAGATE, 10**12, 2**64 - 500)):
-        out = np.empty(1000, dtype=np.uint64)
-        lib.fl_draw_block(*args, len(out), out.ctypes.data)
-        got.append(out.tobytes())
-    got.append(_rectangles(lib, monkeypatch))
+    got = [_rectangles(lib, monkeypatch)]
+    with monkeypatch.context() as m:
+        m.setattr(rng, "_lib", lib)
+        stream = RngStream(2**64 - 1, 2**63 + 5)
+        stream._index = 2**64 - 4096
+        # area 600 in ten strips: about 1,800 of the 4,096 words left
+        got += [poisson_rectangle(stream, -50.0, 50.0, 0.0, 6.0).array.tobytes(),
+                stream._index]
     slow = [(25.0 * k + 0.1 * i, i) for k in range(1, 6) for i in range(0, 40, 3)]
     runs = (
         (dict(n_sites=301, pi=9.0, master_seed=123, stream_id=0, ignite_site=150), 15.0),
@@ -141,7 +142,11 @@ def _exports():
 def test_every_export_is_declared():
     assert engine._lib is not None, engine.FALLBACK_REASON
     exports = _exports()
-    assert {"fl_new", "fl_run", "fl_draw_block"} <= {name for name, _, _ in exports}
+    # the whole list, so that adding or removing an export edits this test
+    assert sorted(name for name, _, _ in exports) == [
+        "fl_free", "fl_limit_query", "fl_limit_run", "fl_log", "fl_new", "fl_observe",
+        "fl_poisson_rectangle", "fl_run", "fl_seed_last", "fl_states",
+    ]
     for name, ret, n_params in exports:
         fn = getattr(engine._lib, name)
         assert fn.argtypes is not None and len(fn.argtypes) == n_params, name

@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import fireline
+from fireline import rng
 from fireline.cli import build_parser, main
 from fireline.discrete import DiscreteFFP
+from fireline.engine import FALLBACK_REASON
 from fireline.limits import simulate_alffp_p, simulate_lffp_inf
 from fireline.scales import uniform_grid
 
@@ -33,6 +35,18 @@ def test_scales_line(capsys):
     assert main(["scales", "--lambda", "0.01"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "a=4.605170 n=21 m=4 eps=0.010239"
+
+
+def test_scales_prints_extreme_values_in_exponent_form(tmp_path, capsys):
+    doc = tmp_path / "scales.json"
+    assert main(["scales", "--lambda", "1e-40", "--pi", "2", "--json", str(doc)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    results = json.loads(doc.read_text())["results"]
+    assert all(len(line) < 100 for line in lines), lines
+    printed = dict(re.findall(r"(\w+)=([-+.\de]+)\b", " ".join(lines)))
+    assert printed.keys() == {"a", "n", "m", "eps", "ratio", "zeta", "z0"}
+    for name, text in printed.items():
+        assert float(text) == pytest.approx(results[name], rel=1e-6, abs=0.0), name
 
 
 def test_scales_with_pi_prints_regime(capsys):
@@ -106,6 +120,22 @@ def test_a_lambda_whose_inverse_overflows_exits_2(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: lam=1e-310 is too small: 1/lam overflows a float\n"
+
+
+def test_barrier_default_box_over_cap_exits_1_before_any_worker(monkeypatch, capsys):
+    argv = ["barrier", "--lambda", "1e-300", "--pi", "5", "--t0", "2", "--t1", "2.5",
+            "--runs", "4"]
+    assert main([*argv, "--jobs", "1"]) == 1
+    serial = capsys.readouterr()
+
+    def no_runs(*args):
+        raise AssertionError("runs mapped for a box over the cap")
+
+    monkeypatch.setattr("fireline.harness._map_runs", no_runs)
+    assert main([*argv, "--jobs", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == serial
+    assert err == "error: box of half-width inf sites exceeds the cap of 1073741824\n"
 
 
 def test_barrier_safety_cap_exits_1(capsys):
@@ -439,6 +469,29 @@ def test_simulate_limit_golden_artifacts(limit, tmp_path, capsys):
     capsys.readouterr()
     got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (doc, events, rows))
     assert got == _GOLDEN_SIMULATE_LIMIT[limit]
+
+
+# sha256 of the `fireline gamma-test --z0 0.5 -T 2 --json` artifact, the same
+# on either core
+_GOLDEN_GAMMA_TEST = {
+    ("10000", "7"): "97f70eec6d52efdf0ca1ddb87c7a3bef74a6de9fbaa9cf1dece2f4b44ecba2d3",
+    ("100", "9"): "5e122ae1b5854c5ab77b78d61b0ba84ad9783e557a07e4688f10adc109596cf3",
+}
+
+
+@pytest.mark.parametrize("core", [
+    pytest.param("c", marks=pytest.mark.skipif(rng._lib is None, reason=str(FALLBACK_REASON))),
+    "python",
+])
+@pytest.mark.parametrize("samples, seed", sorted(_GOLDEN_GAMMA_TEST))
+def test_gamma_test_golden_artifact(samples, seed, core, tmp_path, monkeypatch, capsys):
+    if core == "python":
+        monkeypatch.setattr(rng, "_lib", None)
+    doc = tmp_path / "gamma.json"
+    assert main(["gamma-test", "--z0", "0.5", "-T", "2", "--samples", samples,
+                 "--seed", seed, "--json", str(doc)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(doc.read_bytes()).hexdigest() == _GOLDEN_GAMMA_TEST[samples, seed]
 
 
 def test_output_dir_env(tmp_path, monkeypatch, capsys):

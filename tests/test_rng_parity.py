@@ -1,6 +1,7 @@
-"""Block draws equal scalar draws: the C block loop and the numpy rows of
-the no-compiler path against draw_u64, and the block samplers, the C
-Poisson sampler included, against their scalar oracles."""
+"""Block draws equal scalar draws: the numpy rows of draw_rows, and a
+stream's blocks (one row each) with the C core loaded and without it,
+against draw_u64; and the block samplers, the C Poisson sampler included,
+against their scalar oracles."""
 
 import os
 import random
@@ -21,7 +22,6 @@ from fireline.rng import (
     PURPOSE_SEED,
     PURPOSE_STREAM,
     RngStream,
-    draw_block,
     draw_rows,
     draw_u64,
     exp_sample,
@@ -52,34 +52,44 @@ def _scalar(seed, stream, purpose, site, first, count):
     return [draw_u64(seed, stream, purpose, site, first + i) for i in range(count)]
 
 
+def _stream_block(counter, count):
+    """RngStream.words of count words at the counter's seed, stream and
+    first index, and the scalar draws of a stream (purpose 0, site 0) there.
+    The counters' first indices run from 0 to 2^64 - 10, the top of the
+    counter range for 10 words."""
+    seed, stream_id, _, _, first = counter
+    stream = RngStream(seed, stream_id)
+    stream._index = first
+    block = stream.words(count)
+    assert block.dtype == np.uint64
+    assert stream._index == first
+    return block.tolist(), _scalar(seed, stream_id, PURPOSE_STREAM, 0, first, count)
+
+
 @needs_compiler
 @pytest.mark.parametrize("counter", COUNTERS)
 def test_c_block_equals_scalar_draws(counter):
-    assert rng._lib is not None, FALLBACK_REASON
-    block = draw_block(*counter, 10)
-    assert block.dtype == np.uint64
-    assert block.tolist() == _scalar(*counter, 10)
+    assert rng._lib is not None, FALLBACK_REASON  # the C core loaded
+    block, scalar = _stream_block(counter, 10)
+    assert block == scalar
 
 
 @pytest.mark.parametrize("counter", COUNTERS)
 def test_python_block_equals_scalar_draws(counter, monkeypatch):
     monkeypatch.setattr(rng, "_lib", None)  # the path without a compiler
-    block = draw_block(*counter, 10)
-    assert block.dtype == np.uint64
-    assert block.tolist() == _scalar(*counter, 10)
+    block, scalar = _stream_block(counter, 10)
+    assert block == scalar
 
 
-@pytest.mark.parametrize("count", [rng._SCALAR_BLOCK, rng._SCALAR_BLOCK + 1])
+@pytest.mark.parametrize("count", [40, 41])
 @pytest.mark.parametrize("counter", COUNTERS)
 def test_python_blocks_either_side_of_the_scalar_cut(counter, count, monkeypatch):
-    # small blocks are drawn word by word, wider ones by draw_rows; the
-    # block ends at the counter's top at the latest
+    # blocks of 40 and 41 words, ending at the counter's top at the latest
     seed, stream, purpose, site, first = counter
-    first = min(first, 2**64 - count)
     monkeypatch.setattr(rng, "_lib", None)
-    block = draw_block(seed, stream, purpose, site, first, count)
-    assert block.dtype == np.uint64
-    assert block.tolist() == _scalar(seed, stream, purpose, site, first, count)
+    block, scalar = _stream_block((seed, stream, purpose, site, min(first, 2**64 - count)),
+                                  count)
+    assert block == scalar
 
 
 def test_numpy_rows_equal_scalar_draws():
@@ -118,15 +128,20 @@ def test_numpy_rows_bounds():
 
 
 def test_block_bounds(monkeypatch):
-    assert draw_block(1, 2, PURPOSE_STREAM, 0, 5, 0).shape == (0,)
-    with monkeypatch.context() as m:
-        m.setattr(rng, "_lib", None)
-        empty = draw_block(1, 2, PURPOSE_STREAM, 0, 5, 0)
+    # with the C core loaded (when it is) and without it
+    for lib in (rng._lib, None):
+        monkeypatch.setattr(rng, "_lib", lib)
+        stream = RngStream(1, 2)
+        stream._index = 5
+        empty = stream.words(0)
         assert empty.shape == (0,) and empty.dtype == np.uint64
-    with pytest.raises(ValueError):
-        draw_block(1, 2, PURPOSE_STREAM, 0, _TOP - 2, 4)
-    with pytest.raises(ValueError):
-        draw_block(1, 2, PURPOSE_STREAM, 0, -1, 4)
+        with pytest.raises(ValueError):
+            stream.words(4, offset=-6)  # from index -1
+        stream._index = _TOP - 2
+        assert stream.words(3).tolist() == _scalar(1, 2, PURPOSE_STREAM, 0, _TOP - 2, 3)
+        with pytest.raises(ValueError):
+            stream.words(4)  # one word past the top
+        assert stream._index == _TOP - 2
 
 
 def test_stream_units_match_next_unit():

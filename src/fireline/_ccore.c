@@ -1,7 +1,9 @@
 /* Compiled event core, the C twin of fireline._engine_py.PyEngineCore; the
- * Poisson mark sampler of fireline.rng; and the C twins of the LFFP(p) event
- * loop of fireline.limits and of its state's queries.  Other block draws of
- * fireline.rng are numpy passes on either core and never call this library.
+ * Poisson mark sampler of fireline.rng; the C twins of the LFFP(p) event
+ * loop of fireline.limits and of its state's queries; and a batch of
+ * LFFP(p) tail runs built from the sampler, the loop and the queries.
+ * Other block draws of fireline.rng are numpy passes on either core and
+ * never call this library.
  *
  * Plain C99 with no Python C-API; fireline._clib loads it with ctypes.
  * Every clock draw is the same counter-based Philox4x64-10 word as
@@ -84,6 +86,14 @@
  * float expressions of the Python scan it mirrors (_last_reset,
  * _active_barrier, _cluster), so both give the same bits, ties and signs of
  * zero included.  It reads nothing else and allocates nothing.
+ *
+ * fl_tail_runs(p, A, T, seed, first, count, out) makes count runs of
+ * fireline.harness.limit_tail_experiment in one call: for each stream
+ * (seed, first + k), the marks of fl_poisson_rectangle on [-A, A] x [0, T],
+ * one fl_limit_run on them into a rows buffer that every run reuses, and
+ * fl_limit_query at (0, T), whose cluster length (hi - lo, or 0.0 when the
+ * flag is off) goes to out[k].  It composes the three calls above and adds
+ * no rule of its own, so each length has the bits of the per-run path.
  *
  * Sizes and indices are 64-bit throughout, and so are the per-site draw
  * counters (Python's are unbounded).  The heap and the logs grow on demand;
@@ -1380,4 +1390,62 @@ FL_API void fl_limit_query(double p, double A, int64_t n, const double *rows,
             out[4] = x;
         }
     }
+}
+
+/* -- LFFP(p) tail runs ---------------------------------------------------- */
+
+/* The lengths |D(0, T)| of fireline.harness.limit_tail_experiment's runs on
+ * the streams (seed, first + k) for k < count, into out[k].  A run is three
+ * of the exports above: fl_poisson_rectangle on [-A, A] x [0, T] (in the strips
+ * of fireline.rng.poisson_rectangle, from stream word 0), fl_limit_run on its
+ * marks and fl_limit_query at (0, T), whose hi - lo it writes, or 0.0 when
+ * the flag is off.  One marks buffer and one rows buffer serve every run; a
+ * run whose count outgrows them grows both and draws its marks again.  A run
+ * whose last mark lies past T (the last strip's end can round above it) is
+ * not run: out[k] gets NaN, for the caller to run it through
+ * fireline.limits.simulate_alffp_p, which refuses such marks.  The arguments
+ * are validated by the caller, the area 2AT below the memory cap included.
+ * Returns 0, or -1 when an allocation fails. */
+FL_API int fl_tail_runs(double p, double A, double T, uint64_t seed, uint64_t first,
+                        int64_t count, double *out)
+{
+    double area = 2.0 * A * T; /* poisson_rectangle's (x_hi - x_lo) * (t_hi - t_lo) */
+    double strips = ceil(area / 64.0); /* strips of area at most 64 */
+    int64_t n_strips = strips > 1.0 ? (int64_t)strips : 1;
+    int64_t cap = (int64_t)area + 1, counts[9]; /* the mean count, rounded up */
+    mark_row *marks = malloc((size_t)cap * sizeof *marks);
+    double *rows = malloc((size_t)cap * 39 * sizeof *rows);
+    int status = marks && rows ? 0 : -1;
+    for (int64_t k = 0; k < count && status == 0; k++) {
+        uint64_t stream = first + (uint64_t)k, used;
+        int64_t n = fl_poisson_rectangle(seed, stream, 0, -A, A, 0.0, T, n_strips, cap, marks,
+                                         &used);
+        if (n > cap) {
+            mark_row *more_marks = realloc(marks, (size_t)n * sizeof *marks);
+            if (more_marks != NULL)
+                marks = more_marks;
+            double *more_rows = more_marks ? realloc(rows, (size_t)n * 39 * sizeof *rows) : NULL;
+            if (more_rows == NULL) {
+                status = -1;
+                break;
+            }
+            rows = more_rows;
+            cap = n;
+            n = fl_poisson_rectangle(seed, stream, 0, -A, A, 0.0, T, n_strips, cap, marks,
+                                     &used);
+        }
+        if (n > 0 && marks[n - 1].t > T) {
+            out[k] = NAN;
+            continue;
+        }
+        double answer[5];
+        status = n < 0 ? -1 : fl_limit_run(p, A, T, n, marks, rows, counts);
+        if (status == 0) {
+            fl_limit_query(p, A, n, rows, counts, 0.0, 1, &T, answer);
+            out[k] = answer[2] != 0.0 ? answer[4] - answer[3] : 0.0;
+        }
+    }
+    free(marks);
+    free(rows);
+    return status;
 }

@@ -2,8 +2,10 @@
 
 The library is _ccore.c: the C event core that fireline.engine wraps, the
 Poisson mark sampler of fireline.rng (its other block draws are numpy
-passes on either core), and the LFFP(p) event loop of fireline.limits and
-its queries.
+passes on either core), the LFFP(p) event loop of fireline.limits and its
+queries, and fl_tail_runs, which makes a batch of the runs of
+fireline.harness.limit_tail_experiment (sampler, loop and the D(0, T)
+query, per stream) in one call.
 It uses no Python C-API and is loaded with ctypes.  setup.py compiles it
 next to this module.  In a source checkout without that build, the first
 import compiles the source with the system C compiler ($CC, default cc)
@@ -116,6 +118,10 @@ def _declare(lib):
         c_void_p,
     ]
     lib.fl_limit_query.restype = None
+    lib.fl_tail_runs.argtypes = [
+        c_double, c_double, c_double, c_uint64, c_uint64, c_int64, c_void_p,
+    ]
+    lib.fl_tail_runs.restype = c_int
     return lib
 
 

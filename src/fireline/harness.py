@@ -13,6 +13,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._clib import lib as _lib
 from .discrete import (
     STATE_OCCUPIED,
     DiscreteFFP,
@@ -22,12 +23,13 @@ from .discrete import (
 )
 from .engine import MEMORY_CAP_SITES, ResourceLimitError, make_engine
 from .limits import (
+    check_alffp_p,
     sample_cluster_lengths_inf,
     simulate_alffp_p,
     simulate_lffp_0,
     simulate_lffp_inf,
 )
-from .rng import MarkSet, RngStream, poisson_rectangle
+from .rng import MarkSet, RngStream, poisson_rectangle, rectangle_area
 from .scales import (
     DEFAULT_GRID_POINTS,
     Regime,
@@ -263,6 +265,19 @@ def _tail_worker(args):
     return hi - lo
 
 
+def _tail_runs(args):
+    """The lengths of runs first .. first + count - 1 from one fl_tail_runs
+    call.  A run it leaves as NaN (its last mark past T) goes through
+    _tail_worker, which refuses its marks as every run on that path would."""
+    p, A, T, seed, first, count = args
+    lengths = np.empty(count)
+    if _lib.fl_tail_runs(p, A, T, seed, first, count, lengths.ctypes.data) != 0:
+        raise MemoryError("fl_tail_runs could not allocate its buffers")
+    for k in np.flatnonzero(np.isnan(lengths)).tolist():
+        lengths[k] = _tail_worker((p, A, T, seed, first + k))
+    return lengths
+
+
 def limit_tail_experiment(
     A: float,
     T: float,
@@ -273,9 +288,29 @@ def limit_tail_experiment(
     thresholds: Sequence[float] = (1.0, 2.0, 4.0),
     jobs: int = 1,
 ) -> TailResult:
-    """Tail of |D_T(0)| under LFFP(p) against the 2*exp(-B/8) envelope."""
-    argses = [(p, A, T, seed, i) for i in range(runs)]
-    lengths = np.array(_map_runs(_tail_worker, argses, jobs))
+    """Tail of |D_T(0)| under LFFP(p) against the 2*exp(-B/8) envelope.
+
+    Run k is simulate_alffp_p(p, A, T, seed=seed, stream_id=k) and its
+    length the width of D(0, T).  Every refusal of a run (runs < 1, p, A
+    and T, the seed, the rectangle's mark cap) is raised here, once,
+    before any worker starts or any argument reaches the C library.  With
+    the library, range(runs) is cut into min(jobs, runs) contiguous chunks,
+    one fl_tail_runs call each; without it, each run is a task of its own.
+    Either way the lengths are the same bits at any jobs.
+    """
+    if runs < 1:
+        raise ValueError("need at least one run")
+    check_alffp_p(p, A, T)
+    RngStream(seed, runs - 1)  # the seed and the last stream fit in 64 bits
+    rectangle_area(-A, A, 0.0, T)
+    if _lib is None:
+        argses = [(p, A, T, seed, i) for i in range(runs)]
+        lengths = np.array(_map_runs(_tail_worker, argses, jobs))
+    else:
+        chunks = min(max(jobs, 1), runs)
+        bounds = [runs * j // chunks for j in range(chunks + 1)]
+        argses = [(p, A, T, seed, lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+        lengths = np.concatenate(_map_runs(_tail_runs, argses, jobs))
     fracs = []
     halves = []
     for b in thresholds:

@@ -154,14 +154,27 @@ class LimitObservables:
     D: Tuple[float, float]
 
 
-def _window_marks(A: float, T: float, marks, seed, stream_id: int) -> Sequence[Mark]:
-    """The simulators' argument check, then their validated marks: given,
-    or drawn from (seed, stream_id).  A non-finite window is refused in
-    poisson_rectangle's words, whether or not the marks are drawn."""
+def _check_window(A: float, T: float) -> None:
+    """The simulators' check of the box and the window.  A non-finite one is
+    refused in poisson_rectangle's words, whether or not marks are drawn."""
     if not (math.isfinite(A) and math.isfinite(T)):
         raise ValueError(f"non-finite rectangle [{-A}, {A}] x [0.0, {T}]")
     if not (A > 0.0 and T > 0.0):
         raise ValueError("A and T must be positive")
+
+
+def check_alffp_p(p: float, A: float, T: float) -> None:
+    """Refuse the p, A and T that simulate_alffp_p refuses, with its errors
+    and in its order, without running anything: a batch of runs checks them
+    once, before it starts any."""
+    if not 0.0 <= p < math.inf:
+        raise ValueError(f"p must be nonnegative and finite, got {p}")
+    _check_window(A, T)
+
+
+def _window_marks(A: float, T: float, marks, seed, stream_id: int) -> Sequence[Mark]:
+    """The simulators' validated marks, given or drawn from (seed,
+    stream_id), for a box and window the caller has checked."""
     if marks is None:
         if seed is None:
             raise ValueError("either marks or a seed is required")
@@ -490,8 +503,7 @@ def simulate_alffp_p(
     Marks may be supplied (sorted by time) or drawn as a unit-rate Poisson
     set from (seed, stream_id).
     """
-    if not 0.0 <= p < math.inf:
-        raise ValueError(f"p must be nonnegative and finite, got {p}")
+    check_alffp_p(p, A, T)
     state = LimitStateP(p, A, T, _window_marks(A, T, marks, seed, stream_id))
     _run_alffp(state)
     return state
@@ -959,6 +971,7 @@ def simulate_lffp_inf(
     """Slow-regime limit on [-A, A] x [0, T] with threshold z0 in [0, 1]."""
     if not 0.0 <= z0 <= 1.0:
         raise ValueError("z0 must lie in [0, 1]")
+    _check_window(A, T)
     return LimitStateInf(z0, A, T, _window_marks(A, T, marks, seed, stream_id))
 
 

@@ -101,8 +101,9 @@ def draw_rows(master_seed: int, stream_id: int, purpose: int, sites, firsts,
     per pair of the int sequences sites and firsts: philox4x64 on numpy
     arrays, all rows in one pass.  It never calls the compiled library, so
     both cores draw their blocks from it.  A pass costs about the same
-    whatever its width up to some thousands of words."""
-    if len(firsts) and not 0 <= min(firsts) <= max(firsts) <= 2**64 - count:
+    whatever its width up to some thousands of words.  Every first index,
+    that of an empty row included, must be a counter index below 2^64."""
+    if len(firsts) and not 0 <= min(firsts) <= max(firsts) <= 2**64 - max(count, 1):
         raise ValueError(f"rows of {count} words from {min(firsts)} to {max(firsts)} "
                          "leave the 64-bit counter range")
     firsts = np.asarray(firsts, dtype=np.uint64)
@@ -345,6 +346,25 @@ def _numpy_rectangle(stream, x_lo, x_hi, t_lo, t_hi, n_strips):
     return rows[np.argsort(rows[:, 1], kind="stable")]
 
 
+def rectangle_area(x_lo: float, x_hi: float, t_lo: float, t_hi: float) -> float:
+    """The area of [x_lo, x_hi] x [t_lo, t_hi], after poisson_rectangle's
+    refusals: ValueError for a degenerate or non-finite rectangle, and
+    ResourceLimitError when the expected mark count (the area) exceeds
+    MEMORY_CAP_SITES."""
+    if not all(map(math.isfinite, (x_lo, x_hi, t_lo, t_hi))):
+        raise ValueError(f"non-finite rectangle [{x_lo}, {x_hi}] x [{t_lo}, {t_hi}]")
+    if not x_hi > x_lo or not t_hi > t_lo:
+        raise ValueError(
+            f"degenerate rectangle [{x_lo}, {x_hi}] x [{t_lo}, {t_hi}]"
+        )
+    area = (x_hi - x_lo) * (t_hi - t_lo)
+    if area > MEMORY_CAP_SITES:
+        raise ResourceLimitError(
+            f"rectangle of area {area:g} expects more marks than the cap of {MEMORY_CAP_SITES}"
+        )
+    return area
+
+
 def poisson_rectangle(stream, x_lo: float, x_hi: float, t_lo: float, t_hi: float) -> MarkSet:
     """Unit-intensity Poisson marks on [x_lo, x_hi] x [t_lo, t_hi], as a
     MarkSet sorted stably by time.
@@ -359,17 +379,7 @@ def poisson_rectangle(stream, x_lo: float, x_hi: float, t_lo: float, t_hi: float
     any draw, when the expected mark count (the area) exceeds
     MEMORY_CAP_SITES.
     """
-    if not all(map(math.isfinite, (x_lo, x_hi, t_lo, t_hi))):
-        raise ValueError(f"non-finite rectangle [{x_lo}, {x_hi}] x [{t_lo}, {t_hi}]")
-    if not x_hi > x_lo or not t_hi > t_lo:
-        raise ValueError(
-            f"degenerate rectangle [{x_lo}, {x_hi}] x [{t_lo}, {t_hi}]"
-        )
-    area = (x_hi - x_lo) * (t_hi - t_lo)
-    if area > MEMORY_CAP_SITES:
-        raise ResourceLimitError(
-            f"rectangle of area {area:g} expects more marks than the cap of {MEMORY_CAP_SITES}"
-        )
+    area = rectangle_area(x_lo, x_hi, t_lo, t_hi)
     n_strips = max(1, math.ceil(area / _MAX_STRIP_AREA))
     if _lib is None:
         return MarkSet._own(_numpy_rectangle(stream, x_lo, x_hi, t_lo, t_hi, n_strips))

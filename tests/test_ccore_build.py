@@ -3,8 +3,9 @@ with the compiler's 128-bit integers and without them (the portable
 mulhilo); a build at another optimisation level, with the portable mulhilo,
 or with the library's own flags for the build machine's instruction set
 (where a * b + c could become a fused multiply-add) gives the same
-Poisson marks, realizations, limit runs and limit queries as the loaded
-library; and it exports the listed functions, each declared for ctypes."""
+Poisson marks, realizations, limit runs, limit queries and tail runs as
+the loaded library; and it exports the listed functions, each declared for
+ctypes."""
 
 import ctypes
 import hashlib
@@ -14,6 +15,7 @@ import shlex
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from fireline import engine, limits, rng
@@ -69,7 +71,8 @@ def _realization(lib, monkeypatch):
     fronts, barriers, sweeps and counters of LFFP(0), LFFP(1) and LFFP(0.1)
     on Poisson marks (at p = 0.1 a fused multiply-add rounds some event
     times differently) and of LFFP(0.5) on lattice marks, whose event keys
-    often tie; run on lib."""
+    often tie; and three batches of tail runs (fl_tail_runs), one with round
+    keys that wrap; run on lib."""
     got = [_rectangles(lib, monkeypatch)]
     with monkeypatch.context() as m:
         m.setattr(rng, "_lib", lib)
@@ -110,6 +113,10 @@ def _realization(lib, monkeypatch):
                     traj.values.tobytes(), repr(traj.intervals)]
             got += [repr(state.events), repr(state.fronts), repr(state.barriers),
                     repr(state.sweeps), state.stats()]
+    for p, A, seed, first in ((0.0, 6.0, 2**64 - 1, 0), (1.0, 6.0, 19, 40), (0.1, 20.0, 3, 7)):
+        out = np.empty(60)
+        assert lib.fl_tail_runs(p, A, 3.0, seed, first, 60, out.ctypes.data) == 0
+        got.append(out.tobytes())
     return got
 
 
@@ -145,7 +152,7 @@ def test_every_export_is_declared():
     # the whole list, so that adding or removing an export edits this test
     assert sorted(name for name, _, _ in exports) == [
         "fl_free", "fl_limit_query", "fl_limit_run", "fl_log", "fl_new", "fl_observe",
-        "fl_poisson_rectangle", "fl_run", "fl_seed_last", "fl_states",
+        "fl_poisson_rectangle", "fl_run", "fl_seed_last", "fl_states", "fl_tail_runs",
     ]
     for name, ret, n_params in exports:
         fn = getattr(engine._lib, name)

@@ -1,5 +1,6 @@
 """Experiment-harness tests: statistics helpers, coupling, batch drivers."""
 
+import ctypes
 import dataclasses
 import hashlib
 import math
@@ -351,6 +352,49 @@ def test_limit_tail_zero_runs_raises():
         limit_tail_experiment(1.0, 1.0, 0, seed=0)
 
 
+def _no_pool(*args):
+    raise AssertionError("a run reached _map_runs")
+
+
+@pytest.mark.parametrize("change", [
+    dict(p=-1.0), dict(p=math.inf), dict(p=math.nan), dict(A=math.inf), dict(T=0.0),
+    dict(seed=-1), dict(seed=2**64), dict(A=5000.0, T=200000.0),
+], ids=lambda change: ",".join(f"{k}={v}" for k, v in change.items()))
+def test_limit_tail_refuses_before_any_worker(monkeypatch, change):
+    # the per-run path's error, raised once in the calling process, the
+    # same with the C library and without it; ctypes would wrap seed -1
+    args = {"p": 0.0, "A": 6.0, "T": 3.0, "seed": 1, **change}
+    with pytest.raises((ValueError, harness.ResourceLimitError)) as per_run:
+        harness._tail_worker((args["p"], args["A"], args["T"], args["seed"], 0))
+    monkeypatch.setattr(harness, "_map_runs", _no_pool)
+    for lib in (harness._lib, None):
+        monkeypatch.setattr(harness, "_lib", lib)
+        with pytest.raises(per_run.type) as batch:
+            limit_tail_experiment(args["A"], args["T"], 4, args["seed"], p=args["p"], jobs=2)
+        assert str(batch.value) == str(per_run.value)
+
+
+class _TailLib:
+    """Stands in for the library: fl_tail_runs fills out with NaN, as for
+    runs whose marks end past T, and returns the given status."""
+
+    def __init__(self, status):
+        self.status = status
+
+    def fl_tail_runs(self, p, A, T, seed, first, count, out):
+        np.frombuffer((ctypes.c_double * count).from_address(out))[:] = math.nan
+        return self.status
+
+
+def test_tail_runs_left_as_nan_take_the_per_run_path(monkeypatch):
+    monkeypatch.setattr(harness, "_lib", _TailLib(0))
+    lengths = harness._tail_runs((1.0, 6.0, 3.0, 19, 5, 3))
+    assert lengths.tolist() == [harness._tail_worker((1.0, 6.0, 3.0, 19, k)) for k in (5, 6, 7)]
+    monkeypatch.setattr(harness, "_lib", _TailLib(-1))
+    with pytest.raises(MemoryError):
+        harness._tail_runs((1.0, 6.0, 3.0, 19, 5, 3))
+
+
 class _RecordingExecutor:
     """Stands in for ProcessPoolExecutor: records max_workers and maps in
     this process."""
@@ -377,6 +421,11 @@ def test_the_pool_has_no_more_workers_than_runs(monkeypatch, runs, jobs, workers
     res = limit_tail_experiment(2.0, 1.5, runs, seed=3, p=1.0, jobs=jobs)
     assert _RecordingExecutor.sizes == [workers]
     assert np.array_equal(res.lengths, limit_tail_experiment(2.0, 1.5, runs, seed=3, p=1.0).lengths)
+    # the same bits as the per-run path, the fallback's, which maps runs
+    monkeypatch.setattr(harness, "_lib", None)
+    per_run = limit_tail_experiment(2.0, 1.5, runs, seed=3, p=1.0, jobs=jobs)
+    assert res.lengths.tobytes() == per_run.lengths.tobytes()
+    assert _RecordingExecutor.sizes == [workers, workers]
 
 
 def test_barrier_t0_zero_runs_and_determinism():

@@ -2,16 +2,19 @@
 the C twin (fl_limit_run in _ccore.c, called by limits._run_alffp_c) and the
 Python loop (limits._run_alffp_py), each run on a fresh state.  The oracle
 tests of test_limits.py run the loop that simulate_alffp_p picks, the C one
-whenever the library loads; this file holds the Python loop to it, and a C
-state's queries (fl_limit_query over its rows) to the Python scans."""
+whenever the library loads; this file holds the Python loop to it, a C
+state's queries (fl_limit_query over its rows) to the Python scans, and the
+batched tail runs (fl_tail_runs) to the per-run path."""
 
 import copy
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from fireline import limits
+from fireline.harness import _tail_worker
 from fireline.engine import COMPILED, FALLBACK_REASON
 from fireline.limits import LimitStateP, _run_alffp_c, _run_alffp_py, _validate_marks
 from fireline.rng import Mark, RngStream, poisson_rectangle
@@ -339,3 +342,22 @@ def test_c_queries_equal_the_python_scans(p):
         assert _trajectory_repr(c.trajectory(grid)) == _trajectory_repr(py.trajectory(grid))
         points += len(queries)
     assert points > 1000
+
+
+# -- the batch of tail runs ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("A", [6.0, 48.0])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_tail_runs_equal_the_per_run_path(p, A):
+    # the whole range in one call, and a chunk from stream 137 on; the
+    # buffers start at int(2AT) + 1 marks, the mean count rounded up, so a
+    # call grows them (and draws that run again) at the first larger run
+    T, seed, runs = 3.0, 19, 200
+    expected = np.array([_tail_worker((p, A, T, seed, k)) for k in range(runs)])
+    assert np.count_nonzero(expected) > 10
+    for first in (0, 137):
+        out = np.empty(runs - first)
+        assert limits._lib.fl_tail_runs(p, A, T, seed, first, runs - first, out.ctypes.data) == 0
+        assert out.tobytes() == expected[first:].tobytes()
+    assert max(len(_poisson(A, T, seed, k)) for k in range(137, runs)) > int(2 * A * T) + 1

@@ -142,6 +142,12 @@ def test_block_bounds(monkeypatch):
         with pytest.raises(ValueError):
             stream.words(4)  # one word past the top
         assert stream._index == _TOP - 2
+        stream._index = _TOP
+        assert stream.words(0).shape == (0,)
+        assert stream.words(1).tolist() == _scalar(1, 2, PURPOSE_STREAM, 0, _TOP, 1)
+        stream._index = _TOP + 1  # every word drawn: no first index left
+        with pytest.raises(ValueError, match="leave the 64-bit counter range"):
+            stream.words(0)
 
 
 def test_stream_units_match_next_unit():

@@ -56,13 +56,13 @@
  * fl_limit_run(p, A, T, n, marks, rows, counts) runs LFFP(p) on [-A, A] x
  * [0, T] from n validated marks, (x, t) pairs sorted by time.  It is the
  * loop of fireline.limits._run_alffp_py: the same lazy queue, the same
- * lookup lists (every barrier created active, every front; nothing leaves
- * them) and windows bisected as bisect does, the same candidate tests and
- * counters, and Python's float semantics (max and min as explicit
- * comparisons, the same operand order, no FMA contraction).  A mark reads
- * its last reset, its active barrier and at p = 0 its cluster with the
- * scans that fl_limit_query makes (query_reset, query_barrier and
- * query_cluster), over every row written so far.  It writes rows of
+ * candidate tests and counters, and Python's float semantics (max and min
+ * as explicit comparisons, the same operand order, no FMA contraction).  A
+ * new front, barrier or death derives its candidates by a scan of the
+ * barrier or front rows written so far.  A mark reads its last reset, its
+ * active barrier and at p = 0 its cluster with the scans that
+ * fl_limit_query makes (query_reset, query_barrier and query_cluster), over
+ * every row written so far.  It writes rows of
  * doubles into the caller's buffer of 39n doubles, in four blocks
  * with room for 4n events, 2n fronts, n barriers and n sweeps (a mark makes
  * at most one barrier, one sweep or two fronts; a barrier expires once and
@@ -72,9 +72,9 @@
  *   barriers (x, create, expiry, logged);
  *   sweeps   (t, lo, hi).
  * counts gets the four row counts, then the queue's candidates queued, stale
- * and rekeyed, its peak size and the candidate tests.  Its scratch (the
- * queue, the ordered lookups) is allocated and freed inside the call.  It
- * returns 0, or -1 when an allocation fails.
+ * and rekeyed, its peak size and the candidate tests.  Its scratch, the
+ * queue, is allocated and freed inside the call.  It returns 0, or -1 when
+ * an allocation fails.
  *
  * fl_limit_query(p, A, n, rows, counts, x, m, ts, out) answers the queries
  * of fireline.limits.LimitStateP at the m points (x, ts[i]) from the rows
@@ -691,16 +691,8 @@ typedef struct {
     int64_t kind, rank, i, j, k;
 } lim_entry;
 
-/* Indices in key order, bisected as bisect does, so that a NaN bound
- * behaves as in Python; equal keys keep their insertion order. */
 typedef struct {
-    double *keys;
-    int64_t *idx;
-    int64_t n;
-} lim_ordered;
-
-typedef struct {
-    double p, A, T, now, reach, slack, max_expiry;
+    double p, A, T, now;
     const mark_row *marks;
     int64_t n_marks;
     lim_event *events;
@@ -710,10 +702,6 @@ typedef struct {
     int64_t n_events, n_fronts, n_barriers, n_sweeps;
     lim_entry *heap;
     int64_t hsize, hcap;
-    /* the lookups only grow: every derivation skips an expired barrier and
-     * a front dead over a time unit before it tests */
-    lim_ordered open;      /* every barrier created active, by x */
-    lim_ordered recent[2]; /* every rightward, leftward front, by position */
     int64_t queued, stale, rekeyed, peak, tests;
 } lim_run;
 
@@ -800,58 +788,9 @@ static int lim_push(lim_run *r, double t, int64_t kind, double x, int64_t rank, 
     return 0;
 }
 
-static int64_t bisect_left(const double *keys, int64_t n, double x)
-{
-    int64_t lo = 0, hi = n;
-    while (lo < hi) {
-        int64_t mid = (int64_t)(((uint64_t)lo + (uint64_t)hi) / 2);
-        if (keys[mid] < x)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
-}
-
-static int64_t bisect_right(const double *keys, int64_t n, double x)
-{
-    int64_t lo = 0, hi = n;
-    while (lo < hi) {
-        int64_t mid = (int64_t)(((uint64_t)lo + (uint64_t)hi) / 2);
-        if (x < keys[mid])
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    return lo;
-}
-
-static void ord_add(lim_ordered *o, double key, int64_t item)
-{
-    int64_t j = bisect_right(o->keys, o->n, key);
-    memmove(o->keys + j + 1, o->keys + j, (size_t)(o->n - j) * sizeof(double));
-    memmove(o->idx + j + 1, o->idx + j, (size_t)(o->n - j) * sizeof(int64_t));
-    o->keys[j] = key;
-    o->idx[j] = item;
-    o->n++;
-}
-
-/* The positions [*lo, *hi) of the items keyed in [klo, khi]; a NaN bound
- * bounds nothing. */
-static void ord_within(const lim_ordered *o, double klo, double khi, int64_t *lo, int64_t *hi)
-{
-    *lo = bisect_left(o->keys, o->n, klo);
-    *hi = bisect_right(o->keys, o->n, khi);
-}
-
 static int alive(const lim_front *f)
 {
     return f->cause == LC_ALIVE;
-}
-
-static lim_ordered *recent(lim_run *r, double dir)
-{
-    return &r->recent[dir > 0 ? 0 : 1];
 }
 
 static double pos_now(const lim_run *r, const lim_front *f)
@@ -959,52 +898,37 @@ static int add_wake_stop(lim_run *r, int64_t i, int64_t gi)
     return lim_push(r, t, LK_STOP, g->dir == f->dir ? g->x0 : g->x_end, 1, i, 2, gi);
 }
 
-/* A new front's candidates: its edge; the barriers it reaches before they
- * expire; the wakes within 1/p; the opposing fronts it meets by the
- * horizon (the Python loop's add_front). */
+/* A new front's candidates: its edge; every barrier not yet expired; every
+ * front before it in the row order, so the first front of a pair does not
+ * see its twin (the Python loop's add_front). */
 static int add_front(lim_run *r, int64_t i)
 {
     const lim_front *f = &r->fronts[i];
-    double p = r->p, now = r->now, d = f->dir, x0 = f->x0, slack = r->slack;
-    int64_t lo, hi;
+    double p = r->p, now = r->now, d = f->dir, x0 = f->x0;
     if (d > 0 ? lim_push(r, f->t0 + p * (r->A - x0), LK_STOP, r->A, 2, i, 0, 0)
               : lim_push(r, f->t0 + p * (x0 + r->A), LK_STOP, -r->A, 2, i, 0, 0))
         return -1;
-    double ahead = (r->max_expiry - now) / p;
-    double blo = d > 0 ? x0 : x0 - ahead, bhi = d > 0 ? x0 + ahead : x0;
-    ord_within(&r->open, blo - slack, bhi + slack, &lo, &hi);
-    for (int64_t q = lo; q < hi; q++) {
-        int64_t bi = r->open.idx[q];
+    for (int64_t bi = 0; bi < r->n_barriers; bi++) {
         if (r->barriers[bi].expiry > now) {
             r->tests++;
             if (add_barrier_stop(r, i, bi))
                 return -1;
         }
     }
-    const lim_ordered *same = recent(r, d), *opposing = recent(r, -d);
-    double key = d * x0 - now / p;
-    ord_within(same, key - r->reach - slack, key + 2.0 * r->reach + slack, &lo, &hi);
-    for (int64_t q = lo; q < hi; q++) {
-        int64_t gi = same->idx[q];
+    for (int64_t gi = 0; gi < i; gi++) {
         const lim_front *g = &r->fronts[gi];
-        if (g->t0 > now - 1.0) {
-            r->tests++;
-            if (add_wake_stop(r, i, gi))
-                return -1;
-        }
-        if (alive(g)) {
-            r->tests++;
-            if (add_wake_stop(r, gi, i))
-                return -1;
-        }
-    }
-    key = -d * x0 - now / p;
-    double horizon = py_max(r->reach, 2.0 * (r->T - now) / p);
-    ord_within(opposing, key - horizon - slack, key + r->reach + slack, &lo, &hi);
-    for (int64_t q = lo; q < hi; q++) {
-        int64_t gi = opposing->idx[q];
-        const lim_front *g = &r->fronts[gi];
-        if (!alive(g)) {
+        if (g->dir == d) {
+            if (g->t0 > now - 1.0) {
+                r->tests++;
+                if (add_wake_stop(r, i, gi))
+                    return -1;
+            }
+            if (alive(g)) {
+                r->tests++;
+                if (add_wake_stop(r, gi, i))
+                    return -1;
+            }
+        } else if (!alive(g)) {
             if (g->t_end > now - 1.0) {
                 r->tests++;
                 if (add_wake_stop(r, i, gi))
@@ -1026,50 +950,34 @@ static int add_front(lim_run *r, int64_t i)
     return 0;
 }
 
-/* A front that died now: a live opposing front can enter its wake only
- * within 1/p of its death point. */
+/* A front that died now: every live opposing front may enter its wake. */
 static int add_death(lim_run *r, int64_t gi)
 {
-    const lim_front *g = &r->fronts[gi];
-    double d = -g->dir, key = d * g->x_end - r->now / r->p;
-    const lim_ordered *o = recent(r, d);
-    int64_t lo, hi;
-    ord_within(o, key - r->reach - r->slack, key + r->slack, &lo, &hi);
-    for (int64_t q = lo; q < hi; q++) {
-        if (alive(&r->fronts[o->idx[q]])) {
+    double dir = r->fronts[gi].dir;
+    for (int64_t i = 0; i < r->n_fronts; i++) {
+        if (alive(&r->fronts[i]) && r->fronts[i].dir != dir) {
             r->tests++;
-            if (add_wake_stop(r, o->idx[q], gi))
+            if (add_wake_stop(r, i, gi))
                 return -1;
         }
     }
     return 0;
 }
 
-/* A new barrier: its expiry, and the live fronts that reach it before it
- * expires, within (expiry - now) / p of it. */
+/* A new barrier: its expiry, and every live front, which may reach it
+ * before then. */
 static int add_barrier(lim_run *r, int64_t bi)
 {
     const lim_barrier *b = &r->barriers[bi];
-    double p = r->p, now = r->now;
     if (b->expiry <= b->create)
         return 0; /* it is never active */
     if (lim_push(r, b->expiry, LK_EXPIRY, b->x, 0, bi, 0, 0))
         return -1;
-    ord_add(&r->open, b->x, bi);
-    r->max_expiry = py_max(r->max_expiry, b->expiry);
-    if (!(p > 0.0))
-        return 0;
-    for (int s = 0; s < 2; s++) {
-        double d = s == 0 ? 1.0 : -1.0, key = d * b->x - now / p;
-        const lim_ordered *o = recent(r, d);
-        int64_t lo, hi;
-        ord_within(o, key - (b->expiry - now) / p - r->slack, key + r->slack, &lo, &hi);
-        for (int64_t q = lo; q < hi; q++) {
-            if (alive(&r->fronts[o->idx[q]])) {
-                r->tests++;
-                if (add_barrier_stop(r, o->idx[q], bi))
-                    return -1;
-            }
+    for (int64_t i = 0; i < r->n_fronts; i++) {
+        if (alive(&r->fronts[i])) {
+            r->tests++;
+            if (add_barrier_stop(r, i, bi))
+                return -1;
         }
     }
     return 0;
@@ -1180,13 +1088,9 @@ static int add_front_pair(lim_run *r, double x, double t)
         lim_front f = {x, t, s == 0 ? 1.0 : -1.0, INFINITY, NAN, LC_ALIVE};
         r->fronts[r->n_fronts++] = f;
     }
-    for (int64_t i = r->n_fronts - 2; i < r->n_fronts; i++) {
-        const lim_front *f = &r->fronts[i];
-        if (add_front(r, i))
-            return -1;
-        ord_add(recent(r, f->dir), f->dir * f->x0 - f->t0 / r->p, i);
-    }
-    return 0;
+    if (add_front(r, r->n_fronts - 2))
+        return -1;
+    return add_front(r, r->n_fronts - 1);
 }
 
 static int add_mark_barrier(lim_run *r, double x, double t, double expiry)
@@ -1325,36 +1229,14 @@ FL_API int fl_limit_run(double p, double A, double T, int64_t n, const mark_row 
     r.p = p;
     r.A = A;
     r.T = T;
-    r.max_expiry = -INFINITY;
-    if (p > 0.0) {
-        r.reach = 1.0 / p;
-        r.slack = 1e-9 * (1.0 + A + (T + 2.0) / p);
-    }
     r.marks = marks;
     r.n_marks = n;
     lim_blocks(&r, rows, n);
-    /* each list holds at most n barriers or fronts of one direction */
-    size_t cap = n > 0 ? (size_t)n : 1;
-    r.open.keys = malloc(cap * sizeof(double));
-    r.open.idx = malloc(cap * sizeof(int64_t));
-    for (int s = 0; s < 2; s++) {
-        r.recent[s].keys = malloc(cap * sizeof(double));
-        r.recent[s].idx = malloc(cap * sizeof(int64_t));
-    }
-    int status = -1;
-    if (r.open.keys && r.open.idx && r.recent[0].keys && r.recent[0].idx && r.recent[1].keys
-        && r.recent[1].idx)
-        status = lim_loop(&r);
+    int status = lim_loop(&r);
     int64_t out[9] = {r.n_events, r.n_fronts, r.n_barriers, r.n_sweeps,
                       r.queued, r.stale, r.rekeyed, r.peak, r.tests};
     memcpy(counts, out, sizeof out);
     free(r.heap);
-    free(r.open.keys);
-    free(r.open.idx);
-    for (int s = 0; s < 2; s++) {
-        free(r.recent[s].keys);
-        free(r.recent[s].idx);
-    }
     return status;
 }
 

@@ -110,12 +110,11 @@ def _declare(lib):
     ]
     lib.fl_poisson_rectangle.restype = c_int64
     lib.fl_limit_run.argtypes = [
-        c_double, c_double, c_double, c_int64, c_void_p, c_void_p, POINTER(c_int64),
+        c_double, c_double, c_double, c_int64, c_void_p, c_void_p, c_void_p,
     ]
     lib.fl_limit_run.restype = c_int
     lib.fl_limit_query.argtypes = [
-        c_double, c_double, c_int64, c_void_p, POINTER(c_int64), c_double, c_int64, c_void_p,
-        c_void_p,
+        c_double, c_double, c_int64, c_void_p, c_void_p, c_double, c_int64, c_void_p, c_void_p,
     ]
     lib.fl_limit_query.restype = None
     lib.fl_tail_runs.argtypes = [

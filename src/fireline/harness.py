@@ -44,9 +44,16 @@ from .scales import (
 )
 
 
-def _map_runs(worker: Callable, argses: Sequence[tuple], jobs: int) -> list:
-    if not argses:
+def _check_runs(runs: int, seed: int) -> None:
+    """Refuse a run count below one, and a seed or a last stream id that
+    does not fit in 64 bits (RngStream's errors): an experiment calls it
+    before it builds its runs' arguments or starts a worker."""
+    if runs < 1:
         raise ValueError("need at least one run")
+    RngStream(seed, runs - 1)
+
+
+def _map_runs(worker: Callable, argses: Sequence[tuple], jobs: int) -> list:
     if jobs <= 1:
         return [worker(a) for a in argses]
     # no more workers than runs: the pool forks all of them at the first submit
@@ -187,6 +194,7 @@ def coupled_distances(
     jobs: int = 1,
 ) -> List[float]:
     """d_T over independent coupled runs, ordered by run index."""
+    _check_runs(runs, seed)
     argses = [(lam, pi, A, T, seed, i, grid_points) for i in range(runs)]
     return _map_runs(_coupled_worker, argses, jobs)
 
@@ -227,6 +235,7 @@ def cluster_dist_experiment(
     jobs: int = 1,
 ) -> ClusterDistResult:
     """Cluster size, W, and Z at the origin at time t over independent runs."""
+    _check_runs(runs, seed)
     argses = [(lam, pi, t, A, seed, i) for i in range(runs)]
     rows = _map_runs(_cluster_worker, argses, jobs)
     sizes = np.array([r[0] for r in rows], dtype=np.int64)
@@ -291,17 +300,15 @@ def limit_tail_experiment(
     """Tail of |D_T(0)| under LFFP(p) against the 2*exp(-B/8) envelope.
 
     Run k is simulate_alffp_p(p, A, T, seed=seed, stream_id=k) and its
-    length the width of D(0, T).  Every refusal of a run (runs < 1, p, A
-    and T, the seed, the rectangle's mark cap) is raised here, once,
+    length the width of D(0, T).  Every refusal of a run (runs < 1, the
+    seed, p, A and T, the rectangle's mark cap) is raised here, once,
     before any worker starts or any argument reaches the C library.  With
     the library, range(runs) is cut into min(jobs, runs) contiguous chunks,
     one fl_tail_runs call each; without it, each run is a task of its own.
     Either way the lengths are the same bits at any jobs.
     """
-    if runs < 1:
-        raise ValueError("need at least one run")
+    _check_runs(runs, seed)
     check_alffp_p(p, A, T)
-    RngStream(seed, runs - 1)  # the seed and the last stream fit in 64 bits
     rectangle_area(-A, A, 0.0, T)
     if _lib is None:
         argses = [(p, A, T, seed, i) for i in range(runs)]
@@ -403,6 +410,7 @@ def _fronts_worker(args):
 
 
 def _fronts_rows(pi: float, horizon: float, runs: int, seed: int, jobs: int) -> list:
+    _check_runs(runs, seed)
     argses = [(pi, horizon, seed, i) for i in range(runs)]
     return _map_runs(_fronts_worker, argses, jobs)
 
@@ -701,6 +709,7 @@ def barrier_height_experiment(
     if radius is None:
         # sized here, once: an over-cap box is refused before any worker starts
         radius = _barrier_radius(lam, pi, t0, t1)
+    _check_runs(runs, seed)
     argses = [(lam, pi, t0, t1, seed, i, radius) for i in range(runs)]
     rows = _map_runs(_barrier_worker, argses, jobs)
     thetas = np.array([r[0] for r in rows])

@@ -23,46 +23,33 @@ Everything is exact event geometry; no time discretization anywhere.
 
 Scheduling.  LFFP(p) runs off a lazy priority queue of candidate events,
 keyed (t, kind, x, cause-rank).  Each candidate is derived once, when its
-later participant appears: a new front against the box edge, the open
-barriers and the fronts alive or dead for under a time unit; a new
-barrier against the live fronts (plus its own expiry); a front's death
-against the live opposing fronts, for its dead wake; the next mark when
-the last one is taken.  A key can only grow (a late candidate fires at
-max(v, now)) and a candidate that lapses never returns (a front that
-passes its target is no longer ahead of it, a dead front stays dead), so
-the head of the queue is re-derived at the current time with the same
-tests: dropped when it no longer applies, pushed back when its key moved,
-and fired otherwise.  Equal keys fall back to a fixed list order: the
-mark; expiries by barrier index; then per front, by index, its edge, its
-barriers by index and its wakes by front index; then meets by front
-indices.  This gives, bit for bit, the log of a full rescan of every
-candidate after every event (kept frozen as the test oracle).
+later participant appears: a new front against the box edge, the barriers
+not yet expired and the earlier fronts, alive or dead for under a time
+unit; a new barrier against the live fronts (plus its own expiry); a
+front's death against the live opposing fronts, for its dead wake; the
+next mark when the last one is taken.  Each derivation scans the run's
+own lists, as a mark's Z, H and at p = 0 D scans do (below), and as the
+frozen oracle's rescan does: O(n) for one copy of each rule.  A key can
+only grow (a late candidate fires at max(v, now)) and a candidate that
+lapses never returns (a front that passes its target is no longer ahead
+of it, a dead front stays dead), so the head of the queue is re-derived
+at the current time with the same tests: dropped when it no longer
+applies, pushed back when its key moved, and fired otherwise.  Equal keys
+fall back to a fixed list order: the mark; expiries by barrier index;
+then per front, by index, its edge, its barriers by index and its wakes
+by front index; then meets by front indices.  Keys are unique, so the
+order of the pushes does not matter, and this gives, bit for bit, the log
+of a full rescan of every candidate after every event (kept frozen as the
+test oracle).
 
 The loop exists twice.  _run_alffp_c makes one call of its C twin,
-fl_limit_run in _ccore.c, which runs the same queue, lookups, tests and
+fl_limit_run in _ccore.c, which runs the same queue, scans, tests and
 counters with Python's float semantics, and keeps the rows it writes: the
 state builds its events, fronts, barriers and sweeps from them on first
 read, so a run whose reader only queries it builds none of them.
 _run_alffp_py is the Python loop, the fallback when the compiled library
 does not load, and fills the lists as it runs.  _run_alffp is chosen at
 import; the two give the same realization bit for bit.
-
-Lookups.  Every barrier created active is kept in x order and every front
-in position order, one list per direction (the fronts of a direction all
-move at speed 1/p, so their order never changes).  Nothing leaves these
-lists: a derivation skips an expired barrier, and a front dead for over a
-time unit, before any test, so such an entry costs a step of the walk and
-changes no candidate.  A derivation bisects these lists and tests only the
-entries within reach, in a window widened past the float rounding of its
-bounds: for a new front, the barriers it reaches before they expire, the
-wakes within 1/p (ahead, begun or ended under a time unit ago, or of the
-live fronts within 1/p behind it) and the opposing fronts it reaches by
-the horizon; for a new barrier or a death, the live fronts within reach of
-it.  A derivation costs O(log n) and the entries in its window, the
-expired and long-dead ones there included, so a new front's tests stay
-flat as the box grows.  A mark reads Z, H and at p = 0 D with the state's
-own scans (below) over every blocker so far, as the frozen oracle's
-rescan does: O(n) a mark, for one copy of each rule.
 
 Queries.  Z, H, D and reset_time at (x, t) each read one answer: the last
 reset at x, H, a macroscopic flag (Z = 1 and no active barrier) and the
@@ -83,9 +70,8 @@ either way.
 """
 
 import math
-from bisect import bisect_left, bisect_right
 from collections import Counter
-from ctypes import byref, c_double, c_int64
+from ctypes import byref, c_double
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from itertools import chain
@@ -216,29 +202,6 @@ def _validate_marks(marks: Sequence[Mark], A: float, T: float) -> Sequence[Mark]
     return out
 
 
-class _Ordered:
-    """(index, object) items in key order, for range lookups by bisection.
-    Items of equal keys stay in the order they were added."""
-
-    __slots__ = ("keys", "items")
-
-    def __init__(self):
-        self.keys: List[float] = []
-        self.items: list = []
-
-    def add(self, key: float, item) -> None:
-        j = bisect_right(self.keys, key)
-        self.keys.insert(j, key)
-        self.items.insert(j, item)
-
-    def within(self, lo: float, hi: float) -> list:
-        """The items keyed in [lo, hi], in key order.  A NaN bound (an
-        overflowed window) bounds nothing: bisect_left puts NaN before every
-        key and bisect_right after every key."""
-        keys = self.keys
-        return self.items[bisect_left(keys, lo):bisect_right(keys, hi)]
-
-
 class LimitStateP:
     """A simulated LFFP(p) realization (p = 0 included) with exact queries.
 
@@ -262,7 +225,7 @@ class LimitStateP:
         self.barriers: List[_Barrier] = []
         self.sweeps: List[_Sweep] = []
         self.events: List[LimitEvent] = []
-        # set by _run_alffp_c: (row buffer, its data pointer, its counts)
+        # set by _run_alffp_c: (row buffer, its counts), two numpy arrays
         self._buffer: Optional[tuple] = None
         self._queue_counts: dict = {}  # set by the Python loop
 
@@ -271,7 +234,7 @@ class LimitStateP:
         # read of a list, built from its block of the row buffer
         buffer = vars(self).get("_buffer")
         if buffer is not None:
-            rows, _, counts = buffer
+            rows, counts = buffer
             n = len(rows) // _ROW_WIDTH
             start = 0
             for (block, per_mark, width), size in zip(_ROW_BLOCKS, counts):
@@ -282,35 +245,22 @@ class LimitStateP:
                 start += per_mark * n * width
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
-    def __getstate__(self) -> dict:
-        # a data pointer is only good in this process, for this buffer: a
-        # pickle or copy keeps the rows and counts and takes its own on load
-        state = dict(vars(self))
-        if self._buffer is not None:
-            rows, _, counts = self._buffer
-            state["_buffer"] = (rows, list(counts))
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        vars(self).update(state)
-        if self._buffer is not None:
-            rows, counts = self._buffer
-            self._buffer = (rows, rows.ctypes.data, (c_int64 * len(counts))(*counts))
-
     def stats(self) -> dict:
         """Deterministic counters of the run: events by cause; the event
         queue's candidates queued, dropped as stale, re-keyed, and its
         high-water mark; and candidate_tests, the stop and meet tests made to
-        derive candidates for new fronts, barriers and deaths (the entries
-        their lookups find within reach).  A C state counts its events by
-        the cause codes of its event rows, without building the log."""
+        derive candidates for new fronts, barriers and deaths (every entry
+        of their scans that passes the skips: an expired barrier, a dead
+        front for a barrier or a death, a front dead over a time unit or a
+        twin for a new front).  A C state counts its events by the cause
+        codes of its event rows, without building the log."""
         if self._buffer is None:
             causes = Counter(e.cause for e in self.events)
             queue_counts = self._queue_counts
         else:
-            rows, _, counts = self._buffer
+            rows, counts = self._buffer
             causes = Counter(_EVENT_CODES[code][1] for code in rows[1:5 * counts[0]:5].tolist())
-            queue_counts = dict(zip(_QUEUE_COUNTERS, counts[4:]))
+            queue_counts = dict(zip(_QUEUE_COUNTERS, counts[4:].tolist()))
         return {"events_by_cause": dict(sorted(causes.items())), **queue_counts}
 
     # -- geometry helpers ----------------------------------------------------
@@ -375,9 +325,9 @@ class LimitStateP:
         the m times at the pointer times, written to out as rows of five
         doubles (the last reset, H, the macroscopic flag and the cluster
         bounds)."""
-        rows, data, counts = self._buffer
-        _lib.fl_limit_query(self.p, self.A, len(rows) // _ROW_WIDTH, data, counts, x, m, times,
-                            out)
+        rows, counts = self._buffer
+        _lib.fl_limit_query(self.p, self.A, len(rows) // _ROW_WIDTH, rows.ctypes.data,
+                            counts.ctypes.data, x, m, times, out)
 
     def _query(self, x: float, t: float):
         """fl_limit_query's answer at (x, t) from the Python scans: the last
@@ -533,22 +483,6 @@ def _run_alffp_py(state: LimitStateP) -> None:
     queued = stale = rekeyed = peak = tests = 0
     now = 0.0
 
-    # Ordered lookups of (index, object) items for the derivations.  They
-    # only grow: every derivation skips an expired barrier and a front dead
-    # over a time unit before it tests, so such an entry need never leave.
-    # The fronts of one direction all move at speed 1/p, so their order by
-    # position never changes: a front of direction d is keyed
-    # d * x0 - t0 / p, its way along d as of time 0, and a front of
-    # direction d at x now would have the key d * x - now / p, so a stretch
-    # of positions is a stretch of keys.
-    open_barriers = _Ordered()  # every barrier created active, by x
-    recent = {+1: _Ordered(), -1: _Ordered()}  # every front, by position
-    max_expiry = -math.inf  # of every barrier so far
-    if p > 0.0:
-        reach = 1.0 / p  # the way a front travels in a time unit
-        # widens every window well past the float rounding of its bounds
-        slack = 1e-9 * (1.0 + A + (T + 2.0) / p)
-
     # The rescan's tests for one candidate at the current time: the time
     # it would fire, or None when it is not (and never again will be) one.
 
@@ -620,12 +554,8 @@ def _run_alffp_py(state: LimitStateP) -> None:
             push((t, EVENT_FRONT_STOP, x, 1, i, 2, gi, f, g))
 
     def add_front(i, f):
-        # Only what lies within reach of a front launched now at x0 is
-        # tested: a barrier within (expiry - now) / p ahead; the origin of a
-        # front launched under a time unit ago, within 1/p ahead, and a live
-        # front within 1/p behind, for the wakes of one direction; the death
-        # point of an opposing front dead under a time unit, within 1/p
-        # ahead, and a live opposing front it reaches by the horizon.
+        # f's edge; every barrier not yet expired; and every front before f
+        # in the list, so the first front of a pair does not see its twin
         nonlocal tests
         d = f.direction
         x0 = f.x0
@@ -633,31 +563,22 @@ def _run_alffp_py(state: LimitStateP) -> None:
             push((f.t0 + p * (A - x0), EVENT_FRONT_STOP, A, 2, i, 0, 0, f, None))
         else:
             push((f.t0 + p * (x0 + A), EVENT_FRONT_STOP, -A, 2, i, 0, 0, f, None))
-        ahead = (max_expiry - now) / p
-        lo, hi = (x0, x0 + ahead) if d > 0 else (x0 - ahead, x0)
-        for bi, b in open_barriers.within(lo - slack, hi + slack):
+        for bi, b in enumerate(barriers):
             if b.expiry > now:  # an expired barrier stops nothing
                 tests += 1
                 add_barrier_stop(i, f, bi, b)
-        # fronts of f's direction: one launched under a time unit ago with
-        # its origin within 1/p ahead (f may enter its wake) is now under
-        # 2/p ahead; a live one within 1/p behind may enter f's wake
-        key = d * x0 - now / p
-        for gi, g in recent[d].within(key - reach - slack, key + 2.0 * reach + slack):
-            if g.t0 > now - 1.0:
-                tests += 1
-                add_wake_stop(i, f, gi, g)
-            if g.alive:
-                tests += 1
-                add_wake_stop(gi, g, i, f)
-        # opposing fronts, whose keys fall the farther ahead of f they are:
-        # one dead under a time unit with its death point within 1/p ahead
-        # would now be within 1/p of x0; a live one that f meets by the
-        # horizon is ahead by at most the way both cover by then
-        key = -d * x0 - now / p
-        horizon = max(reach, 2.0 * (T - now) / p)
-        for gi, g in recent[-d].within(key - horizon - slack, key + reach + slack):
-            if not g.alive:
+        for gi in range(i):
+            g = fronts[gi]
+            if g.direction == d:
+                # f may enter the wake of one launched under a time unit
+                # ago, and a live one may enter f's
+                if g.t0 > now - 1.0:
+                    tests += 1
+                    add_wake_stop(i, f, gi, g)
+                if g.alive:
+                    tests += 1
+                    add_wake_stop(gi, g, i, f)
+            elif not g.alive:
                 if g.t_end > now - 1.0:
                     tests += 1
                     add_wake_stop(i, f, gi, g)
@@ -670,40 +591,25 @@ def _run_alffp_py(state: LimitStateP) -> None:
                     xm = r.x0 + (tstar - r.t0) / p
                     push((t, EVENT_FRONT_MEET, xm, 0, ri, li, 0, r, l))
 
-    def add_pair():
-        for i in (len(fronts) - 2, len(fronts) - 1):
-            f = fronts[i]
-            add_front(i, f)
-            recent[f.direction].add(f.direction * f.x0 - f.t0 / p, (i, f))
-
     def add_deaths(dead):
-        # a live opposing front can enter a wake that died now only within
-        # 1/p of its death point
+        # a live opposing front may enter the wake of a front that died now
         nonlocal tests
         for gi, g in dead:
-            d = -g.direction
-            key = d * g.x_end - now / p
-            for i, f in recent[d].within(key - reach - slack, key + slack):
-                if f.alive:
+            for i, f in enumerate(fronts):
+                if f.alive and f.direction != g.direction:
                     tests += 1
                     add_wake_stop(i, f, gi, g)
 
     def add_barrier(bi, b):
-        # a live front can reach a barrier created now only within
-        # (expiry - now) / p of it
-        nonlocal max_expiry, tests
+        # its expiry, and every live front, which may reach it before then
+        nonlocal tests
         if b.expiry <= b.create:
             return  # it is never active
         push((b.expiry, EVENT_BARRIER_EXPIRY, b.x, 0, bi, 0, 0, b, None))
-        open_barriers.add(b.x, (bi, b))
-        max_expiry = max(max_expiry, b.expiry)
-        if p > 0.0:
-            for d in (+1, -1):
-                key = d * b.x - now / p
-                for i, f in recent[d].within(key - (b.expiry - now) / p - slack, key + slack):
-                    if f.alive:
-                        tests += 1
-                        add_barrier_stop(i, f, bi, b)
+        for i, f in enumerate(fronts):
+            if f.alive:
+                tests += 1
+                add_barrier_stop(i, f, bi, b)
 
     if marks:
         push((marks[0].t, EVENT_MARK, marks[0].x, 0, 0, 0, 0, None, None))
@@ -750,7 +656,8 @@ def _run_alffp_py(state: LimitStateP) -> None:
                     fronts.append(_Front(m.x, m.t, +1))
                     fronts.append(_Front(m.x, m.t, -1))
                     events.append(LimitEvent(m.t, EVENT_MARK, m.x, "macro"))
-                    add_pair()
+                    add_front(len(fronts) - 2, fronts[-2])
+                    add_front(len(fronts) - 1, fronts[-1])
                 else:
                     lo, hi = state._cluster(m.x, now)
                     sweeps.append(_Sweep(m.t, lo, hi))
@@ -853,10 +760,9 @@ def _built(name: str, rows: list) -> list:
 
 def _run_alffp_c(state: LimitStateP) -> None:
     """_run_alffp_py as one call of its C twin, fl_limit_run: the marks go in
-    as (x, t) rows, a MarkSet's own array.  The state keeps the row buffer,
-    its data pointer (a .ctypes.data read costs 1-2 us) and the counts: its
-    queries and stats read them, and each of its events, fronts, barriers
-    and sweeps is built from its block on its first read
+    as (x, t) rows, a MarkSet's own array.  The state keeps the row buffer
+    and the counts: its queries and stats read them, and each of its events,
+    fronts, barriers and sweeps is built from its block on its first read
     (LimitStateP.__getattr__)."""
     n = len(state.marks)
     if type(state.marks) is MarkSet:
@@ -864,9 +770,9 @@ def _run_alffp_c(state: LimitStateP) -> None:
     else:
         marks = np.fromiter(chain.from_iterable(state.marks), float, 2 * n)
     rows = np.empty(_ROW_WIDTH * n)
-    data = rows.ctypes.data
-    counts = (c_int64 * 9)()
-    status = _lib.fl_limit_run(state.p, state.A, state.T, n, marks.ctypes.data, data, counts)
+    counts = np.zeros(9, dtype=np.int64)
+    status = _lib.fl_limit_run(state.p, state.A, state.T, n, marks.ctypes.data, rows.ctypes.data,
+                               counts.ctypes.data)
     if status != 0:  # -1, the one failure
         raise MemoryError("the limit engine could not allocate its event queue")
     for (name, per_mark, _), size in zip(_ROW_BLOCKS, counts):
@@ -874,7 +780,7 @@ def _run_alffp_c(state: LimitStateP) -> None:
             raise RuntimeError(f"fl_limit_run returned {size} rows for a buffer of {per_mark * n}")
     for name, _, _ in _ROW_BLOCKS:
         delattr(state, name)  # the next read builds it from the buffer
-    state._buffer = (rows, data, counts)
+    state._buffer = (rows, counts)
 
 
 # the C twin when the compiled library loads, else the Python loop

@@ -374,6 +374,34 @@ def test_limit_tail_refuses_before_any_worker(monkeypatch, change):
         assert str(batch.value) == str(per_run.value)
 
 
+_EXPERIMENTS = {
+    "coupled": lambda runs, seed: coupled_distances(0.1, 5.0, 2.0, 0.5, runs, seed, jobs=2),
+    "cluster": lambda runs, seed: cluster_dist_experiment(0.1, 5.0, 0.5, runs, seed, A=2.0,
+                                                          jobs=2),
+    "barrier": lambda runs, seed: barrier_height_experiment(math.exp(-6.0), 25.0, 0.0, 0.5, runs,
+                                                            seed, jobs=2),
+    "fronts": lambda runs, seed: fronts_experiment(5.0, 2.0, runs, seed, jobs=2),
+    "front_speed": lambda runs, seed: front_speed_experiment(5.0, 2.0, runs, seed, jobs=2),
+    "spark_fraction": lambda runs, seed: spark_fraction_experiment(5.0, 2.0, runs, seed, jobs=2),
+    "limit_tail": lambda runs, seed: limit_tail_experiment(6.0, 3.0, runs, seed, jobs=2),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXPERIMENTS))
+@pytest.mark.parametrize("runs, seed, message", [
+    (4, -1, "master_seed must fit in 64 bits"),
+    (4, 2**64, "master_seed must fit in 64 bits"),
+    (0, 1, "need at least one run"),
+    # a list of this many runs' arguments would grow until memory ran out
+    (2**64 + 1, 1, "stream_id must fit in 64 bits"),
+], ids=["seed=-1", "seed=2**64", "runs=0", "runs=2**64+1"])
+def test_experiments_refuse_runs_and_seeds_before_any_worker(monkeypatch, name, runs, seed,
+                                                             message):
+    monkeypatch.setattr(harness, "_map_runs", _no_pool)
+    with pytest.raises(ValueError, match=message):
+        _EXPERIMENTS[name](runs, seed)
+
+
 class _TailLib:
     """Stands in for the library: fl_tail_runs fills out with NaN, as for
     runs whose marks end past T, and returns the given status."""

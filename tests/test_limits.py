@@ -633,7 +633,7 @@ def test_hand_made_sets_match_oracle(p, A, T, marks):
     assert_matches_oracle(p, A, T, marks=[Mark(x, t) for x, t in marks])
 
 
-@pytest.mark.parametrize("p", [0.0, 1e-3, 0.1, 1.0, 5.0])
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.1, 1.0, 5.0, 1e3, 1e308])
 @pytest.mark.parametrize("A", [2.0, 6.0, 10.0, 20.0])
 def test_poisson_realizations_match_oracle(p, A):
     for seed in range(2):
@@ -666,8 +666,8 @@ def test_large_box_matches_oracle():
 
 @pytest.mark.parametrize("p, A, T, seed", [
     *(pytest.param(1.0, 48.0, 4.0, seed, id=str(seed)) for seed in (0, 1, 2)),
-    # long runs, whose lookup windows hold many expired barriers and fronts
-    # dead for over a time unit
+    # long runs, whose scans pass many expired barriers and fronts dead for
+    # over a time unit
     (0.5, 6.0, 12.0, 19),
     (1.0, 6.0, 12.0, 19),
 ])
@@ -712,19 +712,23 @@ def test_stats_are_deterministic_and_count_every_event():
     assert sum(s0.stats()["events_by_cause"].values()) == len(s0.events)
 
 
-def test_candidate_tests_per_front_stay_flat_in_the_box():
-    # testing every open barrier and recent front made a new front's tests
-    # grow about 9x from A=6 to A=48; lookups within reach keep them flat
-    def tests_per_front(A, seeds):
-        tests = fronts = 0
-        for seed in seeds:
-            s = simulate_alffp_p(1.0, A, 4.0, seed=seed)
-            tests += s.stats()["candidate_tests"]
-            fronts += len(s.fronts)
-        return tests / fronts
-
-    small = tests_per_front(6.0, range(20))
-    assert 0.0 < tests_per_front(48.0, range(3)) < 2.0 * small
+@pytest.mark.parametrize("loop", ["c", "python"])
+def test_candidate_tests_count_every_scanned_entry(loop):
+    # fronts 0 (+1) and 1 (-1) launch at (-8, 1.0), 2 (+1) and 3 (-1) at
+    # (8, 1.5).  Front 0 has nothing before it, and front 1 only its twin:
+    # 0 tests.  Front 2 tests front 0's wake both ways (launched under a
+    # time unit ago, alive) and a meet with front 1: 3.  Front 3 tests a
+    # meet with front 0 and front 1's wake both ways, and skips its twin:
+    # 3.  Front 1's edge stop at t=3 tests the live rightward fronts 0 and
+    # 2: 2.  Front 2's at t=3.5 tests the live leftward front 3: 1.  Fronts
+    # 0 and 3 would meet at t=9.25, past T.  9 in all.
+    if loop == "c" and not COMPILED:
+        pytest.skip(f"C core unavailable: {FALLBACK_REASON}")
+    marks = [Mark(-8.0, 1.0), Mark(8.0, 1.5)]
+    state = LimitStateP(1.0, 10.0, 4.0, _validate_marks(marks, 10.0, 4.0))
+    (_run_alffp_c if loop == "c" else _run_alffp_py)(state)
+    assert outcome(state) == outcome(reference_alffp(1.0, 10.0, 4.0, marks=marks))
+    assert state.stats()["candidate_tests"] == 9
 
 
 def test_queue_work_grows_near_linearly_in_the_box():

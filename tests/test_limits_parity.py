@@ -7,6 +7,7 @@ state's queries (fl_limit_query over its rows) to the Python scans, and the
 batched tail runs (fl_tail_runs) to the per-run path."""
 
 import copy
+import ctypes
 import pickle
 import random
 
@@ -62,7 +63,7 @@ def _poisson(A, T, seed, stream_id=0):
     return poisson_rectangle(RngStream(seed, stream_id), -A, A, 0.0, T)
 
 
-@pytest.mark.parametrize("p", [0.0, 1e-3, 0.1, 1.0, 5.0])
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.1, 1.0, 5.0, 1e3, 1e308])
 @pytest.mark.parametrize("A", [2.0, 6.0, 10.0, 20.0])
 def test_poisson_realizations(p, A):
     for seed in range(2):
@@ -86,8 +87,8 @@ def test_lattice_ties(p):
 @pytest.mark.parametrize("p, A, T, seed", [
     *(pytest.param(1.0, A, 4.0, seed, id=f"{A}-{seed}")
       for A, seed in [(40.0, 3), (48.0, 0), (48.0, 1), (48.0, 2)]),
-    # long runs, whose lookup windows hold many expired barriers and fronts
-    # dead for over a time unit
+    # long runs, whose scans pass many expired barriers and fronts dead for
+    # over a time unit
     *((p, 6.0, 12.0, seed) for p in (0.0, 0.5, 1.0) for seed in (0, 1)),
     (1.0, 48.0, 12.0, 5),
 ])
@@ -169,7 +170,7 @@ class _FakeLib:
         self.counts = counts
 
     def fl_limit_run(self, *args):
-        args[-1][:] = self.counts
+        (ctypes.c_int64 * 9).from_address(args[-1])[:] = self.counts
         return self.status
 
 
@@ -290,8 +291,8 @@ def test_a_copied_c_state_answers_from_its_own_buffer(copy_state):
     state = limits.simulate_alffp_p(1.0, 6.0, 3.0, seed=19)
     state.fronts  # one list built before the copy, three not
     copied = copy_state(state)
-    rows, data, counts = copied._buffer
-    assert data == rows.ctypes.data and list(counts) == list(state._buffer[2])
+    rows, counts = copied._buffer
+    assert list(counts) == list(state._buffer[1])
     grid = [0.25 * k for k in range(13)]
     assert repr(copied.trajectory(grid)) == repr(state.trajectory(grid))
     assert repr(copied.query(1.5, 2.0)) == repr(state.query(1.5, 2.0))

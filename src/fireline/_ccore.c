@@ -6,6 +6,9 @@
  * never call this library.
  *
  * Plain C99 with no Python C-API; fireline._clib loads it with ctypes.
+ * Its only file-scope data are static const tables, so calls share no
+ * state and may run at once on several threads, as fireline.harness runs
+ * fl_tail_runs.
  * Every clock draw is the same counter-based Philox4x64-10 word as
  * fireline.rng.draw_u64(master_seed, stream_id, purpose, site, index), the
  * event queue pops in the same (time, site, kind) order, and every state

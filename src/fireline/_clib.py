@@ -6,7 +6,11 @@ passes on either core), the LFFP(p) event loop of fireline.limits and its
 queries, and fl_tail_runs, which makes a batch of the runs of
 fireline.harness.limit_tail_experiment (sampler, loop and the D(0, T)
 query, per stream) in one call.
-It uses no Python C-API and is loaded with ctypes.  setup.py compiles it
+It uses no Python C-API and is loaded with ctypes.CDLL, which releases
+the GIL for each foreign call, and it keeps no global state (its only
+file-scope data are static const tables), so concurrent calls on threads
+run in parallel: limit_tail_experiment runs its fl_tail_runs chunks so.
+PyDLL, which holds the GIL, must not replace CDLL.  setup.py compiles it
 next to this module.  In a source checkout without that build, the first
 import compiles the source with the system C compiler ($CC, default cc)
 into $XDG_CACHE_HOME/fireline/<source hash>/ (default ~/.cache), publishing

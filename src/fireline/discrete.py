@@ -21,8 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 # the box cap: checked here where flooring a box size could overflow, and
-# by make_engine
-from .engine import MEMORY_CAP_SITES, ResourceLimitError, make_engine
+# in make_engine's words before an engine is built
+from .engine import MEMORY_CAP_SITES, ResourceLimitError, check_box_sites, make_engine
 from .rng import Mark
 from .scales import Scales, compute_scales
 
@@ -74,6 +74,29 @@ def match_schedule_from_marks(
     return schedule
 
 
+def discrete_box(lam: float, pi: float, A: float) -> Tuple[Scales, int]:
+    """The scales of (lam, pi) and the half-width floor(A * n) in sites of
+    DiscreteFFP's box, after its refusals: an A that is not positive and
+    finite, bad lam or pi (compute_scales), and a box past the cap."""
+    if not 0.0 < A < math.inf:
+        raise ValueError(f"A must be positive and finite, got {A}")
+    scales = compute_scales(lam, pi)
+    span = A * scales.n  # the half-width in sites, before flooring
+    if span > MEMORY_CAP_SITES:  # an infinite one would not floor
+        raise ResourceLimitError(
+            f"box of half-width {span:g} sites exceeds the cap of {MEMORY_CAP_SITES}"
+        )
+    a_sites = math.floor(span)
+    check_box_sites(2 * a_sites + 1)
+    return scales, a_sites
+
+
+def advance_refusal(t: float, now: float) -> ValueError:
+    """DiscreteFFP.advance_to's error for a target t it cannot reach from
+    macroscopic time now."""
+    return ValueError(f"cannot advance to t={t}: need now={now} <= t < inf")
+
+
 class DiscreteFFP:
     """Forest-fire chain on the box [-A_sites, A_sites], A_sites = floor(A*n).
 
@@ -96,23 +119,15 @@ class DiscreteFFP:
         initial: str = "vacant",
         engine: str = "auto",
     ):
-        if not 0.0 < A < math.inf:
-            raise ValueError(f"A must be positive and finite, got {A}")
+        self.scales, self.a_sites = discrete_box(lam, pi, A)
         if initial not in ("vacant", "occupied"):
             raise ValueError('initial must be "vacant" or "occupied"')
 
-        self.scales = compute_scales(lam, pi)
         self.lam = lam
         self.pi = pi
         self.A = A
         self.seed = seed
         self.stream_id = stream_id
-        span = A * self.scales.n  # the half-width in sites, before flooring
-        if span > MEMORY_CAP_SITES:  # an infinite one would not floor
-            raise ResourceLimitError(
-                f"box of half-width {span:g} sites exceeds the cap of {MEMORY_CAP_SITES}"
-            )
-        self.a_sites = math.floor(span)
         self.n_sites = 2 * self.a_sites + 1
 
         a = self.scales.a
@@ -164,7 +179,7 @@ class DiscreteFFP:
         try:
             self._eng.advance_to(self.scales.a * t)
         except ValueError:
-            raise ValueError(f"cannot advance to t={t}: need now={self.now} <= t < inf") from None
+            raise advance_refusal(t, self.now) from None
 
     # -- state access ---------------------------------------------------------
 
@@ -342,6 +357,21 @@ class PropagationRun:
         return (clean / total, total)
 
 
+def propagation_radius(pi: float, horizon: float, radius: Optional[int] = None) -> int:
+    """The box radius of run_propagation, suggested_radius when None, after
+    its refusals of the horizon, pi, the radius and the box's cap."""
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if not 0.0 < pi < math.inf:
+        raise ValueError(f"pi must be positive and finite, got {pi}")
+    if radius is None:
+        radius = suggested_radius(pi, horizon)
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
+    check_box_sites(2 * radius + 1)
+    return radius
+
+
 def run_propagation(
     pi: float,
     horizon: float,
@@ -354,14 +384,7 @@ def run_propagation(
 
     Initial state: every site occupied, the center burning.  No matches.
     """
-    if not 0.0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if not 0.0 < pi < math.inf:
-        raise ValueError(f"pi must be positive and finite, got {pi}")
-    if radius is None:
-        radius = suggested_radius(pi, horizon)
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
+    radius = propagation_radius(pi, horizon, radius)
     n_sites = 2 * radius + 1
     eng = make_engine(
         n_sites,

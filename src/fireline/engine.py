@@ -169,6 +169,15 @@ def core_description():
     return "compiled" if COMPILED else f"python (C core unavailable: {FALLBACK_REASON})"
 
 
+def check_box_sites(n_sites):
+    """Raise ResourceLimitError for a box of more than MEMORY_CAP_SITES
+    sites, as make_engine does before it allocates."""
+    if n_sites > MEMORY_CAP_SITES:
+        raise ResourceLimitError(
+            f"box of {n_sites} sites exceeds the cap of {MEMORY_CAP_SITES}"
+        )
+
+
 def make_engine(n_sites, *args, force="auto", **kwargs):
     """Construct an engine core.  force is "auto", "python", or "compiled".
     Raises ResourceLimitError, before allocating, for a box of more than
@@ -176,8 +185,5 @@ def make_engine(n_sites, *args, force="auto", **kwargs):
     cores = {"auto": EngineCore, "python": PyEngineCore, "compiled": CEngineCore}
     if force not in cores:
         raise ValueError(f"unknown engine choice: {force!r}")
-    if n_sites > MEMORY_CAP_SITES:
-        raise ResourceLimitError(
-            f"box of {n_sites} sites exceeds the cap of {MEMORY_CAP_SITES}"
-        )
+    check_box_sites(n_sites)
     return cores[force](n_sites, *args, **kwargs)

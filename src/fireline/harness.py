@@ -7,7 +7,7 @@ rerun with the same seed reproduces every run bit for bit regardless of
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -18,10 +18,13 @@ from .discrete import (
     STATE_OCCUPIED,
     DiscreteFFP,
     PropagationRun,
+    advance_refusal,
+    discrete_box,
     match_schedule_from_marks,
+    propagation_radius,
     run_propagation,
 )
-from .engine import MEMORY_CAP_SITES, ResourceLimitError, make_engine
+from .engine import MEMORY_CAP_SITES, ResourceLimitError, check_box_sites, make_engine
 from .limits import (
     check_alffp_p,
     sample_cluster_lengths_inf,
@@ -193,8 +196,14 @@ def coupled_distances(
     grid_points: int = DEFAULT_GRID_POINTS,
     jobs: int = 1,
 ) -> List[float]:
-    """d_T over independent coupled runs, ordered by run index."""
+    """d_T over independent coupled runs, ordered by run index.  Every
+    refusal of a run's parameters is raised here, once, with coupled_run's
+    errors in its order, before any worker starts."""
     _check_runs(runs, seed)
+    uniform_grid(T, grid_points)
+    compute_scales(lam, pi)
+    rectangle_area(-A, A, 0.0, T)
+    discrete_box(lam, pi, A)
     argses = [(lam, pi, A, T, seed, i, grid_points) for i in range(runs)]
     return _map_runs(_coupled_worker, argses, jobs)
 
@@ -234,8 +243,13 @@ def cluster_dist_experiment(
     A: float,
     jobs: int = 1,
 ) -> ClusterDistResult:
-    """Cluster size, W, and Z at the origin at time t over independent runs."""
+    """Cluster size, W, and Z at the origin at time t over independent runs.
+    Every refusal of a run (the box, lam, pi and t) is raised here, once,
+    before any worker starts."""
     _check_runs(runs, seed)
+    scales, _ = discrete_box(lam, pi, A)
+    if not 0.0 <= scales.a * t < math.inf:  # the engine's test, in raw time
+        raise advance_refusal(t, 0.0)
     argses = [(lam, pi, t, A, seed, i) for i in range(runs)]
     rows = _map_runs(_cluster_worker, argses, jobs)
     sizes = np.array([r[0] for r in rows], dtype=np.int64)
@@ -304,8 +318,11 @@ def limit_tail_experiment(
     seed, p, A and T, the rectangle's mark cap) is raised here, once,
     before any worker starts or any argument reaches the C library.  With
     the library, range(runs) is cut into min(jobs, runs) contiguous chunks,
-    one fl_tail_runs call each; without it, each run is a task of its own.
-    Either way the lengths are the same bits at any jobs.
+    one fl_tail_runs call each, run on that many threads of this process:
+    ctypes releases the GIL for each call and the library keeps no global
+    state.  Without it, each run is a task of its own on _map_runs' worker
+    processes, since a Python run holds the GIL.  Either way the lengths
+    are the same bits at any jobs.
     """
     _check_runs(runs, seed)
     check_alffp_p(p, A, T)
@@ -317,7 +334,12 @@ def limit_tail_experiment(
         chunks = min(max(jobs, 1), runs)
         bounds = [runs * j // chunks for j in range(chunks + 1)]
         argses = [(p, A, T, seed, lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
-        lengths = np.concatenate(_map_runs(_tail_runs, argses, jobs))
+        if chunks == 1:
+            lengths = _tail_runs(argses[0])
+        else:
+            # a CDLL call releases the GIL, so the chunks run in parallel
+            with ThreadPoolExecutor(max_workers=chunks) as ex:
+                lengths = np.concatenate(list(ex.map(_tail_runs, argses)))
     fracs = []
     halves = []
     for b in thresholds:
@@ -411,6 +433,7 @@ def _fronts_worker(args):
 
 def _fronts_rows(pi: float, horizon: float, runs: int, seed: int, jobs: int) -> list:
     _check_runs(runs, seed)
+    propagation_radius(pi, horizon)
     argses = [(pi, horizon, seed, i) for i in range(runs)]
     return _map_runs(_fronts_worker, argses, jobs)
 
@@ -598,19 +621,16 @@ def _barrier_radius(lam: float, pi: float, t0: float, t1: float) -> int:
     return math.ceil(12.0 * lam ** (-age)) + s.m + pad + 10
 
 
-def _barrier_single(
-    lam: float,
-    pi: float,
-    t0: float,
-    t1: float,
-    seed: int,
-    stream_id: int,
-    radius: int,
-) -> Tuple[float, int]:
+def _barrier_start(
+    lam: float, pi: float, t0: float, t1: float, radius: int
+) -> Tuple[float, List[Tuple[float, int]], bool]:
+    """The start every barrier run shares: the time scale a, the injected
+    matches as (raw time, site) pairs and whether the box starts occupied.
+    Raises for lam or pi, for a staged burn the box cannot hold and for a
+    box over the cap, once, before any run."""
     s = compute_scales(lam, pi)
     a = s.a
     center = radius
-    n_sites = 2 * radius + 1
     t1_raw = a * t1
     if t0 == 0.0:
         injected = [(t1_raw, center)]
@@ -634,6 +654,14 @@ def _barrier_single(
             )
         injected = [(a * (t0 - v), center - (s.m + pad)), (t1_raw, center)]
         occupied = True
+    check_box_sites(2 * radius + 1)
+    return a, injected, occupied
+
+
+def _barrier_worker(args) -> Tuple[float, int]:
+    pi, t1, (a, injected, occupied), seed, stream_id, radius = args
+    n_sites = 2 * radius + 1
+    t1_raw = a * t1
     eng = make_engine(
         n_sites,
         pi,
@@ -672,11 +700,6 @@ def _barrier_single(
     return (t_occ / a - t1, hi - lo + 1)
 
 
-def _barrier_worker(args):
-    lam, pi, t0, t1, seed, idx, radius = args
-    return _barrier_single(lam, pi, t0, t1, seed, idx, radius)
-
-
 def barrier_height_experiment(
     lam: float,
     pi: float,
@@ -710,7 +733,8 @@ def barrier_height_experiment(
         # sized here, once: an over-cap box is refused before any worker starts
         radius = _barrier_radius(lam, pi, t0, t1)
     _check_runs(runs, seed)
-    argses = [(lam, pi, t0, t1, seed, i, radius) for i in range(runs)]
+    start = _barrier_start(lam, pi, t0, t1, radius)
+    argses = [(pi, t1, start, seed, i, radius) for i in range(runs)]
     rows = _map_runs(_barrier_worker, argses, jobs)
     thetas = np.array([r[0] for r in rows])
     sizes = np.array([r[1] for r in rows], dtype=np.int64)

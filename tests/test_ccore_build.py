@@ -4,8 +4,9 @@ mulhilo); a build at another optimisation level, with the portable mulhilo,
 or with the library's own flags for the build machine's instruction set
 (where a * b + c could become a fused multiply-add) gives the same
 Poisson marks, realizations, limit runs, limit queries and tail runs as
-the loaded library; and it exports the listed functions, each declared for
-ctypes."""
+the loaded library; it exports the listed functions, each declared for
+ctypes; and it declares no variable that calls share, so concurrent calls
+on threads are safe."""
 
 import ctypes
 import hashlib
@@ -162,3 +163,65 @@ def test_every_export_is_declared():
             assert fn.restype is ctypes.c_void_p or hasattr(fn.restype, "contents"), name
         else:
             assert fn.restype in _RESTYPES[ret], name
+
+
+def _shared_variables(src):
+    """The declarations of a C source that make state every call shares:
+    each one at file scope that is not static const, a type, a function
+    or a prototype, and each static one inside a function that is not const."""
+    src = re.sub(r"/\*.*?\*/|//[^\n]*", " ", src, flags=re.S)
+    src = re.sub(r"^[ \t]*#(?:[^\n]*\\\n)*[^\n]*", " ", src, flags=re.M)  # directives
+    shared, text, body, depth = [], "", "", 0
+    for ch in src:
+        if ch == "{":
+            depth += 1
+            text += "{}" if depth == 1 else ""
+        elif ch == "}":
+            depth -= 1
+            if depth == 0 and re.search(r"\)\s*\{\}$", text):  # a function's body
+                shared += re.findall(r"\bstatic\s+(?!const\b)[^;]*;", body)
+                text = body = ""
+        elif depth:
+            body += ch
+        elif ch == ";":
+            decl = " ".join(text.split())
+            declarator = decl.split("=")[0]
+            constant = re.match(r"static const\b", decl) and not re.search(
+                r"\*(?!\s*const\b)", declarator)  # a pointer to const may move
+            prototype = re.fullmatch(r"[\w\s*]*\b\w+\s*\([^()]*\)", decl)
+            if not (constant or prototype or decl.startswith("typedef ")
+                    or re.fullmatch(r"(enum|struct|union)\b[\w\s]*\{\}", decl)):
+                shared.append(decl)
+            text = ""
+        else:
+            text += ch
+    assert depth == 0 and not text.strip(), "unbalanced source"
+    return shared
+
+
+def test_ccore_keeps_no_shared_state():
+    # limit_tail_experiment runs fl_tail_runs on several threads at once, so
+    # the library may hold no variable outside a call's own buffers
+    assert _shared_variables(_SOURCE.read_text()) == []
+
+
+def test_guard_flags_shared_state():
+    src = """
+    #define TWICE(x) \\
+        ((x) + (x))
+    enum { A, B };
+    struct pair { int a, b; };
+    typedef struct { double v[2]; } vec;  /* int hidden; */
+    static const int TABLE[2] = {1, 2};
+    static const char *const NAMES[2] = {"a", "b"};
+    int later(int a);
+    static int used(const vec *v) { int n = 0; if (v) { n = TWICE(1); } return n; }
+    static int cache;
+    double *buffer = 0;
+    static const double *last;
+    int counter(void) { static int calls; static const int one = 1; return calls += one; }
+    """
+    assert _shared_variables(src) == [
+        "static int cache", "double *buffer = 0", "static const double *last",
+        "static int calls;",
+    ]

@@ -4,6 +4,8 @@ import ctypes
 import dataclasses
 import hashlib
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -356,6 +358,16 @@ def _no_pool(*args):
     raise AssertionError("a run reached _map_runs")
 
 
+def _no_threads(*args, **kwargs):
+    raise AssertionError("a run reached a ThreadPoolExecutor")
+
+
+def _forbid_workers(monkeypatch):
+    """Fail any run that reaches the process pool or the thread pool."""
+    monkeypatch.setattr(harness, "_map_runs", _no_pool)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", _no_threads)
+
+
 @pytest.mark.parametrize("change", [
     dict(p=-1.0), dict(p=math.inf), dict(p=math.nan), dict(A=math.inf), dict(T=0.0),
     dict(seed=-1), dict(seed=2**64), dict(A=5000.0, T=200000.0),
@@ -366,7 +378,7 @@ def test_limit_tail_refuses_before_any_worker(monkeypatch, change):
     args = {"p": 0.0, "A": 6.0, "T": 3.0, "seed": 1, **change}
     with pytest.raises((ValueError, harness.ResourceLimitError)) as per_run:
         harness._tail_worker((args["p"], args["A"], args["T"], args["seed"], 0))
-    monkeypatch.setattr(harness, "_map_runs", _no_pool)
+    _forbid_workers(monkeypatch)
     for lib in (harness._lib, None):
         monkeypatch.setattr(harness, "_lib", lib)
         with pytest.raises(per_run.type) as batch:
@@ -397,9 +409,79 @@ _EXPERIMENTS = {
 ], ids=["seed=-1", "seed=2**64", "runs=0", "runs=2**64+1"])
 def test_experiments_refuse_runs_and_seeds_before_any_worker(monkeypatch, name, runs, seed,
                                                              message):
-    monkeypatch.setattr(harness, "_map_runs", _no_pool)
+    _forbid_workers(monkeypatch)
     with pytest.raises(ValueError, match=message):
         _EXPERIMENTS[name](runs, seed)
+
+
+# each experiment's refusal of a parameter, and the same refusal from one
+# run of its per-run path
+_REFUSALS = {
+    "coupled,lam=1": (lambda: coupled_distances(1.0, 5.0, 2.0, 0.5, 2, 1, jobs=2),
+                      lambda: coupled_run(1.0, 5.0, 2.0, 0.5, 1)),
+    "coupled,pi=0": (lambda: coupled_distances(0.1, 0.0, 2.0, 0.5, 2, 1, jobs=2),
+                     lambda: coupled_run(0.1, 0.0, 2.0, 0.5, 1)),
+    "coupled,T=-1": (lambda: coupled_distances(0.1, 5.0, 2.0, -1.0, 2, 1, jobs=2),
+                     lambda: coupled_run(0.1, 5.0, 2.0, -1.0, 1)),
+    "coupled,A=inf": (lambda: coupled_distances(0.1, 5.0, math.inf, 0.5, 2, 1, jobs=2),
+                      lambda: coupled_run(0.1, 5.0, math.inf, 0.5, 1)),
+    "coupled,A=-1": (lambda: coupled_distances(0.1, 5.0, -1.0, 0.5, 2, 1, jobs=2),
+                     lambda: coupled_run(0.1, 5.0, -1.0, 0.5, 1)),
+    "coupled,grid=1": (lambda: coupled_distances(0.1, 5.0, 2.0, 0.5, 2, 1, grid_points=1, jobs=2),
+                       lambda: coupled_run(0.1, 5.0, 2.0, 0.5, 1, grid_points=1)),
+    # a few marks, but a box of 3.6e9 sites a side
+    "coupled,box": (lambda: coupled_distances(1e-12, 5.0, 0.1, 0.5, 2, 1, jobs=2),
+                    lambda: coupled_run(1e-12, 5.0, 0.1, 0.5, 1)),
+    "cluster,lam=1": (lambda: cluster_dist_experiment(1.0, 5.0, 0.5, 2, 1, A=2.0, jobs=2),
+                      lambda: harness._cluster_worker((1.0, 5.0, 0.5, 2.0, 1, 0))),
+    "cluster,pi=nan": (lambda: cluster_dist_experiment(0.1, math.nan, 0.5, 2, 1, A=2.0, jobs=2),
+                       lambda: harness._cluster_worker((0.1, math.nan, 0.5, 2.0, 1, 0))),
+    "cluster,A=inf": (lambda: cluster_dist_experiment(0.1, 5.0, 0.5, 2, 1, A=math.inf, jobs=2),
+                      lambda: harness._cluster_worker((0.1, 5.0, 0.5, math.inf, 1, 0))),
+    "cluster,t=-1": (lambda: cluster_dist_experiment(0.1, 5.0, -1.0, 2, 1, A=2.0, jobs=2),
+                     lambda: harness._cluster_worker((0.1, 5.0, -1.0, 2.0, 1, 0))),
+    "cluster,t=inf": (lambda: cluster_dist_experiment(0.1, 5.0, math.inf, 2, 1, A=2.0, jobs=2),
+                      lambda: harness._cluster_worker((0.1, 5.0, math.inf, 2.0, 1, 0))),
+    # a half-width of 2^30 sites passes its own cap; the 2^31 + 1 sites do not
+    "cluster,sites": (lambda: cluster_dist_experiment(0.1, 5.0, 0.5, 2, 1, A=2.0**28, jobs=2),
+                      lambda: harness._cluster_worker((0.1, 5.0, 0.5, 2.0**28, 1, 0))),
+    "fronts,pi=-1": (lambda: fronts_experiment(-1.0, 2.0, 2, 1, jobs=2),
+                     lambda: harness._fronts_worker((-1.0, 2.0, 1, 0))),
+    "fronts,horizon=0": (lambda: fronts_experiment(5.0, 0.0, 2, 1, jobs=2),
+                         lambda: harness._fronts_worker((5.0, 0.0, 1, 0))),
+    "front_speed,horizon=inf": (lambda: front_speed_experiment(5.0, math.inf, 2, 1, jobs=2),
+                                lambda: harness._fronts_worker((5.0, math.inf, 1, 0))),
+    "spark_fraction,reach": (lambda: spark_fraction_experiment(1e9, 2.0, 2, 1, jobs=2),
+                             lambda: harness._fronts_worker((1e9, 2.0, 1, 0))),
+    # a mean reach under the cap, and a box of 1.4e9 sites
+    "fronts,sites": (lambda: fronts_experiment(7e8, 1.0, 2, 1, jobs=2),
+                     lambda: harness._fronts_worker((7e8, 1.0, 1, 0))),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSALS))
+def test_experiments_refuse_parameters_before_any_worker(monkeypatch, name):
+    call, per_run = _REFUSALS[name]
+    with pytest.raises((ValueError, harness.ResourceLimitError)) as want:
+        per_run()
+    _forbid_workers(monkeypatch)
+    with pytest.raises(want.type) as got:
+        call()
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("lam, pi, t0, t1, radius, message", [
+    (1.0, 25.0, 0.0, 0.5, 10, "lam must lie in (0, 1), got 1.0"),
+    (math.exp(-6.0), 0.5, 1.5, 2.0, 10, "t0=1.5 leaves no room for the staged burn"),
+    (math.exp(-6.0), 25.0, 1.5, 2.0, None, "staged warm start cannot sweep the box before t1"),
+    (math.exp(-6.0), 25.0, 0.0, 0.5, 2**30, "box of 2147483649 sites exceeds the cap"),
+])
+def test_barrier_refuses_its_start_before_any_worker(monkeypatch, lam, pi, t0, t1, radius,
+                                                     message):
+    # the start is the same for every run, so it is built and checked once
+    _forbid_workers(monkeypatch)
+    with pytest.raises((ValueError, harness.ResourceLimitError), match=re.escape(message)):
+        barrier_height_experiment(lam, pi, t0, t1, 2, seed=0, jobs=2, radius=radius)
 
 
 class _TailLib:
@@ -423,14 +505,39 @@ def test_tail_runs_left_as_nan_take_the_per_run_path(monkeypatch):
         harness._tail_runs((1.0, 6.0, 3.0, 19, 5, 3))
 
 
+@pytest.mark.skipif(harness._lib is None, reason="the thread pool runs the library's chunks")
+@pytest.mark.parametrize("A", [6.0, 48.0])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_tail_chunks_on_threads_equal_the_per_run_path(p, A):
+    # up to seven fl_tail_runs calls at once in this process, each with its
+    # own buffers: the library keeps no state between them.  A short switch
+    # interval hands the GIL between the threads as often as it can.
+    T, seed, runs = 3.0, 19, 200
+    expected = np.array([harness._tail_worker((p, A, T, seed, k)) for k in range(runs)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for jobs in (1, 2, 3, 7):
+            got = limit_tail_experiment(A, T, runs, seed, p=p, jobs=jobs)
+            assert got.lengths.tobytes() == expected.tobytes(), jobs
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failed_chunk_raises_through_the_thread_pool(monkeypatch):
+    monkeypatch.setattr(harness, "_lib", _TailLib(-1))
+    with pytest.raises(MemoryError):
+        limit_tail_experiment(6.0, 3.0, 4, 19, p=1.0, jobs=2)
+
+
 class _RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process."""
+    """Stands in for ThreadPoolExecutor and ProcessPoolExecutor: records
+    its kind and max_workers and maps in this thread."""
 
     sizes: list = []
 
     def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+        self.sizes.append((self.kind, max_workers))
 
     def __enter__(self):
         return self
@@ -442,18 +549,34 @@ class _RecordingExecutor:
         return map(fn, iterable)
 
 
+class _RecordingThreads(_RecordingExecutor):
+    kind = "threads"
+
+
+class _RecordingProcesses(_RecordingExecutor):
+    kind = "processes"
+
+
 @pytest.mark.parametrize("runs, jobs, workers", [(1, 5000, 1), (3, 8, 3), (5, 2, 2), (4, 4, 4)])
 def test_the_pool_has_no_more_workers_than_runs(monkeypatch, runs, jobs, workers):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", _RecordingThreads)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingProcesses)
     monkeypatch.setattr(_RecordingExecutor, "sizes", [])
     res = limit_tail_experiment(2.0, 1.5, runs, seed=3, p=1.0, jobs=jobs)
-    assert _RecordingExecutor.sizes == [workers]
+    # the library's chunks run on threads, and one chunk needs no pool;
+    # without the library the runs go to processes
+    if harness._lib is None:
+        first = [("processes", workers)]
+    else:
+        first = [("threads", workers)] if workers > 1 else []
+    assert _RecordingExecutor.sizes == first
     assert np.array_equal(res.lengths, limit_tail_experiment(2.0, 1.5, runs, seed=3, p=1.0).lengths)
     # the same bits as the per-run path, the fallback's, which maps runs
+    # on processes
     monkeypatch.setattr(harness, "_lib", None)
     per_run = limit_tail_experiment(2.0, 1.5, runs, seed=3, p=1.0, jobs=jobs)
     assert res.lengths.tobytes() == per_run.lengths.tobytes()
-    assert _RecordingExecutor.sizes == [workers, workers]
+    assert _RecordingExecutor.sizes == [*first, ("processes", workers)]
 
 
 def test_barrier_t0_zero_runs_and_determinism():

@@ -44,12 +44,13 @@ test oracle).
 
 The loop exists twice.  _run_alffp_c makes one call of its C twin,
 fl_limit_run in _ccore.c, which runs the same queue, scans, tests and
-counters with Python's float semantics, and keeps the rows it writes: the
-state builds its events, fronts, barriers and sweeps from them on first
-read, so a run whose reader only queries it builds none of them.
-_run_alffp_py is the Python loop, the fallback when the compiled library
-does not load, and fills the lists as it runs.  _run_alffp is chosen at
-import; the two give the same realization bit for bit.
+counters with Python's float semantics and writes its events, fronts,
+barriers and sweeps as rows; the run builds the state's four lists from
+them and keeps the rows.  _run_alffp_py is the Python loop, the fallback
+when the compiled library does not load, and fills the lists as it runs.
+Either way a state holds its marks as a MarkSet and its four lists.
+_run_alffp is chosen at import; the two give the same realization bit for
+bit.
 
 Queries.  Z, H, D and reset_time at (x, t) each read one answer: the last
 reset at x, H, a macroscopic flag (Z = 1 and no active barrier) and the
@@ -74,7 +75,6 @@ from collections import Counter
 from ctypes import byref, c_double
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
-from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -158,7 +158,7 @@ def check_alffp_p(p: float, A: float, T: float) -> None:
     _check_window(A, T)
 
 
-def _window_marks(A: float, T: float, marks, seed, stream_id: int) -> Sequence[Mark]:
+def _window_marks(A: float, T: float, marks, seed, stream_id: int) -> MarkSet:
     """The simulators' validated marks, given or drawn from (seed,
     stream_id), for a box and window the caller has checked."""
     if marks is None:
@@ -168,38 +168,31 @@ def _window_marks(A: float, T: float, marks, seed, stream_id: int) -> Sequence[M
     return _validate_marks(marks, A, T)
 
 
-def _validate_marks(marks: Sequence[Mark], A: float, T: float) -> Sequence[Mark]:
-    """The marks checked in one pass: sorted by time, inside the box and the
-    window.  A MarkSet is checked on its array and returned as it is; any
-    other sequence comes back as a new list, where a Mark with float fields
-    is kept as it is and anything else is rebuilt as a Mark of floats."""
-    if type(marks) is MarkSet:
-        rows = marks.array
-        if len(rows):
-            x = rows[:, 0]
-            t = rows[:, 1]
-            # once t is sorted its ends bound it; NaN fails every comparison,
-            # so it is refused here too
-            if not ((t[1:] >= t[:-1]).all() and 0.0 <= t[0] and t[-1] <= T
-                    and -A <= x.min() and x.max() <= A):
-                # the list loop finds the first offending mark and raises
-                _validate_marks(list(marks), A, T)
-        return marks
-    out = list(marks)
-    prev = -math.inf
-    for k, m in enumerate(out):
-        x = m.x
-        t = m.t
-        if t < prev:
-            raise ValueError("mark set must be sorted by time")
-        prev = t
-        if not -A <= x <= A:
-            raise ValueError(f"mark at x={x} outside the box [-{A}, {A}]")
-        if not 0.0 <= t <= T:
-            raise ValueError(f"mark at t={t} outside the time window [0, {T}]")
-        if type(m) is not Mark or type(x) is not float or type(t) is not float:
-            out[k] = Mark(float(x), float(t))
-    return out
+def _validate_marks(marks: Sequence[Mark], A: float, T: float) -> MarkSet:
+    """The marks as a MarkSet, checked in one pass over its array: sorted by
+    time, inside the box and the window.  A MarkSet is returned as it is;
+    any other sequence of marks (anything with x and t) is copied into
+    one."""
+    if type(marks) is not MarkSet:
+        marks = MarkSet([(m.x, m.t) for m in marks])
+    rows = marks.array
+    x = rows[:, 0]
+    t = rows[:, 1]
+    # once t is sorted its ends bound it; NaN fails every comparison, so it
+    # is refused here too
+    if len(rows) and not ((t[1:] >= t[:-1]).all() and 0.0 <= t[0] and t[-1] <= T
+                          and -A <= x.min() and x.max() <= A):
+        # name the first offending mark
+        prev = -math.inf
+        for x, t in rows.tolist():
+            if t < prev:
+                raise ValueError("mark set must be sorted by time")
+            prev = t
+            if not -A <= x <= A:
+                raise ValueError(f"mark at x={x} outside the box [-{A}, {A}]")
+            if not 0.0 <= t <= T:
+                raise ValueError(f"mark at t={t} outside the time window [0, {T}]")
+    return marks
 
 
 class LimitStateP:
@@ -209,14 +202,12 @@ class LimitStateP:
     sweeps, and the event log are exposed for inspection; Z, H, D, and
     reset_time answer any (x, t) in the simulated window.
 
-    After a C run each of the four lists is a block of fl_limit_run's rows
-    until it is first read; that read builds the list (__getattr__) and
-    keeps it, so later reads return the same list object.  A C state
-    answers its queries and stats() from the rows, never from the lists:
-    they are for inspection, and editing them does not change its answers.
+    A C state also keeps fl_limit_run's rows and answers its queries and
+    stats() from them, never from the lists: they are for inspection, and
+    editing them does not change its answers.
     """
 
-    def __init__(self, p: float, A: float, T: float, marks: Sequence[Mark]):
+    def __init__(self, p: float, A: float, T: float, marks: MarkSet):
         self.p = p
         self.A = float(A)
         self.T = float(T)
@@ -228,22 +219,6 @@ class LimitStateP:
         # set by _run_alffp_c: (row buffer, its counts), two numpy arrays
         self._buffer: Optional[tuple] = None
         self._queue_counts: dict = {}  # set by the Python loop
-
-    def __getattr__(self, name: str):
-        # called only for a name the instance lacks: on a C state, the first
-        # read of a list, built from its block of the row buffer
-        buffer = vars(self).get("_buffer")
-        if buffer is not None:
-            rows, counts = buffer
-            n = len(rows) // _ROW_WIDTH
-            start = 0
-            for (block, per_mark, width), size in zip(_ROW_BLOCKS, counts):
-                if block == name:
-                    rows = rows[start:start + size * width].reshape(size, width)
-                    built = vars(self)[name] = _built(name, rows.tolist())
-                    return built
-                start += per_mark * n * width
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def stats(self) -> dict:
         """Deterministic counters of the run: events by cause; the event
@@ -760,26 +735,24 @@ def _built(name: str, rows: list) -> list:
 
 def _run_alffp_c(state: LimitStateP) -> None:
     """_run_alffp_py as one call of its C twin, fl_limit_run: the marks go in
-    as (x, t) rows, a MarkSet's own array.  The state keeps the row buffer
-    and the counts: its queries and stats read them, and each of its events,
-    fronts, barriers and sweeps is built from its block on its first read
-    (LimitStateP.__getattr__)."""
-    n = len(state.marks)
-    if type(state.marks) is MarkSet:
-        marks = state.marks.array
-    else:
-        marks = np.fromiter(chain.from_iterable(state.marks), float, 2 * n)
+    as their MarkSet's (x, t) rows.  The run builds the state's events,
+    fronts, barriers and sweeps from their blocks of the rows, and the
+    state keeps the rows and their counts for its queries and stats."""
+    marks = state.marks.array
+    n = len(marks)
     rows = np.empty(_ROW_WIDTH * n)
     counts = np.zeros(9, dtype=np.int64)
     status = _lib.fl_limit_run(state.p, state.A, state.T, n, marks.ctypes.data, rows.ctypes.data,
                                counts.ctypes.data)
     if status != 0:  # -1, the one failure
         raise MemoryError("the limit engine could not allocate its event queue")
-    for (name, per_mark, _), size in zip(_ROW_BLOCKS, counts):
+    start = 0
+    for (name, per_mark, width), size in zip(_ROW_BLOCKS, counts.tolist()):
         if not 0 <= size <= per_mark * n:
             raise RuntimeError(f"fl_limit_run returned {size} rows for a buffer of {per_mark * n}")
-    for name, _, _ in _ROW_BLOCKS:
-        delattr(state, name)  # the next read builds it from the buffer
+        block = rows[start:start + size * width].reshape(size, width)
+        setattr(state, name, _built(name, block.tolist()))
+        start += per_mark * n * width
     state._buffer = (rows, counts)
 
 
@@ -811,7 +784,7 @@ class LimitStateInf:
     """Slow-regime limit realization: marks become temporary or permanent
     features at points; clusters are bounded by the nearest active ones."""
 
-    def __init__(self, z0: float, A: float, T: float, marks: Sequence[Mark]):
+    def __init__(self, z0: float, A: float, T: float, marks: MarkSet):
         self.z0 = z0
         self.A = float(A)
         self.T = float(T)
@@ -888,12 +861,9 @@ def sample_cluster_lengths_inf(z0: float, t: float, stream, count: int) -> List[
     cluster at the origin is the sum of two independent exponential gaps.
     The 2 * count gaps are drawn as one block, in stream order.
     """
+    if not 0.0 <= z0 <= 1.0:
+        raise ValueError("z0 must lie in [0, 1]")
     if not t > 2.0 * z0:
         raise ValueError(f"the stationary cluster law needs t > 2*z0, got t={t}")
     gaps = exp_samples(stream, t - z0, 2 * count)
     return [a + b for a, b in zip(gaps[0::2], gaps[1::2])]
-
-
-def sample_cluster_length_inf(z0: float, t: float, stream) -> float:
-    """One draw of sample_cluster_lengths_inf."""
-    return sample_cluster_lengths_inf(z0, t, stream, 1)[0]

@@ -221,6 +221,23 @@ def test_non_finite_parameter_exits_2(argv, in_child, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
+@pytest.mark.parametrize("z0", ["-1", "1.5", "nan"])
+def test_gamma_test_refuses_a_z0_outside_the_unit_interval(z0, capsys):
+    # simulate-limit's refusal, also where t > 2*z0 holds
+    for T in ("1", "4"):
+        assert main(["gamma-test", "--z0", z0, "-T", T, "--samples", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: z0 must lie in [0, 1]\n"
+    assert main(["simulate-limit", "--z0", z0, "-A", "2", "-T", "4", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: z0 must lie in [0, 1]\n"
+
+
+@pytest.mark.parametrize("z0", ["0", "1"])
+def test_gamma_test_runs_at_the_ends_of_the_unit_interval(z0, capsys):
+    assert main(["gamma-test", "--z0", z0, "-T", "4", "--samples", "10"]) == 0
+    assert capsys.readouterr().out.startswith("samples=10 ks=")
+
+
 @pytest.mark.parametrize("argv", [
     ["couple", "--lambda", "0.02", "--pi", "5", "-A", "1", "-T", "1", "--runs", "0"],
     ["fronts", "--pi", "9", "-T", "1", "--runs", "0"],

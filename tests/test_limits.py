@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from _limits_reference import _D, reference_alffp
+from fireline import limits
 from fireline.engine import COMPILED, FALLBACK_REASON
 from fireline.limits import (
     EVENT_BARRIER_EXPIRY,
@@ -21,12 +22,12 @@ from fireline.limits import (
     _run_alffp_c,
     _run_alffp_py,
     _validate_marks,
-    sample_cluster_length_inf,
+    sample_cluster_lengths_inf,
     simulate_alffp_p,
     simulate_lffp_0,
     simulate_lffp_inf,
 )
-from fireline.rng import Mark, MarkSet, RngStream, poisson_rectangle
+from fireline.rng import Mark, MarkSet, RngStream, exp_sample, poisson_rectangle
 
 
 def kinds(state):
@@ -508,7 +509,7 @@ def test_mark_validation_keeps_float_marks_and_rebuilds_the_rest():
     kept = Mark(0.5, 1.0)
     given = [kept, Mark(np.float64(-0.5), 1.5), Mark(1, 2), Point()]
     out = _validate_marks(given, 1.0, 3.0)
-    assert out is not given and out[0] is kept
+    assert out is not given
     assert out == [Mark(0.5, 1.0), Mark(-0.5, 1.5), Mark(1.0, 2.0), Mark(0.25, 2.5)]
     assert all(type(m) is Mark and type(m.x) is float and type(m.t) is float for m in out)
     assert len(given) == 4 and type(given[2].x) is int
@@ -542,6 +543,60 @@ def test_markset_validation_returns_the_markset_itself():
     state = simulate_alffp_p(1.0, 2.0, 3.0, marks=marks)
     assert state.marks is marks
     assert state.events == simulate_alffp_p(1.0, 2.0, 3.0, marks=list(marks)).events
+
+
+def _mixed_marks():
+    """A sorted list of Marks whose fields are Python floats, np.float64 or
+    ints, on [-6, 6] x [0, 3]."""
+    drawn = poisson_rectangle(RngStream(19, 0), -6.0, 6.0, 0.0, 3.0)
+    marks = [Mark(np.float64(m.x), np.float64(m.t)) if k % 2 else m for k, m in enumerate(drawn)]
+    return sorted(marks + [Mark(-1, 1), Mark(3, 2), Mark(0, 3)], key=lambda m: m.t)
+
+
+@pytest.mark.parametrize("loop", ["c", "python"])
+def test_a_list_of_marks_runs_as_its_markset(loop, monkeypatch):
+    if loop == "c" and not COMPILED:
+        pytest.skip(f"C core unavailable: {FALLBACK_REASON}")
+    monkeypatch.setattr(limits, "_run_alffp", _run_alffp_c if loop == "c" else _run_alffp_py)
+    given = _mixed_marks()
+    as_set = MarkSet([(m.x, m.t) for m in given])
+    grid = [0.25 * k for k in range(13)]
+    for simulate in (lambda marks: simulate_alffp_p(1.0, 6.0, 3.0, marks=marks),
+                     lambda marks: simulate_alffp_p(0.5, 6, 3, marks=marks),
+                     lambda marks: simulate_lffp_0(6.0, 3.0, marks=marks)):
+        state, want = simulate(given), simulate(as_set)
+        assert type(state.marks) is MarkSet and state.marks == given
+        assert len(state.events) > len(given)
+        assert (outcome(state), state.stats()) == (outcome(want), want.stats())
+        assert repr(state.trajectory(grid)) == repr(want.trajectory(grid))
+    state, want = (simulate_lffp_inf(0.5, 6.0, 3.0, marks=marks) for marks in (given, as_set))
+    assert type(state.marks) is MarkSet and state.marks == given
+    assert (repr(state.events), state.features) == (repr(want.events), want.features)
+    assert repr(state.trajectory(grid)) == repr(want.trajectory(grid))
+    assert type(given[-1].x) is int and type(given[1].x) is np.float64
+
+
+# each case's first offending mark, with the message it is refused with
+_BAD_MARKS = [
+    ([(0.0, 1.0), (0.5, 2.0), (0.1, 1.5), (3.0, 2.5)], "mark set must be sorted by time"),
+    ([(0.0, 1.0), (2.5, 1.5), (-3.0, 2.0)], "mark at x=2.5 outside the box [-2.0, 2.0]"),
+    ([(-2.0, 0.0), (-2.25, 0.5)], "mark at x=-2.25 outside the box [-2.0, 2.0]"),
+    ([(0.0, -0.5), (0.0, 1.0)], "mark at t=-0.5 outside the time window [0, 3.0]"),
+    ([(0.0, 1.0), (0.0, 3.5), (0.0, 4.0)], "mark at t=3.5 outside the time window [0, 3.0]"),
+    ([(0.0, 1.0), (math.nan, 1.5), (0.0, 1.0)], "mark at x=nan outside the box [-2.0, 2.0]"),
+    ([(0.0, math.nan), (5.0, 1.0)], "mark at t=nan outside the time window [0, 3.0]"),
+]
+
+
+@pytest.mark.parametrize("rows, message", _BAD_MARKS)
+def test_bad_marks_name_their_first_offending_mark(rows, message):
+    for simulate in (lambda marks: simulate_alffp_p(1.0, 2.0, 3.0, marks=marks),
+                     lambda marks: simulate_lffp_0(2.0, 3.0, marks=marks),
+                     lambda marks: simulate_lffp_inf(0.5, 2.0, 3.0, marks=marks)):
+        for marks in ([Mark(x, t) for x, t in rows], MarkSet(rows)):
+            with pytest.raises(ValueError) as refused:
+                simulate(marks)
+            assert str(refused.value) == message
 
 
 def test_limit_event_fields_and_defaults():
@@ -801,7 +856,7 @@ def test_cluster_length_sampler_matches_gamma_law():
     rate = t - z0
     stream = RngStream(777, 0)
     n = 20000
-    draws = [sample_cluster_length_inf(z0, t, stream) for _ in range(n)]
+    draws = sample_cluster_lengths_inf(z0, t, stream, n)
     mean = sum(draws) / n
     # E = 2/rate = 4/3, Var = 2/rate^2; allow 4 standard errors
     se = math.sqrt(2.0 / rate**2 / n)
@@ -814,7 +869,29 @@ def test_cluster_length_sampler_matches_gamma_law():
         ks = max(ks, abs((k + 1) / n - cdf), abs(k / n - cdf))
     assert ks < 1.63 / math.sqrt(n)  # alpha = 0.01 asymptotic band
     with pytest.raises(ValueError, match="t > 2"):
-        sample_cluster_length_inf(0.5, 1.0, stream)
+        sample_cluster_lengths_inf(0.5, 1.0, stream, 1)
+
+
+@pytest.mark.parametrize("z0", [-1.0, 1.5, math.nan])
+def test_cluster_lengths_refuse_a_z0_outside_the_unit_interval(z0):
+    # simulate_lffp_inf's refusal, before the t > 2*z0 check and any draw
+    stream = RngStream(777, 0)
+    for t in (1.0, 4.0):
+        with pytest.raises(ValueError) as refused:
+            sample_cluster_lengths_inf(z0, t, stream, 10)
+        assert str(refused.value) == "z0 must lie in [0, 1]"
+        with pytest.raises(ValueError) as refused:
+            simulate_lffp_inf(z0, 2.0, t, marks=[])
+        assert str(refused.value) == "z0 must lie in [0, 1]"
+    assert stream._index == 0
+
+
+@pytest.mark.parametrize("z0", [0.0, 1.0])
+def test_cluster_lengths_run_at_the_ends_of_the_unit_interval(z0):
+    a, b = RngStream(7, 0), RngStream(7, 0)
+    rate = 2.5 - z0
+    lengths = sample_cluster_lengths_inf(z0, 2.5, a, 50)
+    assert lengths == [exp_sample(b, rate) + exp_sample(b, rate) for _ in range(50)]
 
 
 def test_inf_determinism_and_random_draws():

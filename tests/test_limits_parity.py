@@ -198,15 +198,8 @@ def test_simulate_uses_the_c_loop():
                                                   _poisson(6.0, 3.0, 19)))
 
 
-# -- lists built on first read -------------------------------------------------------
+# -- lists built in the run ---------------------------------------------------------
 
-# a first read that builds one list, or none of them (D answers from the
-# rows); _everything then reads the rest in its own order
-_FIRST_READS = {
-    "events": lambda state: state.events,
-    "D(0, T)": lambda state: state.D(0.0, state.T),
-    "fronts": lambda state: state.fronts,
-}
 _READ_ORDER_RUNS = (
     [(p, A, seed, int(A)) for p in (0.0, 1.0) for A in (2.0, 6.0, 10.0, 20.0) for seed in range(2)]
     + [(c["p"], c["A"], c["seed"], 0) for c in GOLDEN_STATS if c["p"] in (0.0, 1.0)]
@@ -215,12 +208,20 @@ _READ_ORDER_RUNS = (
 
 @pytest.mark.parametrize("p, A, seed, stream", _READ_ORDER_RUNS)
 def test_a_c_state_read_in_any_order_equals_the_python_loop(p, A, seed, stream):
+    # the run builds every list, so no read order can change what a read sees
     marks = _poisson(A, 4.0, seed, stream)
-    expected = _everything(_run(_run_alffp_py, p, A, 4.0, marks))
-    for name, first in _FIRST_READS.items():
-        state = _run(_run_alffp_c, p, A, 4.0, marks)
-        first(state)
-        assert _everything(state) == expected, name
+    state = _run(_run_alffp_c, p, A, 4.0, marks)
+    assert _everything(state) == _everything(_run(_run_alffp_py, p, A, 4.0, marks))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_a_c_run_holds_its_lists_before_any_read(p):
+    state = limits.simulate_alffp_p(p, 6.0, 3.0, seed=19)
+    held = vars(state)  # the instance's own attributes, without a read
+    python = _run(_run_alffp_py, p, 6.0, 3.0, _poisson(6.0, 3.0, 19))
+    assert held["events"] and (held["fronts"] if p else held["sweeps"])
+    for name in ("events", "fronts", "barriers", "sweeps"):
+        assert repr(held[name]) == repr(getattr(python, name)), name
 
 
 def test_a_built_list_is_kept():
@@ -231,48 +232,6 @@ def test_a_built_list_is_kept():
     state.events.append(extra)
     assert state.events[-1] is extra
     assert not hasattr(state, "wakes")
-
-
-def test_a_tail_query_builds_no_event(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("built a LimitEvent")
-
-    monkeypatch.setattr(limits, "LimitEvent", refuse)
-    state = limits.simulate_alffp_p(1.0, 6.0, 3.0, seed=19)
-    state.D(0.0, 3.0)
-    with pytest.raises(AssertionError, match="built a LimitEvent"):
-        state.events
-
-
-def test_stats_build_no_event(monkeypatch):
-    expected = limits.simulate_alffp_p(1.0, 6.0, 3.0, seed=19).stats()
-
-    def refuse(*args):
-        raise AssertionError("built a LimitEvent")
-
-    monkeypatch.setattr(limits, "LimitEvent", refuse)
-    state = limits.simulate_alffp_p(1.0, 6.0, 3.0, seed=19)
-    stats = state.stats()
-    assert repr(stats) == repr(expected)
-    assert all(type(v) is int for v in stats["events_by_cause"].values())
-    with pytest.raises(AssertionError, match="built a LimitEvent"):
-        state.events
-
-
-@pytest.mark.parametrize("p", [0.0, 1.0])
-def test_queries_build_no_list(monkeypatch, p):
-    def refuse(name, rows):
-        raise AssertionError(f"built {name}")
-
-    monkeypatch.setattr(limits, "_built", refuse)
-    state = limits.simulate_alffp_p(p, 6.0, 3.0, seed=19)
-    for x, t in [(0.0, 3.0), (1.5, 2.0), (-6.0, 0.5)]:
-        state.Z(x, t), state.H(x, t), state.D(x, t), state.reset_time(x, t), state.query(x, t)
-    state.reset_time(0.0)
-    state.trajectory([0.5 * k for k in range(7)])
-    state.stats()
-    with pytest.raises(AssertionError, match="built fronts"):
-        state.fronts
 
 
 def test_edited_lists_do_not_change_the_answers():
@@ -289,7 +248,7 @@ def test_edited_lists_do_not_change_the_answers():
 ], ids=["pickle", "deepcopy", "copy"])
 def test_a_copied_c_state_answers_from_its_own_buffer(copy_state):
     state = limits.simulate_alffp_p(1.0, 6.0, 3.0, seed=19)
-    state.fronts  # one list built before the copy, three not
+    # the run built all four lists, so the copy carries them with the rows
     copied = copy_state(state)
     rows, counts = copied._buffer
     assert list(counts) == list(state._buffer[1])

@@ -15,7 +15,7 @@ from _rng_reference import reference_poisson_rectangle
 
 from fireline import rng
 from fireline.engine import FALLBACK_REASON
-from fireline.limits import sample_cluster_length_inf, sample_cluster_lengths_inf
+from fireline.limits import sample_cluster_lengths_inf
 from fireline.rng import (
     PURPOSE_MATCH,
     PURPOSE_PROPAGATE,
@@ -204,7 +204,7 @@ def test_cluster_lengths_match_one_at_a_time():
     lengths = sample_cluster_lengths_inf(0.5, 2.0, a, 300)
     assert lengths == [exp_sample(b, 1.5) + exp_sample(b, 1.5) for _ in range(300)]
     assert a._index == b._index == 600
-    assert sample_cluster_length_inf(0.5, 2.0, a) == exp_sample(b, 1.5) + exp_sample(b, 1.5)
+    assert sample_cluster_lengths_inf(0.5, 2.0, a, 1)[0] == exp_sample(b, 1.5) + exp_sample(b, 1.5)
 
 
 # (x_lo, x_hi, t_lo, t_hi, seeds): one strip; two and three strips of area

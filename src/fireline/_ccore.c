@@ -37,17 +37,23 @@
  * also logs its front advances, sparks and clean vacancy windows; without a
  * fire only the match log fills.
  *
- * fl_run(e, t) is the one way to drive the engine: it processes every event
- * up to t, and refuses (status -2, nothing processed) a target that fails
- * now <= t < inf, NaN included.  Callers read what they need afterwards
- * from the exported views: the states, the logs, and seed_last, each site's
- * latest occupation time.
+ * fl_run(e, t) drives the engine, alone or inside fl_sample: it processes
+ * every event up to t, and refuses (status -2, nothing processed) a target
+ * that fails now <= t < inf, NaN included.  Callers read what they need
+ * afterwards from the exported views: the states, the logs, and seed_last,
+ * each site's latest occupation time.
  *
  * fl_observe(e, idx, m, out) reads the observables of site idx in place:
  * out[0..1] the bounds of the occupied run through idx, or -1, -1 when idx
  * is not occupied, and out[2] the occupied count of the window
  * [idx - m, idx + m] clipped to the box.  It scans eight sites a word, and
  * refuses (status -2, out untouched) a site outside the box or m < 0.
+ *
+ * fl_sample(e, times, k, idx, m, out) is fl_run followed by fl_observe at
+ * each of k raw times, the triple of time j going to out[3j..3j+2].  It
+ * checks idx, m and the whole grid (finite, nondecreasing, the first time
+ * at or after now) first, and refuses a bad one (status -2) before it
+ * advances anything.
  *
  * fl_poisson_rectangle(seed, stream, first, x_lo, x_hi, t_lo, t_hi, strips,
  * cap, out, used) draws the marks of fireline.rng.poisson_rectangle from
@@ -492,8 +498,8 @@ fail:
     return NULL;
 }
 
-/* Process every event with time <= t_limit; now then becomes t_limit.  The
- * only way to drive the engine.  Returns 0; -2, with nothing processed, when
+/* Process every event with time <= t_limit; now then becomes t_limit.  Every
+ * advance goes through here.  Returns 0; -2, with nothing processed, when
  * t_limit fails now <= t_limit < inf (NaN included); or -1 when an
  * allocation fails (the engine is then unusable). */
 FL_API int fl_run(engine *e, double t_limit)
@@ -551,6 +557,27 @@ FL_API int fl_observe(const engine *e, int64_t idx, int64_t m, int64_t out[3])
     for (; i < end; i++)
         count += s[i] == OCCUPIED;
     out[2] = count;
+    return 0;
+}
+
+/* fl_run to each of the k raw times in turn, then fl_observe(idx, m) into
+ * out[3j..3j+2].  Returns 0; -2, with nothing processed, when idx or m is
+ * refused or the grid is not finite and nondecreasing from now (NaN
+ * included); or -1 when an allocation fails. */
+FL_API int fl_sample(engine *e, const double *times, int64_t k, int64_t idx, int64_t m,
+                     int64_t *out)
+{
+    if (!(0 <= idx && idx < e->n_sites && m >= 0))
+        return -2;
+    for (int64_t j = 0; j < k; j++)
+        if (!((j ? times[j - 1] : e->now) <= times[j] && times[j] < INFINITY))
+            return -2;
+    for (int64_t j = 0; j < k; j++) {
+        int status = fl_run(e, times[j]);
+        if (status != 0)
+            return status;
+        fl_observe(e, idx, m, out + 3 * j);
+    }
     return 0;
 }
 

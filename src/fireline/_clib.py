@@ -1,11 +1,17 @@
 """The compiled C library and the memory cap, below both engine and rng.
 
-The library is _ccore.c: the C event core that fireline.engine wraps, the
-Poisson mark sampler of fireline.rng (its other block draws are numpy
-passes on either core), the LFFP(p) event loop of fireline.limits and its
-queries, and fl_tail_runs, which makes a batch of the runs of
-fireline.harness.limit_tail_experiment (sampler, loop and the D(0, T)
-query, per stream) in one call.
+The library is _ccore.c.  It holds:
+- the C event core that fireline.engine wraps: fl_new and fl_free, fl_run
+  (advance), fl_observe (one site's cluster and window count), fl_sample
+  (fl_run and fl_observe at each time of a grid, one call per grid, which
+  DiscreteFFP.sample uses) and the views fl_states, fl_seed_last and fl_log;
+- fl_poisson_rectangle, the Poisson mark sampler of fireline.rng (its other
+  block draws are numpy passes on either core);
+- fl_limit_run and fl_limit_query, the LFFP(p) event loop of
+  fireline.limits and its queries;
+- fl_tail_runs, which makes a batch of the runs of
+  fireline.harness.limit_tail_experiment (sampler, loop and the D(0, T)
+  query, per stream) in one call.
 It uses no Python C-API and is loaded with ctypes.CDLL, which releases
 the GIL for each foreign call, and it keeps no global state (its only
 file-scope data are static const tables), so concurrent calls on threads
@@ -102,6 +108,8 @@ def _declare(lib):
     lib.fl_run.restype = c_int
     lib.fl_observe.argtypes = [c_void_p, c_int64, c_int64, POINTER(c_int64)]
     lib.fl_observe.restype = c_int
+    lib.fl_sample.argtypes = [c_void_p, c_void_p, c_int64, c_int64, c_int64, c_void_p]
+    lib.fl_sample.restype = c_int
     lib.fl_states.argtypes = [c_void_p]
     lib.fl_states.restype = c_void_p
     lib.fl_seed_last.argtypes = [c_void_p]

@@ -22,7 +22,13 @@ import numpy as np
 
 # the box cap: checked here where flooring a box size could overflow, and
 # in make_engine's words before an engine is built
-from .engine import MEMORY_CAP_SITES, ResourceLimitError, check_box_sites, make_engine
+from .engine import (
+    MEMORY_CAP_SITES,
+    CEngineCore,
+    ResourceLimitError,
+    check_box_sites,
+    make_engine,
+)
 from .rng import Mark
 from .scales import Scales, compute_scales
 
@@ -203,15 +209,20 @@ class DiscreteFFP:
 
     def observables(self, x: float) -> ClusterObservables:
         """Cluster and window observables at macroscopic position x."""
-        sc = self.scales
-        n, a, m = sc.n, sc.a, sc.m
         a_sites = self.a_sites
-        site0 = math.floor(n * x)
+        site0 = math.floor(self.scales.n * x)
         if not -a_sites <= site0 <= a_sites:
             raise ValueError(f"x={x} maps to site {site0}, outside the box")
         idx = site0 + a_sites
-        lo, hi, occ = self._eng.observe(idx, m)
+        return self._observation(idx, *self._eng.observe(idx, self.scales.m))
 
+    def _observation(self, idx: int, lo: int, hi: int, occ: int) -> ClusterObservables:
+        """The observables of engine site idx from the engine's observe
+        triple: the occupied run lo..hi through idx, or lo = -1 when idx is
+        not occupied, and the occupied count occ of its window."""
+        sc = self.scales
+        n, a, m = sc.n, sc.a, sc.m
+        a_sites = self.a_sites
         if lo >= 0:
             cluster = (lo - a_sites, hi - a_sites)
             size = hi - lo + 1
@@ -241,7 +252,12 @@ class DiscreteFFP:
         """Advance through the grid, reading the observables at the origin
         at each time.  A grid that advance_to would refuse at some point (a
         non-finite time, a time before the one before it, or a first time
-        before now, compared in raw time) is refused before anything runs."""
+        before now, compared in raw time) is refused before anything runs.
+
+        On the C core the whole grid is one engine call.  The Python core,
+        and a subclass or instance that overrides advance_to or observables,
+        make one advance_to and one observables call per grid time, so an
+        override sees every point and its values are returned."""
         times = np.asarray(grid, dtype=float)
         with np.errstate(over="ignore"):  # an overflow to inf is refused below
             raw = self.scales.a * times
@@ -252,6 +268,14 @@ class DiscreteFFP:
                 f"cannot sample the grid: need finite times, nondecreasing from now={self.now}"
             )
         advance_to, observables = self.advance_to, self.observables
+        if (
+            isinstance(self._eng, CEngineCore)
+            and getattr(advance_to, "__func__", None) is DiscreteFFP.advance_to
+            and getattr(observables, "__func__", None) is DiscreteFFP.observables
+        ):
+            idx, observation = self.a_sites, self._observation  # the origin's site
+            triples = self._eng.sample(raw, idx, self.scales.m).tolist()
+            return [observation(idx, lo, hi, occ) for lo, hi, occ in triples]
         out = []
         for t in times.tolist():
             advance_to(t)

@@ -66,9 +66,10 @@ def _log(which):
 
 class CEngineCore:
     """C twin of PyEngineCore: same constructor, validation, attributes and
-    methods.  advance_to is the one driving method; observe reads the
-    observables of one site in place, while state_view and seed_last_view
-    copy the per-site states and latest occupation times.
+    methods, plus sample.  advance_to drives the engine and observe reads
+    the observables of one site in place; sample does both at each time of
+    a grid in one C call.  state_view and seed_last_view copy the per-site
+    states and latest occupation times.
     The front, spark and clean-window logs fill only in a run that starts
     with a fire (ignite_site >= 0); the match log always does.
     Each access to a log copies it into a new float64 array, of shape (rows,)
@@ -145,6 +146,27 @@ class CEngineCore:
         if not 0 <= idx < n or m < 0 or _lib.fl_observe(self._handle, idx, m if m < n else n, out):
             raise observe_refusal(n, idx, m)
         return out[0], out[1], out[2]
+
+    def sample(self, raw_times, idx, m):
+        """advance_to then observe(idx, m) at each raw time, in one C call,
+        as a (k, 3) int64 array of the (lo, hi, count) triples.  A bad idx
+        or m, or a grid that is not finite and nondecreasing from now, is
+        refused with ValueError before anything advances."""
+        n = self.n_sites
+        if not 0 <= idx < n or m < 0:
+            raise observe_refusal(n, idx, m)
+        times = np.ascontiguousarray(raw_times, dtype=np.float64)
+        out = np.empty((len(times), 3), dtype=np.int64)
+        status = _lib.fl_sample(
+            self._handle, times.ctypes.data, len(times), idx, m if m < n else n, out.ctypes.data
+        )
+        if status == -2:
+            raise ValueError(
+                f"cannot sample the grid: need finite raw times, nondecreasing from now={self.now}"
+            )
+        if status != 0:
+            raise MemoryError("engine allocation failed while running")
+        return out
 
     def reset_burn_bounds(self):
         self._scalars.burn_lo = self.n_sites

@@ -67,8 +67,9 @@ def _realization(lib, monkeypatch):
     """The sha256 of 200 Poisson rectangles, and one more rectangle drawn
     with round keys that wrap, at a stream index near the top of the
     counter range; the states, seed_last, logs and counters of a fast front
-    and of slow extinguishes with re-ignitions; and the query answers (D, Z
-    and H at fixed points and at some marks, and a 64-point trajectory), events,
+    and of slow extinguishes with re-ignitions, each sampled on a grid
+    (fl_sample) on the way; and the query answers (D, Z and H at fixed
+    points and at some marks, and a 64-point trajectory), events,
     fronts, barriers, sweeps and counters of LFFP(0), LFFP(1) and LFFP(0.1)
     on Poisson marks (at p = 0.1 a fused multiply-add rounds some event
     times differently) and of LFFP(0.5) on lattice marks, whose event keys
@@ -92,6 +93,8 @@ def _realization(lib, monkeypatch):
         m.setattr(engine, "_lib", lib)
         for kwargs, horizon in runs:
             eng = engine.CEngineCore(match_rate=0.0, initial_occupied=True, **kwargs)
+            # the grid sampler up to half the horizon, then one advance
+            got.append(eng.sample(np.linspace(0.0, 0.5 * horizon, 40), 7, 5).tobytes())
             eng.advance_to(horizon)
             got += [eng.state_view(), eng.seed_last_view().tobytes(),
                     (eng.event_count, eng.seed_rings_skipped)]
@@ -153,7 +156,8 @@ def test_every_export_is_declared():
     # the whole list, so that adding or removing an export edits this test
     assert sorted(name for name, _, _ in exports) == [
         "fl_free", "fl_limit_query", "fl_limit_run", "fl_log", "fl_new", "fl_observe",
-        "fl_poisson_rectangle", "fl_run", "fl_seed_last", "fl_states", "fl_tail_runs",
+        "fl_poisson_rectangle", "fl_run", "fl_sample", "fl_seed_last", "fl_states",
+        "fl_tail_runs",
     ]
     for name, ret, n_params in exports:
         fn = getattr(engine._lib, name)

@@ -24,12 +24,15 @@ from fireline.discrete import (
     MEMORY_CAP_SITES,
     DiscreteFFP,
     ResourceLimitError,
+    discrete_box,
+    match_schedule_from_marks,
     run_propagation,
     suggested_radius,
 )
 from fireline.engine import COMPILED, FALLBACK_REASON, make_engine
 from fireline.engine import _lib as clib
-from fireline.rng import PURPOSE_MATCH, PURPOSE_PROPAGATE, PURPOSE_SEED
+from fireline.rng import PURPOSE_MATCH, PURPOSE_PROPAGATE, PURPOSE_SEED, RngStream, poisson_rectangle
+from fireline.scales import classify_regime, uniform_grid
 
 # -- engine semantics ---------------------------------------------------------
 
@@ -453,20 +456,165 @@ def test_empty_schedule_means_no_matches():
     assert clocked.matches() and clocked.states() != d.states()
 
 
+# (DiscreteFFP arguments, grid) per case of sample against per-point calls
+_SAMPLE_CASES = {
+    # the origin empty at t = 0 and occupied later, and two times an ulp apart
+    "mixed": (dict(A=2.0), [0.0, 0.2, 0.2 + 1e-9, 0.75, 1.3, 2.0]),
+    # no matches on a full box: K = 1 and the cluster is the box
+    "full_window": (dict(A=2.0, initial="occupied", injected_matches=()), [0.0, 0.5, 2.0]),
+    # a box of 2 * 2 + 1 sites inside a window of half-width m = 3
+    "clipped_window": (dict(A=0.2), [0.1, 0.4, 0.9, 1.6]),
+    "repeated_times": (dict(A=2.0), [0.5, 0.5, 0.5, 1.0, 1.0]),
+    "empty_grid": (dict(A=2.0), []),
+}
+
+
 @pytest.mark.parametrize("engine", _CORES)
 def test_sample_equals_per_point_calls(engine):
-    grid = [0.0, 0.2, 0.2 + 1e-9, 0.75, 1.3, 2.0]
-    sampled = DiscreteFFP(0.02, 5.0, 2.0, seed=3, engine=engine)
-    stepped = DiscreteFFP(0.02, 5.0, 2.0, seed=3, engine=engine)
-    rows = sampled.sample(grid)
+    for case, (kwargs, grid) in _SAMPLE_CASES.items():
+        sampled = DiscreteFFP(0.02, 5.0, seed=3, engine=engine, **kwargs)
+        stepped = DiscreteFFP(0.02, 5.0, seed=3, engine=engine, **kwargs)
+        rows = sampled.sample(grid)
+        want = []
+        for t in grid:
+            stepped.advance_to(t)
+            want.append(stepped.observables(0.0))
+        assert repr(rows) == repr(want), case
+        assert sampled.states() == stepped.states()
+        assert sampled.matches() == stepped.matches()
+        assert (sampled.now_raw, sampled.event_count) == (stepped.now_raw, stepped.event_count)
+        clusters = {o.cluster is None for o in rows}
+        if case == "mixed":
+            assert clusters == {True, False}
+        if case == "full_window":
+            box = (-sampled.a_sites, sampled.a_sites)
+            assert all(o.K == 1.0 and o.cluster == box for o in rows)
+        if case == "clipped_window":
+            assert sampled.scales.m > sampled.a_sites and clusters == {True, False}
+        if case == "empty_grid":
+            assert rows == [] and sampled.now_raw == 0.0
+
+
+# the criterion-6 rungs (p = 1), then a fast- and a slow-regime rung
+_RUNGS = [
+    (math.exp(-4.0), 3.25, "intermediate"),
+    (math.exp(-6.0), 11.166666666666666, "intermediate"),
+    (math.exp(-8.0), 46.5, "intermediate"),
+    (math.exp(-6.0), 1116.6666666666667, "fast"),
+    (math.exp(-6.0), 0.5, "slow"),
+]
+
+
+def _coupled_chain(lam, pi, stream):
+    """The discrete side of harness.coupled_run at A = T = 2, seed 42, on
+    the C core."""
+    scales, a_sites = discrete_box(lam, pi, 2.0)
+    marks = poisson_rectangle(RngStream(42, stream), -2.0, 2.0, 0.0, 2.0)
+    schedule = match_schedule_from_marks(marks, scales, a_sites)
+    return DiscreteFFP(
+        lam, pi, 2.0, 42, stream_id=stream, injected_matches=schedule, engine="compiled"
+    )
+
+
+@pytest.mark.skipif(not COMPILED, reason=f"C core unavailable: {FALLBACK_REASON}")
+@pytest.mark.parametrize("lam, pi, kind", _RUNGS)
+def test_engine_sample_equals_advance_and_observe(lam, pi, kind):
+    assert classify_regime(lam, pi)[0].kind == kind
+    grid = uniform_grid(2.0, 512)
+    seen = set()
+    for stream in range(3):
+        probe = _coupled_chain(lam, pi, stream)
+        n, origin, m = probe.n_sites, probe.a_sites, probe.scales.m
+        # the origin; both edges, with and without a window; one site
+        # beside the edge with a window wider than the box
+        for idx, width in ((origin, m), (0, m), (n - 1, 0), (1, 2**70)):
+            sampled, stepped = _coupled_chain(lam, pi, stream), _coupled_chain(lam, pi, stream)
+            raw = sampled.scales.a * grid
+            rows = sampled._eng.sample(raw, idx, width)
+            want = []
+            for r in raw.tolist():
+                stepped._eng.advance_to(r)
+                want.append(list(stepped._eng.observe(idx, width)))
+            assert rows.dtype == np.int64 and rows.shape == (len(grid), 3)
+            assert rows.tolist() == want, (stream, idx, width)
+            assert sampled.states() == stepped.states()
+            assert (sampled.now_raw, sampled.event_count) == (stepped.now_raw, stepped.event_count)
+            seen.update(lo >= 0 for lo, _, _ in want)
+    assert seen == {True, False}
+
+
+@pytest.mark.skipif(not COMPILED, reason=f"C core unavailable: {FALLBACK_REASON}")
+def test_engine_sample_refuses_before_advancing():
+    d = DiscreteFFP(0.02, 5.0, 2.0, seed=3, engine="compiled")
+    eng = d._eng
+    eng.advance_to(10.0)
+    idx, m = d.a_sites, d.scales.m
+
+    def snapshot():
+        return (eng.now, eng.event_count, eng.state_view(), eng.seed_last_view().tobytes(),
+                eng.match_log.tobytes())
+
+    before = snapshot()
+    for grid in ([20.0, 15.0], [11.0, 30.0, 29.0, 40.0], [9.0, 20.0], [-1.0],
+                 [math.nan], [11.0, math.nan], [math.inf], [11.0, math.inf],
+                 [-math.inf], [11.0, -math.inf]):
+        with pytest.raises(ValueError, match="cannot sample the grid"):
+            eng.sample(grid, idx, m)
+        assert snapshot() == before, grid
+    for bad_idx, bad_m in ((-1, m), (d.n_sites, m), (2**70, m), (idx, -1), (idx, -(2**70))):
+        with pytest.raises(ValueError, match="cannot observe site"):
+            eng.sample([11.0, 12.0], bad_idx, bad_m)
+        assert snapshot() == before, (bad_idx, bad_m)
+    # the library refuses a bad site or window too, not only the wrapper
+    times = np.array([11.0, 12.0])
+    out = np.zeros((2, 3), dtype=np.int64)
+    for bad_idx, bad_m in ((-1, m), (d.n_sites, m), (idx, -1)):
+        status = clib.fl_sample(eng._handle, times.ctypes.data, 2, bad_idx, bad_m, out.ctypes.data)
+        assert status == -2 and not out.any()
+        assert snapshot() == before, (bad_idx, bad_m)
+    # now itself and repeated times are accepted; an empty grid reads nothing
+    assert eng.sample([], idx, m).shape == (0, 3)
+    assert snapshot() == before
+    assert eng.sample([10.0, 10.0, 12.0], idx, m).shape == (3, 3) and eng.now == 12.0
+
+
+@pytest.mark.parametrize("engine", _CORES)
+def test_sample_calls_an_overriding_method_at_every_point(engine):
+    grid = [0.0, 0.2, 0.75, 0.75, 1.3, 2.0]
+    plain = DiscreteFFP(0.02, 5.0, 2.0, seed=3, engine=engine)
     want = []
     for t in grid:
-        stepped.advance_to(t)
-        want.append(stepped.observables(0.0))
-    assert repr(rows) == repr(want)
-    assert any(o.cluster is not None for o in rows)
-    assert sampled.states() == stepped.states()
-    assert sampled.matches() == stepped.matches()
+        plain.advance_to(t)
+        want.append(plain.observables(0.0))
+
+    class ShiftedK(DiscreteFFP):
+        def observables(self, x):
+            self.seen.append((x, self.now_raw))
+            obs = super().observables(x)
+            obs.K = math.nextafter(obs.K, -math.inf)
+            return obs
+
+    class CountedAdvance(DiscreteFFP):
+        def advance_to(self, t):
+            self.seen.append(t)
+            super().advance_to(t)
+
+    shifted = ShiftedK(0.02, 5.0, 2.0, seed=3, engine=engine)
+    shifted.seen = []
+    rows = shifted.sample(grid)
+    assert shifted.seen == [(0.0, shifted.scales.a * t) for t in grid]
+    assert [o.K for o in rows] == [math.nextafter(o.K, -math.inf) for o in want]
+    assert [o.Z for o in rows] == [o.Z for o in want]
+
+    counted = CountedAdvance(0.02, 5.0, 2.0, seed=3, engine=engine)
+    counted.seen = []
+    assert repr(counted.sample(grid)) == repr(want)
+    assert counted.seen == grid
+
+    # an override set on the instance is honoured as well
+    patched = DiscreteFFP(0.02, 5.0, 2.0, seed=3, engine=engine)
+    patched.observables = lambda x: x
+    assert patched.sample(grid) == [0.0] * len(grid)
 
 
 @pytest.mark.parametrize("engine", _CORES)

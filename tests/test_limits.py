@@ -730,6 +730,43 @@ def test_larger_box_matches_oracle(p, A, T, seed):
     assert_matches_oracle(p, A, T, seed=seed)
 
 
+@pytest.mark.parametrize("loop", ["c", "python"])
+@pytest.mark.parametrize("p, A, T", [(0.25, 9.0, 2.0), (0.5, 5.0, 2.0), (1.0, 4.0, 3.0)])
+def test_the_box_is_invisible_inside_the_light_cone(p, A, T, loop):
+    # no site is occupied before t = 1 and fronts move at speed 1/p, so
+    # nothing outside [-A, A] reaches |x| <= r(t) = A - max(t - 1, 0)/p by
+    # time t: on the marks of [-2A, 2A] and on those of [-A, A] alone, Z,
+    # reset_time and D clipped to [-r(t), r(t)] are the same bits in the
+    # cone, which holds [-1, 1] at every t <= T
+    if loop == "c" and not COMPILED:
+        pytest.skip(f"C core unavailable: {FALLBACK_REASON}")
+    run = _run_alffp_c if loop == "c" else _run_alffp_py
+    assert A - T / p >= 1.0
+
+    def answers(state, points):
+        return [repr((state.Z(x, t), state.reset_time(x, t),
+                      tuple(min(max(v, -r), r) for v in state.D(x, t))))
+                for x, t, r in points]
+
+    grid = np.linspace(0.0, T, 65).tolist()
+    cone = [(f * r, t, r) for t in grid for r in [A - max(t - 1.0, 0.0) / p]
+            for f in (-1.0, -0.5, 0.0, 0.4, 1.0)]
+    edges = [(x, t, A) for t in grid for x in (-A, A)]
+    clustered = edge_differs = 0
+    for stream in range(12):
+        rows = poisson_rectangle(RngStream(5, stream), -2 * A, 2 * A, 0.0, T).array
+        states = []
+        for box, marks in ((A, MarkSet(rows[np.abs(rows[:, 0]) <= A])), (2 * A, MarkSet(rows))):
+            states.append(LimitStateP(p, box, T, _validate_marks(marks, box, T)))
+            run(states[-1])
+        small, big = states
+        assert answers(small, cone) == answers(big, cone), stream
+        clustered += sum(lo < hi for lo, hi in (small.D(x, t) for x, t, _ in cone))
+        edge_differs += answers(small, edges) != answers(big, edges)
+    # the cone holds clusters, and the box does show at its own edges
+    assert clustered > 500 and edge_differs >= 6
+
+
 GOLDEN_STATS = json.loads((Path(__file__).parent / "limit_stats_golden.json").read_text())
 
 

@@ -15,9 +15,10 @@ LFFP(0): the same mark rules, but a macroscopic mark burns its cluster
 D_{t-}(x) instantly, resetting the open interval between the nearest
 blockers.  No fronts exist.
 
-The slow-regime limit: a mark at (x, tau) with tau < z0 leaves a temporary
-feature active on [tau, 2*tau); with tau >= z0 a permanent one.  Clusters
-are bounded by the nearest active features.
+The slow-regime limit is the barrier-only case of the same rules: a mark at
+(x, tau) leaves a barrier at x, active on [tau, 2*tau) when tau < z0 and
+from tau on otherwise, and nothing else.  No fronts or sweeps exist, so the
+LFFP(p) queries read its clusters off the nearest active barriers.
 
 Everything is exact event geometry; no time discretization anywhere.
 
@@ -67,7 +68,8 @@ in the same order and float expressions, and builds no list; the two give
 the same answers bit for bit.  A trajectory reads the answer at each grid
 time, a C state's whole grid in one fl_limit_query call.  A state holds
 A and T as floats, so a bound at the box edge is the float -A or A
-either way.
+either way.  The slow limit holds a barrier-only LimitStateP, whose row
+buffer on C is zeros but for the barrier block, and asks it.
 """
 
 import math
@@ -714,6 +716,16 @@ _ROW_BLOCKS = (("events", 4, 5), ("fronts", 2, 6), ("barriers", 1, 4), ("sweeps"
 _ROW_WIDTH = sum(per_mark * width for _, per_mark, width in _ROW_BLOCKS)
 
 
+def _block(rows: np.ndarray, n: int, name: str, size: int) -> np.ndarray:
+    """The first size rows of the block called name in a row buffer for n
+    marks, as a (size, width) view."""
+    start = 0
+    for block, per_mark, width in _ROW_BLOCKS:
+        if block == name:
+            return rows[start:start + size * width].reshape(size, width)
+        start += per_mark * n * width
+
+
 def _built(name: str, rows: list) -> list:
     """The state list called name, built from its block of fl_limit_run's
     rows (as Python lists of floats)."""
@@ -746,13 +758,10 @@ def _run_alffp_c(state: LimitStateP) -> None:
                                counts.ctypes.data)
     if status != 0:  # -1, the one failure
         raise MemoryError("the limit engine could not allocate its event queue")
-    start = 0
-    for (name, per_mark, width), size in zip(_ROW_BLOCKS, counts.tolist()):
+    for (name, per_mark, _), size in zip(_ROW_BLOCKS, counts.tolist()):
         if not 0 <= size <= per_mark * n:
             raise RuntimeError(f"fl_limit_run returned {size} rows for a buffer of {per_mark * n}")
-        block = rows[start:start + size * width].reshape(size, width)
-        setattr(state, name, _built(name, block.tolist()))
-        start += per_mark * n * width
+        setattr(state, name, _built(name, _block(rows, n, name, size).tolist()))
     state._buffer = (rows, counts)
 
 
@@ -763,80 +772,61 @@ _run_alffp = _run_alffp_py if _lib is None else _run_alffp_c
 # -- slow-regime limit ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Feature:
-    x: float
-    tau: float
-    permanent: bool
-
-    def active(self, t: float) -> bool:
-        if self.permanent:
-            return t >= self.tau
-        return self.tau <= t < 2.0 * self.tau
-
-    def height(self, t: float) -> float:
-        if not self.active(t):
-            return 0.0
-        return 1.0 if self.permanent else 2.0 * self.tau - t
-
-
 class LimitStateInf:
-    """Slow-regime limit realization: marks become temporary or permanent
-    features at points; clusters are bounded by the nearest active ones."""
+    """A simulated slow-regime limit realization.
+
+    Built by simulate_lffp_inf.  A mark at (x, tau) leaves the barrier
+    (x, tau, 2 tau) when tau < z0, else the permanent (x, tau, inf).  A
+    private LimitStateP holding only these barriers answers Y and D with
+    the LFFP(p) queries: D is (x, x) before time 1 and at an active barrier,
+    else the interval between the nearest active barriers.  The barriers
+    and the event log are exposed for inspection.
+    """
 
     def __init__(self, z0: float, A: float, T: float, marks: MarkSet):
         self.z0 = z0
         self.A = float(A)
         self.T = float(T)
         self.marks = marks
-        self.features = [_Feature(m.x, m.t, m.t >= z0) for m in marks]
+        x, tau = marks.array.T
+        expiry = np.where(tau < z0, 2.0 * tau, math.inf)
+        self._lffp = LimitStateP(0.0, A, T, marks)
+        self.barriers = self._lffp.barriers = list(
+            map(_Barrier, x.tolist(), tau.tolist(), expiry.tolist()))
+        if _lib is not None:
+            # fl_limit_query reads only the barrier block of the rows
+            n = len(marks)
+            rows = np.zeros(_ROW_WIDTH * n)
+            block = _block(rows, n, "barriers", n)
+            block[:, :2] = marks.array
+            block[:, 2] = expiry
+            counts = np.zeros(9, dtype=np.int64)
+            counts[2] = n
+            self._lffp._buffer = (rows, counts)
         events = []
-        for f in self.features:
-            events.append(
-                LimitEvent(
-                    f.tau, EVENT_MARK, f.x, "permanent" if f.permanent else "temporary"
-                )
-            )
-            if not f.permanent and 2.0 * f.tau <= T:
-                events.append(
-                    LimitEvent(2.0 * f.tau, EVENT_BARRIER_EXPIRY, f.x, "expiry")
-                )
+        for b in self.barriers:
+            cause = "permanent" if b.expiry == math.inf else "temporary"
+            events.append(LimitEvent(b.create, EVENT_MARK, b.x, cause))
+            if b.expiry <= self.T:
+                events.append(LimitEvent(b.expiry, EVENT_BARRIER_EXPIRY, b.x, "expiry"))
         events.sort(key=lambda e: (e.t, e.kind, e.x))
         self.events = events
 
-    _check_point = LimitStateP._check_point  # the same box and window
-
     def Y(self, x: float, t: float) -> float:
-        """Feature height at exactly x (0 where no feature sits)."""
-        self._check_point(x, t)
-        y = 0.0
-        for f in self.features:
-            if f.x == x:
-                y = max(y, f.height(t))
-        return y
+        """The height of the barrier active at exactly x (1 for a permanent
+        one, 0 where none is)."""
+        return min(self._lffp.H(x, t), 1.0)
 
     def D(self, x: float, t: float) -> Tuple[float, float]:
-        """Cluster interval at x: bounded by the nearest active features."""
-        self._check_point(x, t)
-        if t < 1.0:
-            return (x, x)
-        lo = -self.A
-        hi = self.A
-        for f in self.features:
-            if not f.active(t):
-                continue
-            if f.x <= x and f.x > lo:
-                lo = f.x
-            if f.x >= x and f.x < hi:
-                hi = f.x
-        return (lo, hi)
+        """The cluster interval through x at time t."""
+        return self._lffp.D(x, t)
 
     def trajectory(self, grid: Sequence[float]) -> Trajectory:
         """D at the origin over a time grid, D(0, t) at each grid time; the
         values are NaN, since the slow limit has no regrowth observable."""
-        times = np.asarray(grid, dtype=float)
-        return Trajectory(times, np.full(len(times), math.nan),
-                          [self.D(0.0, t) for t in times.tolist()])
+        traj = self._lffp.trajectory(grid)
+        traj.values = np.full(len(traj.times), math.nan)
+        return traj
 
 
 def simulate_lffp_inf(
@@ -857,7 +847,7 @@ def simulate_lffp_inf(
 def sample_cluster_lengths_inf(z0: float, t: float, stream, count: int) -> List[float]:
     """count exact cluster length draws for the slow limit at time t > 2*z0.
 
-    Active features then form a Poisson process of intensity t - z0, so the
+    Active barriers then form a Poisson process of intensity t - z0, so the
     cluster at the origin is the sum of two independent exponential gaps.
     The 2 * count gaps are drawn as one block, in stream order.
     """

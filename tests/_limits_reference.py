@@ -11,8 +11,13 @@ not edit run_alffp_rescan or the scans: they are the reference.  Its one
 rule change since it was frozen: a front standing exactly on an active
 barrier's point counts as ahead of it (the barrier test's `>=`), so an
 event at the instant it arrives no longer lets it through.
+
+It also keeps the slow limit's feature rule as it stood before the slow
+limit's marks became LFFP(p) barriers (reference_inf_*, at the end).  Do not
+edit it either.
 """
 
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from fireline.limits import (
@@ -313,3 +318,72 @@ def run_alffp_rescan(state: LimitStateP) -> None:
             f.blocked = cause != "edge"
             f.cause = cause
             state.events.append(LimitEvent(t_ev, kind, xs, cause))
+
+
+# -- the slow limit's feature rule, frozen ------------------------------------------
+
+
+@dataclass(frozen=True)
+class Feature:
+    """A slow-limit mark at (x, tau): temporary, active on [tau, 2 tau), when
+    tau < z0, else permanent, active from tau on."""
+
+    x: float
+    tau: float
+    permanent: bool
+
+    def active(self, t: float) -> bool:
+        if self.permanent:
+            return t >= self.tau
+        return self.tau <= t < 2.0 * self.tau
+
+    def height(self, t: float) -> float:
+        if not self.active(t):
+            return 0.0
+        return 1.0 if self.permanent else 2.0 * self.tau - t
+
+
+def reference_inf_features(z0: float, marks: Sequence[Mark]) -> List[Feature]:
+    return [Feature(m.x, m.t, m.t >= z0) for m in marks]
+
+
+def reference_inf_events(features: Sequence[Feature], T: float) -> List[LimitEvent]:
+    """Each feature's mark, and a temporary one's expiry at 2 tau <= T, in
+    (t, kind, x) order."""
+    events = []
+    for f in features:
+        events.append(
+            LimitEvent(f.tau, EVENT_MARK, f.x, "permanent" if f.permanent else "temporary")
+        )
+        if not f.permanent and 2.0 * f.tau <= T:
+            events.append(LimitEvent(2.0 * f.tau, EVENT_BARRIER_EXPIRY, f.x, "expiry"))
+    events.sort(key=lambda e: (e.t, e.kind, e.x))
+    return events
+
+
+def reference_inf_Y(features: Sequence[Feature], x: float, t: float) -> float:
+    """The feature height at exactly x (0 where no feature sits)."""
+    y = 0.0
+    for f in features:
+        if f.x == x:
+            y = max(y, f.height(t))
+    return y
+
+
+def reference_inf_D(features: Sequence[Feature], A: float, x: float, t: float
+                    ) -> Tuple[float, float]:
+    """The cluster at x: (x, x) before time 1, else bounded by the nearest
+    active features inside [-A, A], a feature at x bounding it on both
+    sides."""
+    if t < 1.0:
+        return (x, x)
+    lo = -A
+    hi = A
+    for f in features:
+        if not f.active(t):
+            continue
+        if f.x <= x and f.x > lo:
+            lo = f.x
+        if f.x >= x and f.x < hi:
+            hi = f.x
+    return (lo, hi)

@@ -199,17 +199,73 @@ _GOLDEN_COUPLED = {
 }
 
 
+# the same digests for coupled_run(exp(-k), pi, 2.0, 2.0, 42, stream_id=stream) off
+# the ladder: three slow rungs (z0 = 0, 0.087 and 0.23), whose limit is the
+# barrier-only slow limit, and a fast rung
+_GOLDEN_COUPLED_REGIMES = {
+    (6, 0.5, 0): (
+        "0x1.62f8d89acae7ap-1",
+        "35abe2716656ca5c736973151016cd2066cb3f7e9c70149f32c9f83fff67143a",
+        "631c23e0773b8652855de258e42874a07a06545bd0b2438d00b6e20478e551b9",
+        "5bbe500938de60e9a81eff16be9bec12029ce3e6cc3790ae52dedf514816eef7"),
+    (6, 0.5, 7): (
+        "0x1.d90de24c9cd57p-2",
+        "9c4aad14234fb73fe4dc6e069ff4711fcc9534859218e65d2f7df1546a282ffb",
+        "48de97377ecec766ea226b9b97ea4156b60a8dc93fcd01a28de0974c770c4f48",
+        "59aa6ee3401bb0867686f262bd32ae7c08f4a853719d3be3c88de441def8c490"),
+    (8, 2.0, 0): (
+        "0x1.34061a162ffb7p-1",
+        "35abe2716656ca5c736973151016cd2066cb3f7e9c70149f32c9f83fff67143a",
+        "7adc84dcc1e14ac8defb13599f54f6ecf882592e4e917b9bd9bda4ae93b8dcb3",
+        "26bbf35e97a15848644dd64e655ed019788b4ae0dc5ea14c83d8bda63ff47025"),
+    (8, 2.0, 7): (
+        "0x1.7d325a5ed7219p-1",
+        "9c4aad14234fb73fe4dc6e069ff4711fcc9534859218e65d2f7df1546a282ffb",
+        "5ac8526272903a72a0322843d4ab8d5f3a5bf62347b946a4bf17a62522663dd9",
+        "c2d656a46acebfbecb376ad7c0067643370e3e2e07608b11320bdce867bb94bf"),
+    (10, 10.0, 0): (
+        "0x1.74962f9af14b3p-1",
+        "35abe2716656ca5c736973151016cd2066cb3f7e9c70149f32c9f83fff67143a",
+        "202a64a3084bf055e3ed544cb7dd3dab774f8479fc642781763c9dbabb2663d6",
+        "c08beb51b18cb71f3c602fa759ab0305c43f68ff22557149a024fe55bfed1699"),
+    (10, 10.0, 7): (
+        "0x1.ae74716769c47p-1",
+        "9c4aad14234fb73fe4dc6e069ff4711fcc9534859218e65d2f7df1546a282ffb",
+        "599396ba82a3934483292c3388a1a347d4cc445d7530de7258f850cf71eeb2b8",
+        "a39fc96a10be7f1706cb4518895e723619a09c18f22704a3f21abe28d550ac7b"),
+    (6, 1116.67, 0): (
+        "0x1.36277f646e662p+0",
+        "8b315b57486a1dc2182b94fa14a8421e03765e494caff2e554b49fcb786e76f9",
+        "de099332ab08720a1124e40ba616c1b12929abfa465f1bf5d300b2c84905f7f4",
+        "2017a5016c0ae7cfae056f0de832dd3b646a43b5209502115964dac73c011109"),
+    (6, 1116.67, 7): (
+        "0x1.888551e8c8572p+0",
+        "21dc3fccf9a5b62bd668da3abecefac8aab9d3f24a43c93605166999a2fe61fa",
+        "4f012a17d7300cd9c4559f2315207fcb518bfb8bf8473b77d8d1ebff1885b783",
+        "59aa6ee3401bb0867686f262bd32ae7c08f4a853719d3be3c88de441def8c490"),
+}
+
+
+def _golden_digests(run):
+    def digest(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    return (run.distance.hex(), digest(run.limit.intervals), digest(run.discrete.intervals),
+            digest(run.match_log))
+
+
 @pytest.mark.parametrize("k, stream", sorted(_GOLDEN_COUPLED))
 def test_coupled_run_golden_realizations(k, stream):
     lam, pi = _intermediate_point(k)
     run = coupled_run(lam, pi, 2.0, 2.0, 42, stream_id=stream)
+    assert _golden_digests(run) == _GOLDEN_COUPLED[k, stream]
 
-    def digest(value):
-        return hashlib.sha256(repr(value).encode()).hexdigest()
 
-    got = (run.distance.hex(), digest(run.limit.intervals), digest(run.discrete.intervals),
-           digest(run.match_log))
-    assert got == _GOLDEN_COUPLED[k, stream]
+@pytest.mark.parametrize("k, pi, stream", sorted(_GOLDEN_COUPLED_REGIMES))
+def test_coupled_run_golden_realizations_in_the_slow_and_fast_regimes(k, pi, stream):
+    run = coupled_run(math.exp(-float(k)), pi, 2.0, 2.0, 42, stream_id=stream)
+    assert run.regime.kind == ("fast" if pi > 1000.0 else "slow")
+    assert _golden_digests(run) == _GOLDEN_COUPLED_REGIMES[k, pi, stream]
 
 
 # -- cluster experiments -----------------------------------------------------------

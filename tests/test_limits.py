@@ -1,4 +1,4 @@
-"""Limit-process engines: exact event geometry and the slow-regime features."""
+"""Limit-process engines: exact event geometry and the slow-regime barriers."""
 
 import json
 import math
@@ -8,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _limits_reference import _D, reference_alffp
+from _limits_reference import (
+    _D,
+    reference_alffp,
+    reference_inf_D,
+    reference_inf_events,
+    reference_inf_features,
+    reference_inf_Y,
+)
 from fireline import limits
 from fireline.engine import COMPILED, FALLBACK_REASON
 from fireline.limits import (
@@ -474,9 +481,10 @@ def test_inf_trajectory_has_intervals_and_nan_values():
 
 
 def test_inf_trajectory_equals_state_queries():
-    # lattice features, x = 0 as 0.0 or -0.0 at random and some on the box
+    # lattice marks, x = 0 as 0.0 or -0.0 at random and some on the box
     # edges, queried at every tau and 2 tau and between them; half of the
-    # boxes have an int A, which a state holds as a float
+    # boxes have an int A, which a state holds as a float.  A barrier active
+    # at -0.0 stands at the origin, so the cluster there is (0.0, 0.0)
     rng = random.Random(23)
     signed = 0
     for k in range(60):
@@ -489,13 +497,16 @@ def test_inf_trajectory_equals_state_queries():
                               marks=marks)
         grid = sorted(
             {0.125 * i for i in range(33)}
-            | {f.tau for f in s.features}
-            | {2.0 * f.tau for f in s.features if 2.0 * f.tau <= 4.0}
+            | {m.t for m in s.marks}
+            | {2.0 * m.t for m in s.marks if 2.0 * m.t <= 4.0}
         )
         traj = s.trajectory(grid)
         assert traj.times.tolist() == grid
         assert repr(traj.intervals) == repr([s.D(0.0, t) for t in grid])
-        signed += sum(repr(bound) == "-0.0" for interval in traj.intervals for bound in interval)
+        for t, interval in zip(grid, traj.intervals):
+            if any(repr(b.x) == "-0.0" and b.create <= t < b.expiry for b in s.barriers):
+                assert repr(interval) == "(0.0, 0.0)"
+                signed += 1
     assert signed > 0
     with pytest.raises(ValueError):
         s.trajectory([1.0, 4.5])
@@ -571,7 +582,7 @@ def test_a_list_of_marks_runs_as_its_markset(loop, monkeypatch):
         assert repr(state.trajectory(grid)) == repr(want.trajectory(grid))
     state, want = (simulate_lffp_inf(0.5, 6.0, 3.0, marks=marks) for marks in (given, as_set))
     assert type(state.marks) is MarkSet and state.marks == given
-    assert (repr(state.events), state.features) == (repr(want.events), want.features)
+    assert (repr(state.events), state.barriers) == (repr(want.events), want.barriers)
     assert repr(state.trajectory(grid)) == repr(want.trajectory(grid))
     assert type(given[-1].x) is int and type(given[1].x) is np.float64
 
@@ -937,3 +948,78 @@ def test_inf_determinism_and_random_draws():
     assert a.marks == b.marks
     for m in a.marks:
         assert -2.0 <= m.x <= 2.0 and 0.0 <= m.t <= 2.0
+
+
+def _inf_state(core, z0, A, T, marks):
+    """simulate_lffp_inf's state, answering from fl_limit_query's rows on
+    the C core, or from the Python scans with its rows dropped."""
+    if core == "c" and not COMPILED:
+        pytest.skip(f"C core unavailable: {FALLBACK_REASON}")
+    state = simulate_lffp_inf(z0, A, T, marks=marks)
+    assert (state._lffp._buffer is not None) == COMPILED
+    if core == "python":
+        state._lffp._buffer = None
+    return state
+
+
+@pytest.mark.parametrize("core", ["c", "python"])
+def test_slow_limit_equals_the_frozen_feature_rule(core):
+    # drawn marks: the event log, D and Y have the feature rule's bits at
+    # random points, at every mark and both box edges, at every tau and
+    # 2 tau and at random times, and so has the trajectory at the origin
+    rng = random.Random(29)
+    points = 0
+    for seed in range(200):
+        for A in (2, 2.0):
+            marks = poisson_rectangle(RngStream(seed, 0), -A, A, 0.0, 3.0)
+            for z0 in (0.0, 0.25, 0.5, 1.0):
+                state = _inf_state(core, z0, A, 3.0, marks)
+                features = reference_inf_features(z0, marks)
+                assert repr(state.events) == repr(reference_inf_events(features, 3.0))
+                times = sorted({f.tau for f in features}
+                               | {2.0 * f.tau for f in features if 2.0 * f.tau <= 3.0}
+                               | {0.0, rng.uniform(0.0, 3.0), rng.uniform(1.0, 3.0), 3.0})
+                xs = [-2.0, 2.0, rng.uniform(-2.0, 2.0)]
+                queries = [(x, t) for x in xs for t in times]
+                queries += [(f.x, t) for f in features for t in (f.tau, 2.0 * f.tau) if t <= 3.0]
+                for x, t in queries:
+                    assert repr(state.D(x, t)) == repr(reference_inf_D(features, 2.0, x, t))
+                    assert repr(state.Y(x, t)) == repr(reference_inf_Y(features, x, t))
+                traj = state.trajectory(times)
+                assert repr(traj.intervals) == repr([reference_inf_D(features, 2.0, 0.0, t)
+                                                     for t in times])
+                assert np.isnan(traj.values).all()
+                points += len(queries) + len(times)
+    assert points > 100_000
+
+
+@pytest.mark.parametrize("core", ["c", "python"])
+def test_slow_limit_differs_from_the_frozen_rule_only_at_a_signed_zero_barrier(core):
+    # lattice marks with x = 0 as 0.0 or -0.0 at random, queried at every
+    # quarter point (both zeros) at every eighth time, so at every tau and
+    # 2 tau.  The one allowed difference: where a barrier is active at x the
+    # cluster is (x, x), and the feature rule gave the barrier's own point,
+    # a zero of the other sign
+    rng = random.Random(31)
+    signed = 0
+    for k in range(60):
+        cells = sorted(
+            (0.25 * rng.randint(0, 12), 0.5 * rng.randint(-4, 4))
+            for _ in range(rng.randint(0, 20))
+        )
+        marks = [Mark(x or rng.choice((0.0, -0.0)), t) for t, x in cells]
+        z0 = rng.choice((0.0, 0.25, 0.5, 0.75, 1.0))
+        state = _inf_state(core, z0, (2.0, 2)[k % 2], 4.0, marks)
+        features = reference_inf_features(z0, marks)
+        assert repr(state.events) == repr(reference_inf_events(features, 4.0))
+        times = [0.125 * i for i in range(33)]
+        for x in [0.25 * i for i in range(-8, 9)] + [-0.0]:
+            for t in times:
+                got, want = state.D(x, t), reference_inf_D(features, 2.0, x, t)
+                assert repr(state.Y(x, t)) == repr(reference_inf_Y(features, x, t))
+                if repr(got) != repr(want):
+                    assert got == want and repr(got) == repr((x, x))
+                    assert any(b.x == x and b.create <= t < b.expiry for b in state.barriers)
+                    signed += 1
+        assert repr(state.trajectory(times).intervals) == repr([state.D(0.0, t) for t in times])
+    assert signed > 0

@@ -71,19 +71,18 @@
  * barrier or front rows written so far.  A mark reads its last reset, its
  * active barrier and at p = 0 its cluster with the scans that
  * fl_limit_query makes (query_reset, query_barrier and query_cluster), over
- * every row written so far.  It writes rows of
- * doubles into the caller's buffer of 39n doubles, in four blocks
- * with room for 4n events, 2n fronts, n barriers and n sweeps (a mark makes
- * at most one barrier, one sweep or two fronts; a barrier expires once and
- * a front dies once):
+ * every row written so far.  It writes rows of doubles into the caller's
+ * buffer of 39n doubles, in four blocks with room for 4n events, 2n fronts,
+ * n barriers and n sweeps (a mark makes at most one barrier, one sweep or
+ * two fronts; a barrier expires once and a front dies once):
  *   events   (t, cause, x, a, b), a and b the (z,) or swept (lo, hi) data;
  *   fronts   (x0, t0, direction, t_end, x_end, cause of death or LC_ALIVE);
  *   barriers (x, create, expiry, logged);
  *   sweeps   (t, lo, hi).
- * counts gets the four row counts, then the queue's candidates queued, stale
- * and rekeyed, its peak size and the candidate tests.  Its scratch, the
- * queue, is allocated and freed inside the call.  It returns 0, or -1 when
- * an allocation fails.
+ * counts gets LIM_COUNTS (8) values: the four row counts, then the queue's
+ * candidates queued and stale, its peak size and the candidate tests.  Its
+ * scratch, the queue, is allocated and freed inside the call.  It returns 0,
+ * or -1 when an allocation fails.
  *
  * fl_limit_query(p, A, n, rows, counts, x, m, ts, out) answers the queries
  * of fireline.limits.LimitStateP at the m points (x, ts[i]) from the rows
@@ -709,6 +708,13 @@ typedef struct {
     double t, lo, hi;
 } lim_sweep;
 
+/* fl_limit_run's rows per mark, as fireline.limits._ROW_BLOCKS, each row the
+ * width of its struct: LIM_MARK_BYTES is 39 doubles.  LIM_COUNTS is the
+ * length of its counts. */
+enum { LIM_EVENTS = 4, LIM_FRONTS = 2, LIM_BARRIERS = 1, LIM_SWEEPS = 1, LIM_COUNTS = 8 };
+#define LIM_MARK_BYTES (LIM_EVENTS * sizeof(lim_event) + LIM_FRONTS * sizeof(lim_front) \
+                        + LIM_BARRIERS * sizeof(lim_barrier) + LIM_SWEEPS * sizeof(lim_sweep))
+
 /* A queued candidate, keyed (t, kind, x, rank, i, j, k) as the Python loop's
  * tuples.  (i, j, k) name its participants and give the rescan's list order
  * for equal keys:
@@ -732,7 +738,7 @@ typedef struct {
     int64_t n_events, n_fronts, n_barriers, n_sweeps;
     lim_entry *heap;
     int64_t hsize, hcap;
-    int64_t queued, stale, rekeyed, peak, tests;
+    int64_t queued, stale, peak, tests;
 } lim_run;
 
 /* Python's max(a, b) and min(a, b): the first argument unless the second is
@@ -803,7 +809,7 @@ static void lim_pop(lim_run *r)
     }
 }
 
-/* Queue a candidate; keys only grow, so one past the horizon never fires. */
+/* Queue a candidate; a key never moves, so one past the horizon never fires. */
 static int lim_push(lim_run *r, double t, int64_t kind, double x, int64_t rank, int64_t i,
                     int64_t j, int64_t k)
 {
@@ -1164,25 +1170,26 @@ static int mark_event(lim_run *r, int64_t i)
     return 0;
 }
 
-/* Re-derive the queue head at the current time: 1 with its time in *t, or 0
- * when it is no longer a candidate. */
-static int head_time(const lim_run *r, const lim_entry *e, double *t)
+/* Test the popped queue head again at the current time: 1 when it is still
+ * a candidate, which fires at its key (the tests derive that key again), or
+ * 0 when it is stale. */
+static int head_applies(const lim_run *r, const lim_entry *e)
 {
-    *t = e->t;
+    double t;
     switch (e->kind) {
     case LK_STOP: {
         const lim_front *a = &r->fronts[e->i];
         if (!alive(a))
             return 0;
         if (e->j == 1)
-            return barrier_time(r, a, &r->barriers[e->k], t);
+            return barrier_time(r, a, &r->barriers[e->k], &t);
         if (e->j == 2)
-            return wake_time(r, a, &r->fronts[e->k], t);
+            return wake_time(r, a, &r->fronts[e->k], &t);
         return 1;
     }
     case LK_MEET: {
         const lim_front *a = &r->fronts[e->i], *b = &r->fronts[e->j];
-        return alive(a) && alive(b) && meet_time(r, a, b, t);
+        return alive(a) && alive(b) && meet_time(r, a, b, &t);
     }
     case LK_EXPIRY:
         return r->barriers[e->i].logged == 0.0;
@@ -1198,22 +1205,12 @@ static int lim_loop(lim_run *r)
     r->peak = r->hsize;
     while (r->hsize > 0) {
         lim_entry e = r->heap[0];
-        double t;
-        if (!head_time(r, &e, &t)) {
-            lim_pop(r);
+        lim_pop(r);
+        if (!head_applies(r, &e)) {
             r->stale++;
             continue;
         }
-        if (t != e.t) {
-            r->heap[0].t = t;
-            lim_siftup(r->heap, r->hsize, 0);
-            r->rekeyed++;
-            continue;
-        }
-        if (t > r->T)
-            break;
-        lim_pop(r);
-        r->now = t;
+        double t = r->now = e.t;
         if (e.kind == LK_MARK) {
             if (mark_event(r, e.i))
                 return -1;
@@ -1238,21 +1235,20 @@ static int lim_loop(lim_run *r)
     return 0;
 }
 
-/* The row blocks of a buffer of 39n doubles for n marks: 4n events, 2n
- * fronts, n barriers and n sweeps. */
+/* The row blocks of a buffer of LIM_MARK_BYTES * n bytes for n marks. */
 static void lim_blocks(lim_run *r, double *rows, int64_t n)
 {
     r->events = (lim_event *)rows;
-    r->fronts = (lim_front *)(rows + 20 * n);
-    r->barriers = (lim_barrier *)(rows + 32 * n);
-    r->sweeps = (lim_sweep *)(rows + 36 * n);
+    r->fronts = (lim_front *)(r->events + LIM_EVENTS * n);
+    r->barriers = (lim_barrier *)(r->fronts + LIM_FRONTS * n);
+    r->sweeps = (lim_sweep *)(r->barriers + LIM_BARRIERS * n);
 }
 
 /* LFFP(p) on [-A, A] x [0, T] from n validated marks, sorted by time.  See
  * the header comment for the buffers and counts.  Returns 0, or -1 when an
  * allocation fails. */
 FL_API int fl_limit_run(double p, double A, double T, int64_t n, const mark_row *marks,
-                        double *rows, int64_t counts[9])
+                        double *rows, int64_t counts[LIM_COUNTS])
 {
     lim_run r;
     memset(&r, 0, sizeof r);
@@ -1263,8 +1259,8 @@ FL_API int fl_limit_run(double p, double A, double T, int64_t n, const mark_row 
     r.n_marks = n;
     lim_blocks(&r, rows, n);
     int status = lim_loop(&r);
-    int64_t out[9] = {r.n_events, r.n_fronts, r.n_barriers, r.n_sweeps,
-                      r.queued, r.stale, r.rekeyed, r.peak, r.tests};
+    int64_t out[LIM_COUNTS] = {r.n_events, r.n_fronts, r.n_barriers, r.n_sweeps,
+                               r.queued, r.stale, r.peak, r.tests};
     memcpy(counts, out, sizeof out);
     free(r.heap);
     return status;
@@ -1324,9 +1320,9 @@ FL_API int fl_tail_runs(double p, double A, double T, uint64_t seed, uint64_t fi
     double area = 2.0 * A * T; /* poisson_rectangle's (x_hi - x_lo) * (t_hi - t_lo) */
     double strips = ceil(area / 64.0); /* strips of area at most 64 */
     int64_t n_strips = strips > 1.0 ? (int64_t)strips : 1;
-    int64_t cap = (int64_t)area + 1, counts[9]; /* the mean count, rounded up */
+    int64_t cap = (int64_t)area + 1, counts[LIM_COUNTS]; /* the mean count, rounded up */
     mark_row *marks = malloc((size_t)cap * sizeof *marks);
-    double *rows = malloc((size_t)cap * 39 * sizeof *rows);
+    double *rows = malloc((size_t)cap * LIM_MARK_BYTES);
     int status = marks && rows ? 0 : -1;
     for (int64_t k = 0; k < count && status == 0; k++) {
         uint64_t stream = first + (uint64_t)k, used;
@@ -1336,7 +1332,7 @@ FL_API int fl_tail_runs(double p, double A, double T, uint64_t seed, uint64_t fi
             mark_row *more_marks = realloc(marks, (size_t)n * sizeof *marks);
             if (more_marks != NULL)
                 marks = more_marks;
-            double *more_rows = more_marks ? realloc(rows, (size_t)n * 39 * sizeof *rows) : NULL;
+            double *more_rows = more_marks ? realloc(rows, (size_t)n * LIM_MARK_BYTES) : NULL;
             if (more_rows == NULL) {
                 status = -1;
                 break;

@@ -57,10 +57,11 @@ def _check_runs(runs: int, seed: int) -> None:
 
 
 def _map_runs(worker: Callable, argses: Sequence[tuple], jobs: int) -> list:
-    if jobs <= 1:
-        return [worker(a) for a in argses]
-    # no more workers than runs: the pool forks all of them at the first submit
+    # no more workers than runs, since the pool forks all of them at the
+    # first submit, and no pool at all for one worker
     workers = min(jobs, len(argses))
+    if workers <= 1:
+        return [worker(a) for a in argses]
     # batch short runs to save a round trip per run, in chunks small enough
     # (16 per worker) that uneven run times still balance across workers
     chunksize = max(1, len(argses) // (16 * workers))
@@ -567,13 +568,9 @@ def front_statistics(run: PropagationRun, dt: float) -> FrontGofResult:
             obs_bins.append(acc_o)
             exp_bins.append(acc_e)
             acc_o = acc_e = 0.0
-    if acc_e > 0.0:
-        if exp_bins:
-            obs_bins[-1] += acc_o
-            exp_bins[-1] += acc_e
-        else:
-            obs_bins.append(acc_o)
-            exp_bins.append(acc_e)
+    if acc_e > 0.0 and exp_bins:
+        obs_bins[-1] += acc_o
+        exp_bins[-1] += acc_e
     if len(exp_bins) < 2:
         raise ValueError("not enough windows for a chi-square fit; lower dt")
     stat, pvalue = stats.chisquare(obs_bins, exp_bins)

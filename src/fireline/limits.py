@@ -30,18 +30,20 @@ unit; a new barrier against the live fronts (plus its own expiry); a
 front's death against the live opposing fronts, for its dead wake; the
 next mark when the last one is taken.  Each derivation scans the run's
 own lists, as a mark's Z, H and at p = 0 D scans do (below), and as the
-frozen oracle's rescan does: O(n) for one copy of each rule.  A key can
-only grow (a late candidate fires at max(v, now)) and a candidate that
+frozen oracle's rescan does: O(n) for one copy of each rule.  A key never
+moves: it is pushed no earlier than the current time (a late candidate
+fires at max(v, now)), and v reads only what is fixed by then (a front's
+origin, a barrier's point, a dead front's end), so the same tests made at
+any current time up to the key derive the key again.  A candidate that
 lapses never returns (a front that passes its target is no longer ahead
-of it, a dead front stays dead), so the head of the queue is re-derived
-at the current time with the same tests: dropped when it no longer
-applies, pushed back when its key moved, and fired otherwise.  Equal keys
-fall back to a fixed list order: the mark; expiries by barrier index;
-then per front, by index, its edge, its barriers by index and its wakes
-by front index; then meets by front indices.  Keys are unique, so the
-order of the pushes does not matter, and this gives, bit for bit, the log
-of a full rescan of every candidate after every event (kept frozen as the
-test oracle).
+of it, a dead front stays dead), so the popped head is tested again at
+the current time: dropped when it no longer applies, and fired at its key
+otherwise.  Equal keys fall back to a fixed list order: the mark;
+expiries by barrier index; then per front, by index, its edge, its
+barriers by index and its wakes by front index; then meets by front
+indices.  Keys are unique, so the order of the pushes does not matter,
+and this gives, bit for bit, the log of a full rescan of every candidate
+after every event (kept frozen as the test oracle).
 
 The loop exists twice.  _run_alffp_c makes one call of its C twin,
 fl_limit_run in _ccore.c, which runs the same queue, scans, tests and
@@ -76,7 +78,7 @@ import math
 from collections import Counter
 from ctypes import byref, c_double
 from dataclasses import dataclass
-from heapq import heappop, heappush, heapreplace
+from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -224,20 +226,21 @@ class LimitStateP:
 
     def stats(self) -> dict:
         """Deterministic counters of the run: events by cause; the event
-        queue's candidates queued, dropped as stale, re-keyed, and its
-        high-water mark; and candidate_tests, the stop and meet tests made to
-        derive candidates for new fronts, barriers and deaths (every entry
-        of their scans that passes the skips: an expired barrier, a dead
-        front for a barrier or a death, a front dead over a time unit or a
-        twin for a new front).  A C state counts its events by the cause
-        codes of its event rows, without building the log."""
+        queue's candidates queued and dropped as stale, and its high-water
+        mark (a queued candidate keeps its key); and candidate_tests, the
+        stop and meet tests made to derive candidates for new fronts,
+        barriers and deaths (every entry of their scans that passes the
+        skips: an expired barrier, a dead front for a barrier or a death, a
+        front dead over a time unit or a twin for a new front).  A C state
+        counts its events by the cause codes of its event rows, without
+        building the log."""
         if self._buffer is None:
             causes = Counter(e.cause for e in self.events)
             queue_counts = self._queue_counts
         else:
             rows, counts = self._buffer
             causes = Counter(_EVENT_CODES[code][1] for code in rows[1:5 * counts[0]:5].tolist())
-            queue_counts = dict(zip(_QUEUE_COUNTERS, counts[4:].tolist()))
+            queue_counts = dict(zip(_QUEUE_COUNTERS, counts[len(_ROW_BLOCKS):].tolist()))
         return {"events_by_cause": dict(sorted(causes.items())), **queue_counts}
 
     # -- geometry helpers ----------------------------------------------------
@@ -457,7 +460,7 @@ def _run_alffp_py(state: LimitStateP) -> None:
     sweeps = state.sweeps
     events = state.events
     heap: list = []
-    queued = stale = rekeyed = peak = tests = 0
+    queued = stale = peak = tests = 0
     now = 0.0
 
     # The rescan's tests for one candidate at the current time: the time
@@ -513,7 +516,7 @@ def _run_alffp_py(state: LimitStateP) -> None:
     #   meet       (rightward front index, leftward front index, 0)
 
     def push(entry):
-        # keys only grow, so a candidate past the horizon never fires
+        # a key never moves, so a candidate past the horizon never fires
         nonlocal queued
         if entry[0] <= T:
             heappush(heap, entry)
@@ -592,32 +595,19 @@ def _run_alffp_py(state: LimitStateP) -> None:
         push((marks[0].t, EVENT_MARK, marks[0].x, 0, 0, 0, 0, None, None))
     peak = len(heap)
     while heap:
-        entry = heap[0]
-        t, kind, x, rank, i, j, _, a, b = entry
-        # re-derive the head at the current time: drop it if it is no longer
-        # a candidate, put it back if its key moved
+        t, kind, x, rank, i, j, _, a, b = heappop(heap)
+        # test the head again at the current time: drop it if it is no
+        # longer a candidate, else fire it at its key
         if kind == EVENT_FRONT_STOP:
-            if not a.alive:
-                t = None
-            elif j == 1:
-                t = barrier_time(a, b)
-            elif j == 2:
-                t = wake_time(a, b)
+            dropped = (not a.alive or (j == 1 and barrier_time(a, b) is None)
+                       or (j == 2 and wake_time(a, b) is None))
         elif kind == EVENT_FRONT_MEET:
-            t = meet_time(a, b) if a.alive and b.alive else None
-        elif kind == EVENT_BARRIER_EXPIRY and a.logged:
-            t = None
-        if t is None:
-            heappop(heap)
+            dropped = not (a.alive and b.alive) or meet_time(a, b) is None
+        else:
+            dropped = kind == EVENT_BARRIER_EXPIRY and a.logged
+        if dropped:
             stale += 1
             continue
-        if t != entry[0]:
-            heapreplace(heap, (t,) + entry[1:])
-            rekeyed += 1
-            continue
-        if t > T:
-            break
-        heappop(heap)
         now = t
 
         if kind == EVENT_MARK:
@@ -680,7 +670,6 @@ def _run_alffp_py(state: LimitStateP) -> None:
     state._queue_counts = {
         "candidates_queued": queued,
         "candidates_stale": stale,
-        "candidates_rekeyed": rekeyed,
         "queue_peak": peak,
         "candidate_tests": tests,
     }
@@ -707,13 +696,14 @@ _FRONT_CODES = {
     9.0: (False, True, "wake"),
     10.0: (False, False, "edge"),
 }
-_QUEUE_COUNTERS = ("candidates_queued", "candidates_stale", "candidates_rekeyed",
-                   "queue_peak", "candidate_tests")
+_QUEUE_COUNTERS = ("candidates_queued", "candidates_stale", "queue_peak", "candidate_tests")
 # fl_limit_run's row buffer: blocks of 4n events, 2n fronts, n barriers and
 # n sweeps for n marks, as (state list, rows per mark, row width), so 39n
 # doubles in all
 _ROW_BLOCKS = (("events", 4, 5), ("fronts", 2, 6), ("barriers", 1, 4), ("sweeps", 1, 3))
 _ROW_WIDTH = sum(per_mark * width for _, per_mark, width in _ROW_BLOCKS)
+# fl_limit_run's counts: the four row counts, then the queue counters
+_N_COUNTS = len(_ROW_BLOCKS) + len(_QUEUE_COUNTERS)
 
 
 def _block(rows: np.ndarray, n: int, name: str, size: int) -> np.ndarray:
@@ -753,7 +743,7 @@ def _run_alffp_c(state: LimitStateP) -> None:
     marks = state.marks.array
     n = len(marks)
     rows = np.empty(_ROW_WIDTH * n)
-    counts = np.zeros(9, dtype=np.int64)
+    counts = np.zeros(_N_COUNTS, dtype=np.int64)
     status = _lib.fl_limit_run(state.p, state.A, state.T, n, marks.ctypes.data, rows.ctypes.data,
                                counts.ctypes.data)
     if status != 0:  # -1, the one failure
@@ -800,7 +790,7 @@ class LimitStateInf:
             block = _block(rows, n, "barriers", n)
             block[:, :2] = marks.array
             block[:, 2] = expiry
-            counts = np.zeros(9, dtype=np.int64)
+            counts = np.zeros(_N_COUNTS, dtype=np.int64)
             counts[2] = n
             self._lffp._buffer = (rows, counts)
         events = []

@@ -193,18 +193,21 @@ def test_parity_long_walks_resume_from_their_counters():
 
 
 def test_parity_validation_errors():
-    for bad in (
-        dict(n_sites=0),
-        dict(pi=0.0),
-        dict(match_rate=-1.0),
-        dict(master_seed=2**64),
-        dict(stream_id=-1),
-        dict(match_rate=0.5, injected_t=[1.0], injected_site=[2]),
-        dict(ignite_site=3),
+    for bad, match in (
+        (dict(n_sites=0), "n_sites must be at least 1"),
+        (dict(pi=0.0), "pi must be positive"),
+        (dict(match_rate=-1.0), "match_rate must be nonnegative"),
+        (dict(master_seed=2**64), "master_seed must fit"),
+        (dict(stream_id=-1), "stream_id must fit"),
+        (dict(match_rate=0.5, injected_t=[1.0], injected_site=[2]), "require match_rate == 0"),
+        (dict(ignite_site=3), "requires an occupied initial state"),
+        (dict(injected_t=[1.0, 2.0], injected_site=[2]), "times and sites differ in length"),
+        # past the box the C core would write its fire outside its states
+        (dict(ignite_site=10, initial_occupied=True), "ignite_site 10 outside the box"),
     ):
         args = dict(n_sites=10, pi=1.0, match_rate=0.0, master_seed=1, stream_id=0)
         args.update(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             make_engine(force="python", **args)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             make_engine(force="compiled", **args)

@@ -385,6 +385,10 @@ def test_front_statistics_fit_and_validation():
         front_statistics(run, 15.0)
     with pytest.raises(ValueError, match="0 < dt"):
         front_statistics(run, math.nan)
+    # two windows per front give 4 counts, an expected mass of 4 in all, so
+    # no bin reaches 5
+    with pytest.raises(ValueError, match="not enough windows for a chi-square fit"):
+        front_statistics(run_propagation(5.0, 2.0, seed=1), 1.0)
 
 
 # -- barrier experiment -------------------------------------------------------------
@@ -619,10 +623,11 @@ def test_the_pool_has_no_more_workers_than_runs(monkeypatch, runs, jobs, workers
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingProcesses)
     monkeypatch.setattr(_RecordingExecutor, "sizes", [])
     res = limit_tail_experiment(2.0, 1.5, runs, seed=3, p=1.0, jobs=jobs)
-    # the library's chunks run on threads, and one chunk needs no pool;
-    # without the library the runs go to processes
+    # the library's chunks run on threads, without the library the runs go
+    # to processes, and one worker needs no pool either way
+    processes = [("processes", workers)] if workers > 1 else []
     if harness._lib is None:
-        first = [("processes", workers)]
+        first = processes
     else:
         first = [("threads", workers)] if workers > 1 else []
     assert _RecordingExecutor.sizes == first
@@ -632,7 +637,7 @@ def test_the_pool_has_no_more_workers_than_runs(monkeypatch, runs, jobs, workers
     monkeypatch.setattr(harness, "_lib", None)
     per_run = limit_tail_experiment(2.0, 1.5, runs, seed=3, p=1.0, jobs=jobs)
     assert res.lengths.tobytes() == per_run.lengths.tobytes()
-    assert _RecordingExecutor.sizes == [*first, ("processes", workers)]
+    assert _RecordingExecutor.sizes == [*first, *processes]
 
 
 def test_barrier_t0_zero_runs_and_determinism():

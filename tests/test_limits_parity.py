@@ -170,12 +170,12 @@ class _FakeLib:
         self.counts = counts
 
     def fl_limit_run(self, *args):
-        (ctypes.c_int64 * 9).from_address(args[-1])[:] = self.counts
+        (ctypes.c_int64 * len(self.counts)).from_address(args[-1])[:] = self.counts
         return self.status
 
 
 def test_an_allocation_failure_raises_memory_error(monkeypatch):
-    monkeypatch.setattr(limits, "_lib", _FakeLib(-1, [0] * 9))
+    monkeypatch.setattr(limits, "_lib", _FakeLib(-1, [0] * limits._N_COUNTS))
     with pytest.raises(MemoryError):
         _run(_run_alffp_c, 1.0, 2.0, 3.0, [Mark(0.0, 1.0)])
 
@@ -184,7 +184,7 @@ def test_an_allocation_failure_raises_memory_error(monkeypatch):
 def test_row_counts_are_checked_against_their_buffers(monkeypatch, which, bound):
     marks = [Mark(0.0, 1.0)]  # buffers of 4, 2, 1 and 1 rows
     for count in (bound + 1, -1):
-        counts = [0] * 9
+        counts = [0] * limits._N_COUNTS
         counts[which] = count
         monkeypatch.setattr(limits, "_lib", _FakeLib(0, counts))
         with pytest.raises(RuntimeError, match=f"returned {count} rows for a buffer of {bound}"):
